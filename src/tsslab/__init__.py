@@ -39,6 +39,7 @@ from .tss import (  # noqa: F401
     is_tss,
     max_tss_size,
     realized_permutations,
+    tss_by_size,
 )
 from .homs import (  # noqa: F401
     BraidCorollaryReport,

@@ -24,7 +24,7 @@ from .schemas import (
     stabilizer_to_json,
     tss_report_to_json,
 )
-from .specs import parse_group_spec
+from .specs import GroupSpecError, parse_group_spec, split_spec_pair
 from .words import baumslag as bs
 from .words import freegroup as f2
 from .words import freeproduct as fp
@@ -35,14 +35,28 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer (from --jobs or TSSLAB_JOBS), got {text!r}"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsslab",
         description="Exact computation engine for totally symmetric sets in groups.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("TSSLAB_JOBS", "1")),
+    # a string default is converted by _positive_int too, so a bad TSSLAB_JOBS
+    # is a usage error like a bad --jobs
+    parser.add_argument("--jobs", type=_positive_int,
+                        default=os.environ.get("TSSLAB_JOBS", "1"),
                         help="worker processes for verify grids (env TSSLAB_JOBS)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument("--budget", type=int, default=homs.DEFAULT_HOM_BUDGET,
@@ -362,10 +376,12 @@ def _cmd_word_bs(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_fp(args: argparse.Namespace) -> int:
-    spec = args.factors
-    cut = _split_factor_specs(spec)
-    left = parse_group_spec(cut[0])
-    right = parse_group_spec(cut[1])
+    try:
+        left_spec, right_spec = split_spec_pair(args.factors)
+    except GroupSpecError as exc:
+        raise GroupError(f"bad factor pair {args.factors!r}: {exc}") from exc
+    left = parse_group_spec(left_spec)
+    right = parse_group_spec(right_spec)
     if args.op == "reduce":
         w = fp.parse_fp_raw(args.words[0], left, right)
         print(fp.format_fp(w))
@@ -392,21 +408,6 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _split_factor_specs(text: str) -> tuple[str, str]:
-    # split at the top-level comma: specs contain commas only inside
-    # semidirect:P,M,K and product:..., both of which parse greedily.
-    from .specs import GroupSpecError, _parse
-
-    try:
-        _, rest = _parse(text.strip())
-    except GroupSpecError as exc:
-        raise GroupError(f"bad factor pair {text!r}: {exc}") from exc
-    if not rest.startswith(","):
-        raise GroupError(f"factor pair {text!r} must be '<spec>,<spec>'")
-    head = text.strip()[: len(text.strip()) - len(rest)]
-    return head, rest[1:]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     options: dict[str, Any] = {"seed": args.seed}
     if args.max_order is not None:
@@ -421,6 +422,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         options["bound"] = args.bound
     if args.samples is not None:
         options["samples"] = args.samples
+    if args.budget != homs.DEFAULT_HOM_BUDGET:
+        options["budget"] = args.budget
     grid = _parse_grid(args.theorem, args.grid, options) if args.grid else None
     result = verify.verify_suite(
         args.theorem, grid, jobs=args.jobs, out_dir=args.out, **options
@@ -453,14 +456,20 @@ def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
     if theorem == "semidirect":
         out = []
         for item in items:
-            p, m, k = (int(v) for v in item.split(","))
+            try:
+                p, m, k = (int(v) for v in item.split(","))
+            except ValueError:
+                raise GroupError(
+                    f"bad --grid item {item!r}; expected 'p,m,k' integer triples "
+                    f"joined by ';', e.g. '3,6,2;5,20,2'"
+                ) from None
             out.append({"p": p, "m": m, "k": k})
         return out
     if theorem in ("direct-product", "free-product"):
         out = []
         for item in items:
-            left, right = item.split("+", 1)
-            params: dict[str, Any] = {"left": left.strip(), "right": right.strip()}
+            left, right = _split_grid_pair(item, "<spec>+<spec>")
+            params: dict[str, Any] = {"left": left, "right": right}
             if theorem == "free-product":
                 params["max_syllables"] = options.get("max_syllables", 4)
             out.append(params)
@@ -468,14 +477,20 @@ def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
     if theorem == "braid-corollary":
         out = []
         for item in items:
-            strands, target = item.split("+", 1)
-            out.append({"strands": int(strands), "target": target.strip()})
+            strands, target = _split_grid_pair(item, "<strands>+<spec>")
+            if not strands.isdigit():
+                raise GroupError(f"bad --grid item {item!r}; expected <strands>+<spec> "
+                                 f"with an integer strand count, e.g. '5+sym:5'")
+            params = {"strands": int(strands), "target": target}
+            if "budget" in options:
+                params["budget"] = options["budget"]
+            out.append(params)
         return out
     if theorem == "no-injection":
         out = []
         for item in items:
-            source, target = item.split("+", 1)
-            out.append({"source": source.strip(), "target": target.strip()})
+            source, target = _split_grid_pair(item, "<spec>+<spec>")
+            out.append({"source": source, "target": target})
         return out
     # corpus-style suites take group specs joined by ';'
     params_extra: dict[str, Any] = {}
@@ -485,17 +500,30 @@ def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
     return [{"group": item.strip(), **params_extra} for item in items]
 
 
+def _split_grid_pair(item: str, syntax: str) -> tuple[str, str]:
+    if "+" not in item:
+        raise GroupError(f"bad --grid item {item!r}; expected {syntax} pairs joined by ';'")
+    left, right = item.split("+", 1)
+    return left.strip(), right.strip()
+
+
 def _parse_ints(text: str) -> list[int]:
     out: list[int] = []
     for tok in text.replace(";", ",").split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if "-" in tok[1:]:  # allow leading minus
-            lo_text, hi_text = tok.rsplit("-", 1)
-            out.extend(range(int(lo_text), int(hi_text) + 1))
-        else:
-            out.append(int(tok))
+        try:
+            if "-" in tok[1:]:  # allow leading minus
+                lo_text, hi_text = tok.rsplit("-", 1)
+                out.extend(range(int(lo_text), int(hi_text) + 1))
+            else:
+                out.append(int(tok))
+        except ValueError:
+            raise GroupError(
+                f"bad --grid value {tok!r}; expected integers or ranges like '3-12' "
+                f"joined by ','"
+            ) from None
     return out
 
 

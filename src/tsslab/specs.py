@@ -29,6 +29,19 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return group
 
 
+def split_spec_pair(text: str) -> tuple[str, str]:
+    """Split '<spec>,<spec>' at its top-level comma.
+
+    Specs contain commas only inside semidirect:P,M,K and product:..., which
+    parse greedily, so the first spec ends where its parse stops.
+    """
+    text = text.strip()
+    _, rest = _parse(text)
+    if not rest.startswith(","):
+        raise GroupSpecError("expected '<spec>,<spec>'")
+    return text[: len(text) - len(rest)], rest[1:]
+
+
 def _take_int(s: str) -> tuple[int, str]:
     i = 0
     while i < len(s) and s[i].isdigit():

@@ -4,6 +4,9 @@ A totally symmetric set pairwise commutes and every permutation of it is
 realized by conjugation.  The decision procedure checks witnesses for the
 adjacent transpositions only: realized permutations form a subgroup of
 Sym(S), and adjacent transpositions generate it.
+
+One level-wise search, ``tss_by_size``, produces every certified TSS one size
+at a time; ``enumerate_tss`` and ``max_tss_size`` read its levels.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import FiniteGroup, GroupError, conjugacy_classes
 
@@ -141,72 +144,59 @@ def factorial_divisibility(g: FiniteGroup, s: Iterable[int]) -> bool:
     return nstab % math.factorial(len(cert.elements)) == 0 and g.order % nstab == 0
 
 
-def enumerate_tss(g: FiniteGroup, size: int) -> list[TssCertificate]:
-    """All TSS of exactly the given size, in lexicographic element order.
+def tss_by_size(g: FiniteGroup) -> Iterator[list[TssCertificate]]:
+    """Certified TSS of size 1, 2, ..., one lexicographically sorted list per size.
 
-    Size >= 2 candidates are restricted to a single conjugacy class (members
-    of any TSS of size >= 2 are pairwise conjugate) and pruned by the
-    factorial-divisibility necessary condition before witness search.
+    Level k+1 extends each size-k set by a larger member of the same conjugacy
+    class that commutes with every member, and certifies the result.  This is
+    complete because subsets of a TSS are TSS (so the sorted k-prefix of a
+    size-(k+1) TSS is on level k) and members of a TSS of size >= 2 are
+    pairwise conjugate.  Stops after the last nonempty level, or before size k
+    when k! does not divide |G| (|S|! | |Stab(S)| | |G| is necessary).
     """
+    level = [TssCertificate(g, (x,), {}) for x in range(g.order)]
+    size = 1
+    while level:
+        yield level
+        size += 1
+        if g.order % math.factorial(size) != 0:
+            return
+        part = conjugacy_classes(g)
+        # level is sorted and class members ascend, so nxt comes out sorted
+        nxt: list[TssCertificate] = []
+        for cert in level:
+            elems = cert.elements
+            for x in part.classes[part.class_of[elems[0]]]:
+                if x > elems[-1] and all(g.commutes(x, y) for y in elems):
+                    ext = certify_tss(g, elems + (x,))
+                    if ext is not None:
+                        nxt.append(ext)
+        level = nxt
+
+
+def enumerate_tss(g: FiniteGroup, size: int) -> list[TssCertificate]:
+    """All TSS of exactly the given size, in lexicographic element order:
+    the size-th level of ``tss_by_size``."""
     if size < 1:
         raise TssError(f"size must be >= 1, got {size}")
-    if size == 1:
-        return [TssCertificate(g, (x,), {}) for x in range(g.order)]
-    fact = math.factorial(size)
-    if g.order % fact != 0:
-        # |S|! | |Stab| | |G| is necessary.
-        return []
-    part = conjugacy_classes(g)
-    out: list[TssCertificate] = []
-    for members in part.classes:
-        if len(members) < size:
-            continue
-        candidates: list[tuple[int, ...]] = []
-
-        def extend(chosen: list[int], start: int) -> None:
-            if len(chosen) == size:
-                candidates.append(tuple(chosen))
-                return
-            for idx in range(start, len(members)):
-                x = members[idx]
-                if all(g.commutes(x, y) for y in chosen):
-                    chosen.append(x)
-                    extend(chosen, idx + 1)
-                    chosen.pop()
-
-        extend([], 0)
-        for cand in candidates:
-            dec = realized_permutations(g, cand)
-            if len(dec.stabilizer) % fact != 0:
-                continue
-            cert = certify_tss(g, cand)
-            if cert is not None:
-                out.append(cert)
-    out.sort(key=lambda c: c.elements)
-    return out
+    for k, level in enumerate(tss_by_size(g), start=1):
+        if k == size:
+            return level
+    return []
 
 
 def max_tss_size(g: FiniteGroup, up_to_conjugacy: bool = False) -> TssReport:
-    """S(G) with all certified maximal sets, by ascending-size search."""
-    counts = {1: g.order}
-    best = 1
-    best_certs: Optional[list[TssCertificate]] = None
-    k = 2
-    while math.factorial(k) <= g.order and g.order % math.factorial(k) == 0:
-        certs = enumerate_tss(g, k)
-        if not certs:
-            break
-        counts[k] = len(certs)
-        best, best_certs = k, certs
-        k += 1
-    if best_certs is None:
-        best_certs = enumerate_tss(g, 1)
+    """S(G) with all certified maximal sets, from the levels of ``tss_by_size``."""
+    counts: dict[int, int] = {}
+    for k, level in enumerate(tss_by_size(g), start=1):
+        counts[k] = len(level)
+        best = level
     if up_to_conjugacy:
-        best_certs = dedup_up_to_conjugacy(g, best_certs)
+        best = dedup_up_to_conjugacy(g, best)
     return TssReport(
         group_description=g.name,
-        s_of_g=best,
-        maximal_sets=tuple(best_certs),
+        s_of_g=len(counts),
+        maximal_sets=tuple(best),
         counts=counts,
     )
 

@@ -101,15 +101,15 @@ def _run_dihedral(params: dict) -> SuiteInstance:
     start = time.perf_counter()
     n = params["n"]
     g = parse_group_spec(f"dihedral:{n}")
-    report = tss.max_tss_size(g)
-    found = [c.elements for c in tss.enumerate_tss(g, 2)]
+    levels = list(tss.tss_by_size(g))
+    found = [c.elements for c in levels[1]] if len(levels) > 1 else []
     expected = [tuple(p) for p in predicted_dihedral_pairs(n)]
-    if report.s_of_g == 2 and found == expected:
+    if len(levels) == 2 and found == expected:
         note = " (reflection family present)" if n % 4 == 0 else ""
         return _instance(params, "pass", f"S(D{2*n}) = 2, {len(found)} literal sets{note}", start)
     return _instance(
         params, "fail",
-        f"S = {report.s_of_g}; found {found}, expected {expected}", start,
+        f"S = {len(levels)}; found {found}, expected {expected}", start,
         counterexample={"found": [list(t) for t in found],
                         "expected": [list(t) for t in expected]},
         repro=f"tsslab tss list --group dihedral:{n} --size 2",
@@ -182,19 +182,19 @@ def _run_direct_product(params: dict) -> SuiteInstance:
     prod = parse_group_spec(product_spec)
     s_g = tss.max_tss_size(g).s_of_g
     s_h = tss.max_tss_size(h).s_of_g
-    report = tss.max_tss_size(prod)
+    levels = list(tss.tss_by_size(prod))
     expected = max(s_g, s_h)
-    if report.s_of_g != expected:
+    if len(levels) != expected:
         return _instance(
             params, "fail",
-            f"S({prod.name}) = {report.s_of_g}, expected max({s_g},{s_h}) = {expected}",
+            f"S({prod.name}) = {len(levels)}, expected max({s_g},{s_h}) = {expected}",
             start,
-            counterexample={"s_product": report.s_of_g, "s_left": s_g, "s_right": s_h},
+            counterexample={"s_product": len(levels), "s_left": s_g, "s_right": s_h},
             repro=f"tsslab tss max --group {product_spec}",
         )
     min_attained = False
-    for size in range(2, report.s_of_g + 1):
-        for cert in tss.enumerate_tss(prod, size):
+    for size, level in enumerate(levels[1:], start=2):
+        for cert in level:
             if not _coordinate_structure_ok(cert.elements, h.order):
                 return _instance(
                     params, "fail",
@@ -270,10 +270,9 @@ def _run_inverse_pair(params: dict) -> SuiteInstance:
     start = time.perf_counter()
     spec = params["group"]
     g = parse_group_spec(spec)
-    report = tss.max_tss_size(g)
     checked = 0
-    for size in range(2, report.s_of_g + 1):
-        for cert in tss.enumerate_tss(g, size):
+    for size, level in enumerate(tss.tss_by_size(g), start=1):
+        for cert in level:
             elems = set(cert.elements)
             if any(g.inv[x] in elems and g.inv[x] != x for x in elems):
                 checked += 1
@@ -302,9 +301,7 @@ def odd_order_corpus(max_order: int) -> list[str]:
         ("semidirect:7,3,2", "semidirect:7,3,2"),
         ("semidirect:13,3,3", "cyclic:11"),
     ]
-    orders = {"cyclic:3": 3, "cyclic:5": 5, "cyclic:7": 7, "cyclic:9": 9,
-              "cyclic:11": 11, "cyclic:49": 49,
-              "semidirect:7,3,2": 21, "semidirect:13,3,3": 39}
+    orders = {s: parse_group_spec(s).order for pair in products for s in pair}
     specs += [
         f"product:{a},{b}" for a, b in products if orders[a] * orders[b] <= max_order
     ]
@@ -366,10 +363,9 @@ def _run_stabilizer_ses(params: dict) -> SuiteInstance:
     samples = params.get("samples", 20)
     seed = params.get("seed", 0)
     g = parse_group_spec(spec)
-    report = tss.max_tss_size(g)
     checked = 0
-    for size in range(1, report.s_of_g + 1):
-        for cert in tss.enumerate_tss(g, size):
+    for size, level in enumerate(tss.tss_by_size(g), start=1):
+        for cert in level:
             dec = tss.realized_permutations(g, cert.elements)
             if len(dec.stabilizer) != len(dec.kernel) * len(dec.realized):
                 return _instance(
@@ -446,7 +442,7 @@ def _run_fundamental_lemma(params: dict) -> SuiteInstance:
         )
     elif fixture == "sweep-s4-s3":
         s3 = parse_group_spec("sym:3")
-        all_tss = [c for size in (2, 3) for c in tss.enumerate_tss(s4, size)]
+        all_tss = [c for level in list(tss.tss_by_size(s4))[1:] for c in level]
         pairs = 0
         for hom in homs.enumerate_table_homs(s4, s3):
             for cert in all_tss:
@@ -617,9 +613,10 @@ def _run_oracle(params: dict) -> SuiteInstance:
     g = parse_group_spec(spec)
     if g.order > 24:
         return _instance(params, "not-applicable", f"order {g.order} > 24", start)
-    s_val = tss.max_tss_size(g).s_of_g
-    for size in range(1, s_val + 2):
-        pruned = [c.elements for c in tss.enumerate_tss(g, size)]
+    levels = [*tss.tss_by_size(g), []]  # one size past S(G), which must be empty
+    s_val = len(levels) - 1
+    for size, level in enumerate(levels, start=1):
+        pruned = [c.elements for c in level]
         brute = tss.brute_force_tss(g, size)
         if pruned != brute:
             diff = sorted(set(pruned) ^ set(brute))[0]
@@ -657,17 +654,23 @@ _ORACLE_CORPUS = [
 ]
 
 _PRODUCT_FACTORS = ["cyclic:5", "cyclic:6", "dihedral:3", "dihedral:4", "sym:3", "sym:4"]
-_FACTOR_ORDERS = {"cyclic:5": 5, "cyclic:6": 6, "dihedral:3": 6,
-                  "dihedral:4": 8, "sym:3": 6, "sym:4": 24}
 
 
 def _default_product_grid() -> list[dict]:
+    orders = {s: parse_group_spec(s).order for s in _PRODUCT_FACTORS}
     grid = []
     for i, a in enumerate(_PRODUCT_FACTORS):
         for b in _PRODUCT_FACTORS[i:]:
-            if _FACTOR_ORDERS[a] * _FACTOR_ORDERS[b] <= 600:
+            if orders[a] * orders[b] <= 600:
                 grid.append({"left": a, "right": b})
     return grid
+
+
+def _braid_grid(opts: dict) -> list[dict]:
+    # the budget enters params only when set, so default runs keep their JSON
+    budget = {"budget": opts["budget"]} if "budget" in opts else {}
+    return opts.get("pairs") or [{"strands": 5, "target": t, **budget}
+                                 for t in ("cyclic:6", "semidirect:7,3,2", "sym:5")]
 
 
 @dataclass(frozen=True)
@@ -750,11 +753,7 @@ THEOREMS: dict[str, TheoremSpec] = {
     ),
     "braid-corollary": TheoremSpec(
         _run_braid_corollary,
-        lambda opts: opts.get("pairs") or [
-            {"strands": 5, "target": "cyclic:6"},
-            {"strands": 5, "target": "semidirect:7,3,2"},
-            {"strands": 5, "target": "sym:5"},
-        ],
+        _braid_grid,
         "homomorphisms B_n -> G are cyclic when S(G) < floor(n/2)",
     ),
     "free-group": TheoremSpec(

@@ -52,14 +52,13 @@ def product_survey():
             if ga.order * gb.order > 600:
                 continue
             prod = parse_group_spec(f"product:{a},{b}")
-            report = tss.max_tss_size(prod)
-            certs = [c for size in range(1, report.s_of_g + 1)
-                     for c in tss.enumerate_tss(prod, size)]
+            levels = list(tss.tss_by_size(prod))
             pairs.append({
                 "left": a, "right": b,
                 "left_group": ga, "right_group": gb,
                 "s_left": sa, "s_right": sb,
-                "product": prod, "report": report, "certs": certs,
+                "product": prod, "s": len(levels),
+                "certs": [c for level in levels for c in level],
             })
     return {"pairs": pairs, "build_s": time.perf_counter() - start}
 
@@ -70,10 +69,9 @@ def dihedral_survey():
     out = []
     for n in range(3, 13):
         g = parse_group_spec(f"dihedral:{n}")
-        report = tss.max_tss_size(g)
-        certs = [c for size in range(1, report.s_of_g + 1)
-                 for c in tss.enumerate_tss(g, size)]
-        out.append({"n": n, "group": g, "report": report, "certs": certs})
+        levels = list(tss.tss_by_size(g))
+        out.append({"n": n, "group": g, "levels": levels,
+                    "certs": [c for level in levels for c in level]})
     return {"entries": out, "build_s": time.perf_counter() - start}
 
 
@@ -94,9 +92,9 @@ def test_criterion_01_dihedral_classification(dihedral_survey):
         result = verify.verify_suite("dihedral", ns=list(range(3, 13)))
         assert result.passed
         for entry in dihedral_survey["entries"]:
-            n, g = entry["n"], entry["group"]
-            assert entry["report"].s_of_g == 2
-            found = [c.elements for c in tss.enumerate_tss(g, 2)]
+            n = entry["n"]
+            assert len(entry["levels"]) == 2
+            found = [c.elements for c in entry["levels"][1]]
             assert found == [tuple(p) for p in verify.predicted_dihedral_pairs(n)]
             reflection_sets = [s for s in found if s[0] >= n]
             assert bool(reflection_sets) == (n % 4 == 0)
@@ -139,7 +137,7 @@ def test_criterion_04_direct_product_theorem(product_survey):
         assert len(product_survey["pairs"]) == 21
         for entry in product_survey["pairs"]:
             expected = max(entry["s_left"], entry["s_right"])
-            assert entry["report"].s_of_g == expected, (entry["left"], entry["right"])
+            assert entry["s"] == expected, (entry["left"], entry["right"])
             h_order = entry["right_group"].order
             for cert in entry["certs"]:
                 if len(cert.elements) < 2:
@@ -174,7 +172,7 @@ def test_criterion_06_solvable_bound(product_survey, odd_survey):
         for entry in product_survey["pairs"]:
             g = entry["product"]
             if derived_series(g).solvable:
-                assert entry["report"].s_of_g <= 4
+                assert entry["s"] <= 4
         for entry in odd_survey["entries"]:
             series = derived_series(entry["group"])
             assert series.solvable  # odd order implies solvable at these sizes

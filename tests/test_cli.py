@@ -161,6 +161,11 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "params,verdict,detail"
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "5+cyclic:6"]])
+    def test_budget_reaches_braid_corollary(self, capsys, grid):
+        code, _, err = run(capsys, "--budget", "10", "verify", "braid-corollary", *grid)
+        assert code == 3 and "budget" in err
+
 
 class TestTable:
     def test_deterministic(self, capsys):
@@ -183,3 +188,29 @@ class TestUsage:
         code, _, err = run(capsys, "tss", "check", "--group", "cyclic:4",
                            "--elements", "1,x")
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+    def test_bad_jobs(self, capsys, jobs):
+        code, _, err = run(capsys, "--jobs", jobs, "table")
+        assert code == 2 and "positive integer" in err
+
+    def test_bad_jobs_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TSSLAB_JOBS", "abc")
+        code, _, err = run(capsys, "table")
+        assert code == 2 and "TSSLAB_JOBS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("theorem,grid,syntax", [
+        ("semidirect", "3,6", "'p,m,k'"),
+        ("abelian", "x-3", "'3-12'"),
+        ("direct-product", "cyclic:2", "<spec>+<spec>"),
+        ("braid-corollary", "x+sym:5", "<strands>+<spec>"),
+    ])
+    def test_bad_grid(self, capsys, theorem, grid, syntax):
+        code, _, err = run(capsys, "verify", theorem, "--grid", grid)
+        assert code == 2 and syntax in err
+        assert "unpack" not in err and "invalid literal" not in err
+
+    def test_bad_factor_pair(self, capsys):
+        code, _, err = run(capsys, "word", "fp", "--factors", "cyclic:3",
+                           "reduce", "[G:1]")
+        assert code == 2 and "'<spec>,<spec>'" in err

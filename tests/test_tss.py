@@ -3,7 +3,7 @@ import math
 import jsonschema
 import pytest
 
-from tsslab import tss
+from tsslab import tss, verify
 from tsslab.groups import (
     conjugacy_classes,
     direct_product,
@@ -13,6 +13,7 @@ from tsslab.groups import (
     split_product_index,
 )
 from tsslab.schemas import TSS_REPORT_SCHEMA, tss_report_to_json
+from tsslab.specs import parse_group_spec
 from tsslab.tss import (
     TssError,
     brute_force_tss,
@@ -216,11 +217,18 @@ class TestInvariants:
 class TestOracle:
     def test_matches_pruned_enumerator(self, small_corpus):
         for g in small_corpus:
-            if g.order > 16:
+            if g.order > 24:
                 continue
             s_val = max_tss_size(g).s_of_g
             for size in range(1, s_val + 2):
                 assert [c.elements for c in enumerate_tss(g, size)] == brute_force_tss(g, size)
+
+    def test_odd_order_corpus_has_no_pairs_by_search(self):
+        # the odd-order theorem must not rest on the 2 | |G| prune alone
+        specs = verify.odd_order_corpus(63)
+        assert "product:cyclic:3,semidirect:7,3,2" in specs
+        for spec in specs:
+            assert brute_force_tss(parse_group_spec(spec), 2) == [], spec
 
     def test_oracle_uses_full_permutation_search(self, s4):
         # spot check: the oracle certifies the Klein triple via all 6 permutations
