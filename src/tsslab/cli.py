@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Optional
@@ -33,6 +34,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# longest integer range a --grid may spell, e.g. 3-12; checked before expanding
+GRID_RANGE_CAP = 1000
 
 
 def _positive_int(text: str) -> int:
@@ -257,10 +261,9 @@ def _cmd_stab(args: argparse.Namespace) -> int:
 def _cmd_hom(args: argparse.Namespace) -> int:
     target = parse_group_spec(args.target)
     if args.hom_command == "enumerate":
-        if not args.presentation.startswith("braid:"):
-            raise GroupError(f"unsupported presentation {args.presentation!r}; use braid:N")
-        strands = int(args.presentation.split(":", 1)[1])
-        pres = homs.braid_presentation(strands)
+        if args.limit < 0:
+            raise GroupError(f"--limit must be a non-negative integer, got {args.limit}")
+        pres = _parse_presentation(args.presentation)
         found = list(homs.enumerate_homs(pres, target, budget=args.budget))
         doc = {
             "format": 1,
@@ -310,6 +313,16 @@ def _cmd_hom(args: argparse.Namespace) -> int:
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
     return EXIT_PASS if report.all_cyclic else EXIT_FAIL
+
+
+def _parse_presentation(text: str) -> homs.Presentation:
+    kind, _, strands = text.partition(":")
+    if kind == "braid" and strands.strip().isdecimal():
+        return homs.braid_presentation(int(strands))
+    raise GroupError(
+        f"bad presentation {text!r}; expected braid:N with an integer strand count N >= 2, "
+        f"e.g. braid:4"
+    )
 
 
 def _cmd_word_f2(args: argparse.Namespace) -> int:
@@ -490,7 +503,10 @@ def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
         out = []
         for item in items:
             source, target = _split_grid_pair(item, "<spec>+<spec>")
-            out.append({"source": source, "target": target})
+            params = {"source": source, "target": target}
+            if "budget" in options:
+                params["budget"] = options["budget"]
+            out.append(params)
         return out
     # corpus-style suites take group specs joined by ';'
     params_extra: dict[str, Any] = {}
@@ -513,17 +529,23 @@ def _parse_ints(text: str) -> list[int]:
         tok = tok.strip()
         if not tok:
             continue
+        bounds = re.fullmatch(r"([+-]?\d+)\s*-\s*([+-]?\d+)", tok)  # either end may be negative
         try:
-            if "-" in tok[1:]:  # allow leading minus
-                lo_text, hi_text = tok.rsplit("-", 1)
-                out.extend(range(int(lo_text), int(hi_text) + 1))
+            if bounds:
+                values = range(int(bounds[1]), int(bounds[2]) + 1)
             else:
-                out.append(int(tok))
+                values = [int(tok)]
         except ValueError:
             raise GroupError(
                 f"bad --grid value {tok!r}; expected integers or ranges like '3-12' "
                 f"joined by ','"
             ) from None
+        if len(values) > GRID_RANGE_CAP:
+            raise GroupError(
+                f"--grid range {tok!r} spans {len(values)} values, above the cap of "
+                f"{GRID_RANGE_CAP}"
+            )
+        out.extend(values)
     return out
 
 

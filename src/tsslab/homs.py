@@ -12,7 +12,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .groups import FiniteGroup, GroupError, generated_subgroup, make_group
+from .groups import (
+    FiniteGroup,
+    GroupError,
+    conjugacy_classes,
+    generated_subgroup,
+    make_group,
+)
 from .tss import TssCertificate, TssError, certify_tss, max_tss_size
 
 
@@ -33,6 +39,10 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
         self.budget = budget
         self.found = found
+
+    def __reduce__(self):
+        # rebuilt from its fields when it crosses a --jobs worker boundary
+        return BudgetExceeded, (self.nodes, self.budget, self.found)
 
 
 DEFAULT_HOM_BUDGET = 10**8
@@ -124,29 +134,85 @@ def is_homomorphism(m: GeneratorImageMap) -> bool:
     )
 
 
+def _two_generator_relation(rel: tuple[int, ...]) -> Optional[tuple[str, int, int]]:
+    """Classify x y x^-1 y^-1 ("commute") and x y x y^-1 x^-1 y^-1 ("braid",
+    i.e. xyx = yxy) on two distinct generators x, y; returns the kind and the
+    0-based generator indices in ascending order, or None for any other
+    relator."""
+    if len(rel) < 4:
+        return None
+    a, b = rel[0], rel[1]
+    if a <= 0 or b <= 0 or a == b:
+        return None
+    i, j = min(a, b) - 1, max(a, b) - 1
+    if rel[2:] == (-a, -b):
+        return "commute", i, j
+    if rel[2:] == (a, -b, -a, -b):
+        return "braid", i, j
+    return None
+
+
 def enumerate_homs(
     pres: Presentation,
     target: FiniteGroup,
     budget: int = DEFAULT_HOM_BUDGET,
     first_image_up_to_conjugacy: bool = False,
 ) -> Iterator[GeneratorImageMap]:
-    """All homomorphisms by depth-first image assignment.
+    """All homomorphisms by depth-first image assignment, in lexicographic
+    order of the image tuples.
 
-    Each relator is tested as soon as all its generators are assigned.  The
-    optional symmetry reduction restricts the first generator image to one
+    Candidates for a generator come from what the relators already imply.
+    Braid relators (xyx = yxy) make their two generators conjugate, so a
+    generator tied by them to an earlier one draws its image from the
+    conjugacy class of the earliest tied generator's image.  A commutator
+    relator keeps only the candidates that commute with the earlier
+    generator's image, read off the table.  Every other relator is evaluated
+    as soon as all its generators are assigned.  A search node, counted
+    against the budget, is a candidate that passes both filters.
+
+    The optional symmetry reduction restricts the first generator image to one
     representative per conjugacy class (off by default; the stream then
     contains one member of each conjugation orbit of homomorphisms).
     """
     k = pres.generator_count
-    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+    tied = list(range(k))  # union-find over braid relators; roots are least members
+
+    def root(i: int) -> int:
+        while tied[i] != i:
+            i = tied[i]
+        return i
+
+    commutes_with: list[list[int]] = [[] for _ in range(k)]
+    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for rel in pres.relators:
-        by_level[max(abs(letter) for letter in rel)].append(rel)
+        shape = _two_generator_relation(rel)
+        if shape is not None:
+            kind, i, j = shape
+            if kind == "commute":
+                commutes_with[j].append(i)
+                continue
+            lo, hi = sorted((root(i), root(j)))
+            tied[hi] = lo
+        by_level[max(abs(letter) for letter in rel) - 1].append(rel)
+    earliest = [root(i) for i in range(k)]
 
-    first_choices: Sequence[int] = range(target.order)
-    if first_image_up_to_conjugacy:
-        from .groups import conjugacy_classes
+    partition = conjugacy_classes(target)
+    all_elements: Sequence[int] = range(target.order)
+    first_choices = partition.representatives if first_image_up_to_conjugacy else all_elements
+    mul = target.mul
 
-        first_choices = conjugacy_classes(target).representatives
+    def candidates(level: int) -> Sequence[int]:
+        if level == 0:
+            choices = first_choices
+        elif earliest[level] < level:
+            choices = partition.classes[partition.class_of[images[earliest[level]]]]
+        else:
+            choices = all_elements
+        for other in commutes_with[level]:
+            x = images[other]
+            row = mul[x]
+            choices = [y for y in choices if row[y] == mul[y][x]]
+        return choices
 
     images: list[int] = []
     state = {"nodes": 0, "found": 0}
@@ -156,15 +222,14 @@ def enumerate_homs(
             state["found"] += 1
             yield GeneratorImageMap(pres, target, tuple(images))
             return
-        choices = first_choices if level == 0 else range(target.order)
-        for img in choices:
+        for img in candidates(level):
             state["nodes"] += 1
             if state["nodes"] > budget:
                 raise BudgetExceeded(state["nodes"], budget, state["found"])
             images.append(img)
             if all(
                 evaluate_word(target, images, rel) == target.identity
-                for rel in by_level[level + 1]
+                for rel in by_level[level]
             ):
                 yield from rec(level + 1)
             images.pop()
@@ -252,49 +317,51 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     raise GroupError("closure never reached the full group")  # pragma: no cover
 
 
-def enumerate_table_homs(source: FiniteGroup, target: FiniteGroup) -> Iterator[TableHom]:
-    """All homomorphisms between table groups, via generator images.
+def enumerate_table_homs(
+    source: FiniteGroup, target: FiniteGroup, budget: int = DEFAULT_HOM_BUDGET
+) -> Iterator[TableHom]:
+    """All homomorphisms between table groups, in lexicographic order of the
+    images of ``generating_set(source)``.
 
-    Every source element is factored as a word in the generating set once;
-    a candidate assignment extends to a full map by that factorization and is
-    kept iff it preserves all products.
+    The source is presented by its Schreier presentation on that generating
+    set: the breadth-first spanning tree of the Cayley graph spells each
+    element as a word, and each non-tree edge x -> x*gen gives the relator
+    word(x) gen word(x*gen)^-1.  ``enumerate_homs`` finds the generator images
+    that satisfy these relators (``budget`` bounds its search nodes); each
+    extends along the tree to a full element map, which is yielded only if it
+    preserves all products.
     """
     gens = generating_set(source)
-    parent: dict[int, Optional[tuple[int, int]]] = {source.identity: None}
+    parent: dict[int, tuple[int, int]] = {}
+    words: dict[int, tuple[int, ...]] = {source.identity: ()}
     bfs_order = [source.identity]
-    queue = [source.identity]
-    while queue:
-        x = queue.pop(0)
+    relators: list[tuple[int, ...]] = []
+    head = 0
+    while head < len(bfs_order):
+        x = bfs_order[head]
+        head += 1
         for gi, gen in enumerate(gens):
             y = source.mul[x][gen]
-            if y not in parent:
+            if y in words:
+                back = tuple(-letter for letter in reversed(words[y]))
+                relators.append(words[x] + (gi + 1,) + back)
+            else:
                 parent[y] = (x, gi)
+                words[y] = words[x] + (gi + 1,)
                 bfs_order.append(y)
-                queue.append(y)
     if len(bfs_order) != source.order:  # pragma: no cover
         raise GroupError("generating set does not reach the full group")
+    pres = Presentation(len(gens), tuple(relators), name=f"schreier:{source.name}")
 
-    def build(assignment: tuple[int, ...]) -> Optional[TableHom]:
+    for assignment in enumerate_homs(pres, target, budget=budget):
         f = [-1] * source.order
         f[source.identity] = target.identity
         for y in bfs_order[1:]:
-            x, gi = parent[y]  # type: ignore[misc]
-            f[y] = target.mul[f[x]][assignment[gi]]
+            x, gi = parent[y]
+            f[y] = target.mul[f[x]][assignment.images[gi]]
         hom = TableHom(source, target, tuple(f))
-        return hom if is_table_homomorphism(hom) else None
-
-    def rec(level: int, chosen: list[int]) -> Iterator[TableHom]:
-        if level == len(gens):
-            hom = build(tuple(chosen))
-            if hom is not None:
-                yield hom
-            return
-        for img in range(target.order):
-            chosen.append(img)
-            yield from rec(level + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+        if is_table_homomorphism(hom):
+            yield hom
 
 
 @dataclass(frozen=True)

@@ -401,14 +401,19 @@ def _run_stabilizer_ses(params: dict) -> SuiteInstance:
 
 # --- fundamental lemma -------------------------------------------------------
 
-def _lemma_fixtures() -> list[dict]:
+def _budget_param(opts: dict) -> dict:
+    # the budget enters params only when set, so default runs keep their JSON
+    return {"budget": opts["budget"]} if "budget" in opts else {}
+
+
+def _lemma_fixtures(opts: dict) -> list[dict]:
     return [
         {"fixture": "identity-d8", "expect": "same_size"},
         {"fixture": "identity-s4", "expect": "same_size"},
         {"fixture": "quotient-d8-r2", "expect": "collapsed"},
         {"fixture": "quotient-s4-v", "expect": "collapsed"},
         {"fixture": "braid-b4-s4", "expect": "same_size"},
-        {"fixture": "sweep-s4-s3", "expect": "sweep"},
+        {"fixture": "sweep-s4-s3", "expect": "sweep", **_budget_param(opts)},
     ]
 
 
@@ -444,7 +449,8 @@ def _run_fundamental_lemma(params: dict) -> SuiteInstance:
         s3 = parse_group_spec("sym:3")
         all_tss = [c for level in list(tss.tss_by_size(s4))[1:] for c in level]
         pairs = 0
-        for hom in homs.enumerate_table_homs(s4, s3):
+        budget = params.get("budget", homs.DEFAULT_HOM_BUDGET)
+        for hom in homs.enumerate_table_homs(s4, s3, budget=budget):
             for cert in all_tss:
                 homs.fundamental_lemma_check(hom, cert.elements)  # raises on violation
                 pairs += 1
@@ -480,8 +486,9 @@ def _run_no_injection(params: dict) -> SuiteInstance:
             params, "not-applicable",
             f"S({source.name}) = {s_source} <= S({target.name}) = {s_target}", start,
         )
+    budget = params.get("budget", homs.DEFAULT_HOM_BUDGET)
     count = 0
-    for hom in homs.enumerate_table_homs(source, target):
+    for hom in homs.enumerate_table_homs(source, target, budget=budget):
         count += 1
         if len(set(hom.mapping)) == source.order:
             return _instance(
@@ -667,10 +674,14 @@ def _default_product_grid() -> list[dict]:
 
 
 def _braid_grid(opts: dict) -> list[dict]:
-    # the budget enters params only when set, so default runs keep their JSON
-    budget = {"budget": opts["budget"]} if "budget" in opts else {}
-    return opts.get("pairs") or [{"strands": 5, "target": t, **budget}
+    return opts.get("pairs") or [{"strands": 5, "target": t, **_budget_param(opts)}
                                  for t in ("cyclic:6", "semidirect:7,3,2", "sym:5")]
+
+
+def _no_injection_grid(opts: dict) -> list[dict]:
+    return opts.get("pairs") or [{"source": s, "target": t, **_budget_param(opts)}
+                                 for s, t in (("sym:4", "dihedral:4"), ("sym:4", "cyclic:12"),
+                                              ("dihedral:4", "cyclic:8"))]
 
 
 @dataclass(frozen=True)
@@ -739,16 +750,12 @@ THEOREMS: dict[str, TheoremSpec] = {
     ),
     "fundamental-lemma": TheoremSpec(
         _run_fundamental_lemma,
-        lambda opts: _lemma_fixtures(),
+        _lemma_fixtures,
         "TSS images have full size (and are TSS) or collapse to a point",
     ),
     "no-injection": TheoremSpec(
         _run_no_injection,
-        lambda opts: opts.get("pairs") or [
-            {"source": "sym:4", "target": "dihedral:4"},
-            {"source": "sym:4", "target": "cyclic:12"},
-            {"source": "dihedral:4", "target": "cyclic:8"},
-        ],
+        _no_injection_grid,
         "no injective homomorphism when S(source) > S(target)",
     ),
     "braid-corollary": TheoremSpec(

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from tsslab.cli import main
+from tsslab.cli import GRID_RANGE_CAP, _parse_ints, main
 from tsslab.schemas import SUITE_RESULT_SCHEMA, TSS_REPORT_SCHEMA, HOM_REPORT_SCHEMA
 
 
@@ -87,6 +87,17 @@ class TestHom:
                            "--presentation", "braid:4", "--target", "sym:4")
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("presentation", ["braid:x", "braid:", "braid", "free:2"])
+    def test_bad_presentation(self, capsys, presentation):
+        code, _, err = run(capsys, "hom", "enumerate", "--presentation", presentation,
+                           "--target", "sym:3")
+        assert code == 2 and "braid:N" in err and "invalid literal" not in err
+
+    def test_negative_limit(self, capsys):
+        code, out, err = run(capsys, "hom", "enumerate", "--presentation", "braid:3",
+                             "--target", "sym:3", "--limit", "-1")
+        assert code == 2 and "--limit" in err and "more" not in out
+
     def test_braid_check_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "hom", "braid-check",
                            "--strands", "5", "--target", "cyclic:6")
@@ -166,6 +177,20 @@ class TestVerify:
         code, _, err = run(capsys, "--budget", "10", "verify", "braid-corollary", *grid)
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "no-injection"],
+        ["verify", "no-injection", "--grid", "sym:4+dihedral:4"],
+        ["verify", "fundamental-lemma"],
+    ])
+    def test_budget_reaches_table_homs(self, capsys, argv):
+        code, _, err = run(capsys, "--budget", "10", *argv)
+        assert code == 3 and "budget" in err
+
+    def test_budget_exceeded_in_worker(self, capsys):
+        code, _, err = run(capsys, "--jobs", "2", "--budget", "10", "verify",
+                           "braid-corollary")
+        assert code == 3 and "budget" in err and "Traceback" not in err
+
 
 class TestTable:
     def test_deterministic(self, capsys):
@@ -209,6 +234,14 @@ class TestUsage:
         code, _, err = run(capsys, "verify", theorem, "--grid", grid)
         assert code == 2 and syntax in err
         assert "unpack" not in err and "invalid literal" not in err
+
+    def test_grid_negative_range(self):
+        assert _parse_ints("-3--1,2-3") == [-3, -2, -1, 2, 3]
+
+    def test_grid_range_cap(self, capsys):
+        too_long = f"1-{GRID_RANGE_CAP + 1}"
+        code, _, err = run(capsys, "verify", "abelian", "--grid", too_long)
+        assert code == 2 and repr(too_long) in err and str(GRID_RANGE_CAP) in err
 
     def test_bad_factor_pair(self, capsys):
         code, _, err = run(capsys, "word", "fp", "--factors", "cyclic:3",

@@ -1,8 +1,11 @@
+import itertools
+
 import jsonschema
 import pytest
 
 from tsslab import homs
-from tsslab.groups import make_cyclic, make_dihedral, make_symmetric
+from tsslab.groups import conjugacy_classes, make_cyclic, make_dihedral, make_symmetric
+from tsslab.specs import parse_group_spec
 from tsslab.homs import (
     BudgetExceeded,
     GeneratorImageMap,
@@ -274,3 +277,110 @@ class TestBraidCorollary:
             target = make_cyclic(m)
             for hom in enumerate_homs(braid_presentation(4), target):
                 assert len(set(hom.images)) == 1
+
+
+# --- oracles: the pruned enumerators against unpruned searches -----------------
+
+_ORACLE_TARGETS = ["sym:3", "sym:4", "dihedral:4", "cyclic:6", "semidirect:7,3,2"]
+
+
+def _brute_force_homs(pres, target):
+    """Every assignment of generator images in lexicographic order, kept iff
+    it satisfies all relators."""
+    return [
+        images
+        for images in itertools.product(range(target.order), repeat=pres.generator_count)
+        if is_homomorphism(GeneratorImageMap(pres, target, images))
+    ]
+
+
+def _assert_matches_oracle(pres, target):
+    expected = _brute_force_homs(pres, target)
+    assert [h.images for h in enumerate_homs(pres, target)] == expected
+    reps = set(conjugacy_classes(target).representatives)
+    reduced = enumerate_homs(pres, target, first_image_up_to_conjugacy=True)
+    assert [h.images for h in reduced] == [im for im in expected if im[0] in reps]
+
+
+class TestEnumerateOracle:
+    @pytest.mark.parametrize("strands", [3, 4, 5])
+    @pytest.mark.parametrize("spec", _ORACLE_TARGETS)
+    def test_braid_stream_matches_brute_force(self, strands, spec):
+        _assert_matches_oracle(braid_presentation(strands), parse_group_spec(spec))
+
+    @pytest.mark.parametrize("pres", [
+        # <x, y | x^3, y^2, (xy)^2>, the dihedral group of order 6
+        Presentation(2, ((1, 1, 1), (2, 2), (1, 2, 1, 2))),
+        # Coxeter presentation of S4: no relator has the braid or commutator shape
+        Presentation(3, ((1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2)),
+        # <x, y | x y x^-1 = y^-1>
+        Presentation(2, ((1, 2, -1, 2),)),
+    ])
+    @pytest.mark.parametrize("spec", _ORACLE_TARGETS[:4])
+    def test_unfiltered_relators_match_brute_force(self, pres, spec):
+        _assert_matches_oracle(pres, parse_group_spec(spec))
+
+    @pytest.mark.parametrize("pres", [
+        # relators written with the newer generator first
+        Presentation(2, ((2, 1, -2, -1),)),
+        Presentation(2, ((2, 1, 2, -1, -2, -1),)),
+        # generators 1 and 3 tied only through generator 2
+        Presentation(3, ((2, 3, 2, -3, -2, -3), (1, 2, 1, -2, -1, -2), (3, 1, -3, -1))),
+        # a braid-shaped relator on generator 2 alone is an ordinary relator
+        Presentation(2, ((2, 2, 2, -2, -2, -2), (1, 2, -1, -2))),
+    ])
+    @pytest.mark.parametrize("spec", ["sym:3", "sym:4", "dihedral:4"])
+    def test_relator_shapes_match_brute_force(self, pres, spec):
+        _assert_matches_oracle(pres, parse_group_spec(spec))
+
+    def test_budget_counts_only_filtered_candidates(self, s4):
+        # B4 -> S4 once tried 24 images at every level; the class and
+        # centralizer filters leave few enough that a small budget suffices
+        pres = braid_presentation(4)
+        assert len(list(enumerate_homs(pres, s4, budget=24 * 24))) == len(
+            _brute_force_homs(pres, s4)
+        )
+
+
+def _brute_force_table_homs(source, target):
+    """The generator-image search without relators: every assignment to
+    ``generating_set(source)`` extended along a spanning tree and kept iff it
+    preserves all products."""
+    gens = generating_set(source)
+    parent = {source.identity: None}
+    order = [source.identity]
+    for x in order:
+        for gi, gen in enumerate(gens):
+            y = source.mul[x][gen]
+            if y not in parent:
+                parent[y] = (x, gi)
+                order.append(y)
+    found = []
+    for assignment in itertools.product(range(target.order), repeat=len(gens)):
+        f = [target.identity] * source.order
+        for y in order[1:]:
+            x, gi = parent[y]
+            f[y] = target.mul[f[x]][assignment[gi]]
+        hom = TableHom(source, target, tuple(f))
+        if is_table_homomorphism(hom):
+            found.append(hom.mapping)
+    return found
+
+
+class TestTableHomOracle:
+    @pytest.mark.parametrize("source,target", [
+        ("sym:4", "sym:3"), ("sym:4", "dihedral:4"), ("dihedral:4", "sym:3"),
+        ("sym:3", "cyclic:6"), ("semidirect:7,3,2", "sym:3"), ("cyclic:6", "sym:3"),
+    ])
+    def test_schreier_search_matches_brute_force(self, source, target):
+        g, h = parse_group_spec(source), parse_group_spec(target)
+        found = [hom.mapping for hom in enumerate_table_homs(g, h)]
+        assert found == _brute_force_table_homs(g, h)
+
+    def test_trivial_source_has_one_hom(self, s3):
+        trivial = make_cyclic(1)
+        assert [h.mapping for h in enumerate_table_homs(trivial, s3)] == [(s3.identity,)]
+
+    def test_budget(self, s4, d8):
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_table_homs(s4, d8, budget=10))
