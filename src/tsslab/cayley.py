@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .groups import FiniteGroup, GroupError, make_group
+import numpy as np
+
+from .groups import FiniteGroup, GroupError, make_group, table_dtype
 
 
 class CayleyTableError(GroupError):
@@ -49,27 +51,18 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     if len(rows) < 1 + n:
         raise CayleyTableError(f"expected {n} table rows, found {len(rows) - 1}")
 
-    table: list[list[int]] = []
+    table = np.empty((n, n), dtype=table_dtype(n))
+    entry = {str(v): v for v in range(n)}.__getitem__  # the canonical spellings of 0..n-1
     for r in range(n):
         lineno, toks = rows[1 + r]
         if len(toks) != n:
             raise CayleyTableError(
                 f"expected {n} entries, found {len(toks)}", line=lineno, row=r
             )
-        entries = []
-        for c, tok in enumerate(toks):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise CayleyTableError(
-                    f"non-integer entry {tok!r}", line=lineno, row=r, col=c
-                ) from None
-            if not (0 <= v < n):
-                raise CayleyTableError(
-                    f"entry {v} out of range 0..{n - 1}", line=lineno, row=r, col=c
-                )
-            entries.append(v)
-        table.append(entries)
+        try:
+            table[r] = list(map(entry, toks))
+        except KeyError:  # a bad entry, or another spelling of a good one such as "+1"
+            table[r] = _parse_row(toks, n, lineno, r)
 
     labels: Optional[list[str]] = None
     for lineno, toks in rows[1 + n:]:
@@ -95,11 +88,29 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         raise CayleyTableError(str(exc)) from exc
 
 
+def _parse_row(toks: list[str], n: int, lineno: int, r: int) -> list[int]:
+    """Parse a row token by token, naming the first bad entry."""
+    entries = []
+    for c, tok in enumerate(toks):
+        try:
+            v = int(tok)
+        except ValueError:
+            raise CayleyTableError(
+                f"non-integer entry {tok!r}", line=lineno, row=r, col=c
+            ) from None
+        if not (0 <= v < n):
+            raise CayleyTableError(
+                f"entry {v} out of range 0..{n - 1}", line=lineno, row=r, col=c
+            )
+        entries.append(v)
+    return entries
+
+
 def to_cayley_table(g: FiniteGroup) -> str:
     """Serialize a group in the canonical table format."""
+    text = list(map(str, range(g.order))).__getitem__
     lines = [str(g.order)]
-    for row in g.mul:
-        lines.append(" ".join(str(v) for v in row))
+    lines += [" ".join(map(text, row)) for row in g.mul]
     if g.labels is not None:
         for i, lab in enumerate(g.labels):
             lines.append(f"label {i} {lab}")

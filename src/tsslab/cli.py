@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import homs, tss, verify
 from .cayley import from_cayley_table, to_cayley_table
@@ -39,16 +39,20 @@ EXIT_BUDGET = 3
 GRID_RANGE_CAP = 1000
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a positive integer (from --jobs or TSSLAB_JOBS), got {text!r}"
-    )
+def _positive_int(source: str) -> Callable[[str], int]:
+    """An argparse type that accepts only positive integers, naming ``source``
+    in its error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= 1:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (from {source}), got {text!r}"
+        )
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,11 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     # a string default is converted by _positive_int too, so a bad TSSLAB_JOBS
     # is a usage error like a bad --jobs
-    parser.add_argument("--jobs", type=_positive_int,
+    parser.add_argument("--jobs", type=_positive_int("--jobs or TSSLAB_JOBS"),
                         default=os.environ.get("TSSLAB_JOBS", "1"),
                         help="worker processes for verify grids (env TSSLAB_JOBS)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--budget", type=int, default=homs.DEFAULT_HOM_BUDGET,
+    parser.add_argument("--budget", type=_positive_int("--budget"),
+                        default=homs.DEFAULT_HOM_BUDGET,
                         help="node budget for homomorphism enumeration")
     parser.add_argument("--out", type=str, default=None,
                         help="directory for JSON evidence artifacts")
@@ -457,7 +462,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
     """Grid mini-syntax: integers/ranges for n-grids, 'p,m,k' triples joined
-    by ';' for semidirect, 'spec+spec' pairs joined by ';' for pair grids."""
+    by ';' for semidirect, 'spec+spec' pairs joined by ';' for pair grids,
+    fixture names joined by ';' for fundamental-lemma."""
     items = [t for t in text.split(";") if t.strip()]
     if theorem in ("abelian", "dihedral"):
         return [{"n": n} for n in _parse_ints(text)]
@@ -499,6 +505,8 @@ def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
                 params["budget"] = options["budget"]
             out.append(params)
         return out
+    if theorem == "fundamental-lemma":
+        return verify.fundamental_lemma_grid([item.strip() for item in items], options)
     if theorem == "no-injection":
         out = []
         for item in items:

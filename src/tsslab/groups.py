@@ -1,7 +1,10 @@
 """Finite groups as dense multiplication tables with 0-based element indices.
 
-Every group is a full order x order Cayley table.  All algorithms operate on
-integer indices; labels are advisory display strings only.
+Every group is a full order x order Cayley table, held once as a read-only
+numpy array (``FiniteGroup.table``).  ``mul`` and ``inv`` are tuple copies of
+it for scalar lookups; searches over the whole group run as row and column
+filters on ``table`` and on the conjugation table ``conj_table``.  Labels are
+advisory display strings only.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,19 +26,29 @@ class GroupError(ValueError):
     """Raised for invalid group constructions or out-of-range elements."""
 
 
+def table_dtype(order: int) -> np.dtype:
+    """The smallest integer dtype of ``FiniteGroup.table``: int16 up to order
+    32767, else int32."""
+    return np.dtype(np.int16 if order <= np.iinfo(np.int16).max else np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """An order-n group: identity, multiplication and inverse tables.
 
-    ``mul`` is a Latin square over 0..order-1; ``assoc_verified`` records
-    whether associativity was checked on all triples (skipped above the
-    construction cap, where constructor correctness is relied on).
+    ``table`` is the read-only order x order array, a Latin square over
+    0..order-1 of dtype ``table_dtype(order)``; ``mul`` holds the same rows as
+    tuples (all rows share one set of int objects) and ``inv`` the inverses.
+    ``assoc_verified`` records whether associativity was checked on all
+    triples (skipped above the construction cap, where constructor
+    correctness is relied on).
     """
 
     order: int
     identity: int
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
+    table: np.ndarray = field(repr=False)
     labels: Optional[tuple[str, ...]] = None
     generators: Optional[tuple[int, ...]] = None
     name: str = "group"
@@ -71,18 +84,47 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        m = self.mul
-        n = self.order
-        for x in range(n):
-            row = m[x]
-            for y in range(x + 1, n):
-                if row[y] != m[y][x]:
-                    return False
-        return True
+        return bool(np.array_equal(self.table, self.table.T))
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         return tuple(self.element_order(x) for x in range(self.order))
+
+    @cached_property
+    def conj_table(self) -> np.ndarray:
+        """Read-only C with C[q, x] = q x q^-1, in the dtype of ``table``.
+
+        Filled one row at a time, C[q] = M[M[q], inv[q]], so no order^2 index
+        array is ever allocated.
+        """
+        m = self.table
+        c = np.empty_like(m)
+        for q, q_inv in enumerate(self.inv):
+            c[q] = m[m[q], q_inv]
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def conjugacy_partition(self) -> ConjugacyPartition:
+        """Exact conjugacy partition; read it through ``conjugacy_classes``.
+
+        The class of x is the set of entries of column x of ``conj_table``.
+        """
+        c = self.conj_table
+        class_of = [-1] * self.order
+        classes: list[tuple[int, ...]] = []
+        for x in range(self.order):
+            if class_of[x] >= 0:
+                continue
+            members = tuple(np.unique(c[:, x]).tolist())
+            for y in members:
+                class_of[y] = len(classes)
+            classes.append(members)
+        return ConjugacyPartition(
+            class_of=tuple(class_of),
+            classes=tuple(classes),
+            representatives=tuple(cls[0] for cls in classes),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -139,14 +181,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _order_cap(what: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> None:
+    """Reject an order above the cap before any table is allocated."""
+    if order > cap:
+        raise GroupError(f"{what} has order {order}, above the global order cap {cap}")
+
+
 def _check_latin(mul: np.ndarray) -> None:
     n = mul.shape[0]
-    if mul.shape != (n, n):
-        raise GroupError("multiplication table is not square")
-    if mul.min() < 0 or mul.max() >= n:
-        bad = np.argwhere((mul < 0) | (mul >= n))[0]
-        raise GroupError(f"entry out of range at row {bad[0]}, column {bad[1]}")
-    expect = np.arange(n)
+    expect = np.arange(n, dtype=mul.dtype)
     rows_ok = (np.sort(mul, axis=1) == expect).all(axis=1)
     if not rows_ok.all():
         r = int(np.argmin(rows_ok))
@@ -162,27 +205,29 @@ def _check_latin(mul: np.ndarray) -> None:
 
 
 def _find_identity(mul: np.ndarray) -> int:
-    n = mul.shape[0]
-    expect = np.arange(n)
-    for e in range(n):
+    # a two-sided identity e has e*e = e, so only the diagonal's fixed points
+    # are tried, least first
+    expect = np.arange(mul.shape[0], dtype=mul.dtype)
+    for e in np.flatnonzero(np.diagonal(mul) == expect).tolist():
         if (mul[e] == expect).all() and (mul[:, e] == expect).all():
             return e
     raise GroupError("table has no two-sided identity")
 
 
 def _check_assoc(mul: np.ndarray) -> None:
-    # (x*y)*z == x*(y*z), vectorized row by row to bound memory.
-    n = mul.shape[0]
-    for x in range(n):
-        lhs = mul[mul[x], :]        # lhs[y, z] = (x*y)*z
-        rhs = mul[x][mul]           # rhs[y, z] = x*(y*z)
+    # (x*y)*z == x*(y*z), vectorized row by row to bound memory; the intp copy
+    # (at most assoc_cap^2 entries) saves converting the index on every row
+    index = mul.astype(np.intp)
+    for x in range(mul.shape[0]):
+        lhs = mul[index[x]]         # lhs[y, z] = (x*y)*z
+        rhs = mul[x][index]         # rhs[y, z] = x*(y*z)
         if not np.array_equal(lhs, rhs):
             y, z = map(int, np.argwhere(lhs != rhs)[0])
             raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
 
 
 def make_group(
-    mul: Sequence[Sequence[int]],
+    mul: Sequence[Sequence[int]] | np.ndarray,
     labels: Optional[Sequence[str]] = None,
     generators: Optional[Sequence[int]] = None,
     name: str = "group",
@@ -191,30 +236,46 @@ def make_group(
     """Validate a raw table and build a FiniteGroup.
 
     Latin-square, identity and inverse checks always run; the O(n^3)
-    associativity check runs only for order <= assoc_cap.
+    associativity check runs only for order <= assoc_cap.  An integer ndarray
+    already of dtype ``table_dtype(order)`` becomes the group's read-only
+    ``table`` without a copy.
     """
-    arr = np.asarray(mul, dtype=np.int64)
+    if isinstance(mul, np.ndarray) and mul.dtype.kind in "iu":
+        arr = mul
+    else:
+        arr = np.asarray(mul, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise GroupError("multiplication table must be a nonempty square matrix")
     n = arr.shape[0]
-    _check_latin(arr)
-    identity = _find_identity(arr)
-    inv = [0] * n
-    for x in range(n):
-        y = int(np.argwhere(arr[x] == identity)[0][0])
-        if arr[y][x] != identity:
-            raise GroupError(f"element {x} has no two-sided inverse")
-        inv[x] = y
+    if arr.shape != (n, n):
+        raise GroupError("multiplication table is not square")
+    if arr.min() < 0 or arr.max() >= n:
+        bad = np.argwhere((arr < 0) | (arr >= n))[0]
+        raise GroupError(f"entry out of range at row {bad[0]}, column {bad[1]}")
+    table = np.ascontiguousarray(arr, dtype=table_dtype(n))
+    del arr
+    _check_latin(table)
+    identity = _find_identity(table)
+    # each row is a permutation, so it holds the identity exactly once
+    inv = np.argmax(table == identity, axis=1)
+    two_sided = table[inv, np.arange(n)] == identity
+    if not two_sided.all():
+        raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
     assoc_verified = n <= assoc_cap
     if assoc_verified:
-        _check_assoc(arr)
+        _check_assoc(table)
     if labels is not None and len(labels) != n:
         raise GroupError("label count does not match group order")
+    table.flags.writeable = False
+    # one int object per element, shared by all rows: each row is gathered
+    # from this object array, so the rows hold references, not fresh ints
+    ints = np.array(range(n), dtype=object)
     return FiniteGroup(
         order=n,
         identity=identity,
-        mul=tuple(tuple(int(v) for v in row) for row in arr),
-        inv=tuple(inv),
+        mul=tuple(tuple(ints[row].tolist()) for row in table),
+        inv=tuple(ints[inv].tolist()),
+        table=table,
         labels=tuple(labels) if labels is not None else None,
         generators=tuple(generators) if generators is not None else None,
         name=name,
@@ -222,11 +283,18 @@ def make_group(
     )
 
 
+def _cyclic_sums(n: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only view W[i, j] = (i + j) mod n: n windows over 0..n-1 twice."""
+    twice = np.tile(np.arange(n, dtype=dtype), 2)
+    return np.lib.stride_tricks.sliding_window_view(twice, n)[:n]
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Z_n with labels as powers of a generator g."""
     if n < 1:
         raise GroupError(f"cyclic group order must be >= 1, got {n}")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    _order_cap(f"Z_{n}", n)
+    mul = np.ascontiguousarray(_cyclic_sums(n, table_dtype(n)))
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     gens = (1,) if n > 1 else None
     return make_group(mul, labels, gens, name=f"Z{n}")
@@ -240,14 +308,15 @@ def make_dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"dihedral parameter must be >= 1, got {n}")
     order = 2 * n
-
-    def prod(a: int, b: int) -> int:
-        e1, i1 = divmod(a, n)
-        e2, i2 = divmod(b, n)
-        i = ((i1 if e2 == 0 else -i1) + i2) % n
-        return ((e1 + e2) % 2) * n + i
-
-    mul = [[prod(a, b) for b in range(order)] for a in range(order)]
+    _order_cap(f"D_{order}", order)
+    # r^i1 r^i2 = r^(i1+i2), s r^i1 r^i2 = s r^(i1+i2), and since
+    # r^i1 s = s r^-i1: r^i1 s r^i2 = s r^(i2-i1), s r^i1 s r^i2 = r^(i2-i1)
+    sums = _cyclic_sums(n, table_dtype(order))
+    mul = np.empty((order, order), dtype=sums.dtype)
+    mul[:n, :n] = sums
+    np.add(sums, n, out=mul[n:, :n])
+    np.take(sums, (-np.arange(n)) % n, axis=0, out=mul[n:, n:])  # row i1: i2 - i1
+    np.add(mul[n:, n:], n, out=mul[:n, n:])
 
     def rot_label(i: int) -> str:
         return "e" if i == 0 else ("r" if i == 1 else f"r^{i}")
@@ -283,20 +352,22 @@ def make_symmetric(n: int, cap: int = DEFAULT_SYMMETRIC_CAP) -> FiniteGroup:
     if n > cap:
         raise GroupError(f"symmetric group parameter {n} exceeds cap {cap}")
     order = math.factorial(n)
-    if order > DEFAULT_ORDER_CAP:
-        raise GroupError(f"S_{n} has order {order}, above the global order cap {DEFAULT_ORDER_CAP}")
+    _order_cap(f"S_{n}", order)
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [
-        [index[tuple(p[q[k]] for k in range(n))] for q in perms]
-        for p in perms
-    ]
+    one_line = np.array(perms, dtype=np.intp).reshape(order, n)
+    # base-n keys of the one-line forms ascend with the lexicographic order
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    keys = one_line @ weights
+    mul = np.empty((order, order), dtype=table_dtype(order))
+    for i, p in enumerate(one_line):
+        # (p q)(k) = p[q[k]] for every q at once
+        mul[i] = np.searchsorted(keys, p[one_line] @ weights)
     labels = [_cycle_notation(p) for p in perms]
     gens: Optional[tuple[int, ...]] = None
     if n >= 2:
-        transposition = tuple([1, 0] + list(range(2, n)))
-        ncycle = tuple(list(range(1, n)) + [0])
-        gens = (index[transposition],) if n == 2 else (index[transposition], index[ncycle])
+        transposition = perms.index(tuple([1, 0] + list(range(2, n))))
+        ncycle = perms.index(tuple(list(range(1, n)) + [0]))
+        gens = (transposition,) if n == 2 else (transposition, ncycle)
     return make_group(mul, labels, gens, name=f"S{n}")
 
 
@@ -306,15 +377,17 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
     Index layout: a*m + b for 0 <= a < p, 0 <= b < m.
     """
     p, m, k = params.p, params.m, params.k
-    kpow = [pow(k, b, p) for b in range(m)]
-
-    def prod(x: int, y: int) -> int:
-        a1, b1 = divmod(x, m)
-        a2, b2 = divmod(y, m)
-        return ((a1 + a2 * kpow[b1]) % p) * m + (b1 + b2) % m
-
     order = p * m
-    mul = [[prod(x, y) for y in range(order)] for x in range(order)]
+    _order_cap(f"SD({p},{m},{k})", order)
+    # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + a2 k^b1) s^(b1 + b2)
+    kpow = np.array([pow(k, b1, p) for b1 in range(m)], dtype=np.int64)
+    twisted = np.outer(kpow, np.arange(p, dtype=np.int64)) % p  # [b1, a2] -> a2 k^b1
+    s_sums = _cyclic_sums(m, np.int64)
+    mul = np.empty((order, order), dtype=table_dtype(order))
+    blocks = mul.reshape(p, m, p, m)  # [a1, b1, a2, b2]
+    for a1 in range(p):
+        r_part = (a1 + twisted) % p * m
+        np.add(r_part[:, :, None], s_sums[:, None, :], out=blocks[a1])
 
     def lab(a: int, b: int) -> str:
         if a == 0 and b == 0:
@@ -336,12 +409,12 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDE
             f"product order {order} exceeds the order cap {order_cap}"
         )
     oh = h.order
-    gm, hm = g.mul, h.mul
+    dtype = table_dtype(order)
+    mul = np.empty((order, order), dtype=dtype)
+    # [x1, y1, x2, y2] -> g(x1, x2) * |H| + h(y1, y2)
+    np.add((g.table.astype(dtype) * oh)[:, None, :, None], h.table[None, :, None, :],
+           out=mul.reshape(g.order, oh, g.order, oh))
     pairs = [(x, y) for x in range(g.order) for y in range(h.order)]
-    mul = [
-        [gm[x1][x2] * oh + hm[y1][y2] for (x2, y2) in pairs]
-        for (x1, y1) in pairs
-    ]
     labels = [f"({g.label(x)},{h.label(y)})" for (x, y) in pairs]
     gens: Optional[tuple[int, ...]] = None
     if g.generators is not None and h.generators is not None:
@@ -354,47 +427,26 @@ def split_product_index(idx: int, h_order: int) -> tuple[int, int]:
     return divmod(idx, h_order)
 
 
-@lru_cache(maxsize=128)
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     """Exact conjugacy partition; class ids ordered by least member.
 
-    Cached per group object (groups compare by identity and are immutable).
+    Computed once per group and kept on it (``FiniteGroup.conjugacy_partition``).
     """
-    n = g.order
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        orbit = {g.conj(q, x) for q in range(n)}
-        cid = len(classes)
-        members = tuple(sorted(orbit))
-        classes.append(members)
-        for y in members:
-            class_of[y] = cid
-    return ConjugacyPartition(
-        class_of=tuple(class_of),
-        classes=tuple(classes),
-        representatives=tuple(c[0] for c in classes),
-    )
+    return g.conjugacy_partition
 
 
 def conjugating_witness(g: FiniteGroup, x: int, y: int) -> Optional[int]:
     """Least q with q x q^-1 = y, or None."""
     g.check_index(x)
     g.check_index(y)
-    for q in range(g.order):
-        if g.conj(q, x) == y:
-            return q
-    return None
+    hits = np.flatnonzero(g.conj_table[:, x] == y)
+    return int(hits[0]) if hits.size else None
 
 
 def centralizer(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """All y commuting with x, sorted."""
     g.check_index(x)
-    m = g.mul
-    row = m[x]
-    return tuple(y for y in range(g.order) if row[y] == m[y][x])
+    return tuple(np.flatnonzero(g.table[x] == g.table[:, x]).tolist())
 
 
 def generated_subgroup(g: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:

@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -279,10 +281,10 @@ def quotient_hom(g: FiniteGroup, normal: Sequence[int]) -> TableHom:
     nset = tuple(sorted(set(normal)))
     if generated_subgroup(g, nset) != nset:
         raise HomError("normal-subgroup elements do not form a subgroup")
-    for q in range(g.order):
-        for x in nset:
-            if g.conj(q, x) not in nset:
-                raise HomError(f"subgroup is not normal: {q} conjugates {x} outside it")
+    outside = ~np.isin(g.conj_table[:, nset], nset)  # [q, j]: q nset[j] q^-1 not in N
+    if outside.any():
+        q, j = map(int, np.argwhere(outside)[0])
+        raise HomError(f"subgroup is not normal: {q} conjugates {nset[j]} outside it")
     coset_key: dict[int, int] = {}
     reps: list[int] = []
     coset_of = [-1] * g.order

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .groups import FiniteGroup, GroupError, conjugacy_classes
 
 
@@ -73,60 +75,47 @@ def realized_permutations(g: FiniteGroup, s: Iterable[int]) -> StabilizerDecompo
     """Exact setwise stabilizer, kernel, and realized permutations of s.
 
     Correct whether or not s is a TSS; permutations are position tuples over
-    the sorted element list.
+    the sorted element list.  Row q of ``conj_table[:, s]`` holds the images
+    of s under q, so one position lookup gives every q's permutation.
     """
     elems = _normalize_set(g, s)
-    pos = {x: i for i, x in enumerate(elems)}
     k = len(elems)
-    ident = tuple(range(k))
-    stab: list[int] = []
-    kernel: list[int] = []
-    realized: dict[tuple[int, ...], int] = {}
-    for q in range(g.order):
-        perm = []
-        ok = True
-        for x in elems:
-            img = g.conj(q, x)
-            p = pos.get(img)
-            if p is None:
-                ok = False
-                break
-            perm.append(p)
-        if not ok:
-            continue
-        stab.append(q)
-        t = tuple(perm)
-        if t == ident:
-            kernel.append(q)
-        if t not in realized:
-            realized[t] = q
-    return StabilizerDecomposition(tuple(stab), tuple(kernel), realized)
-
-
-def _transposition_witness(g: FiniteGroup, elems: tuple[int, ...], i: int) -> Optional[int]:
-    a, b = elems[i], elems[i + 1]
-    rest = elems[:i] + elems[i + 2:]
-    for q in range(g.order):
-        if g.conj(q, a) != b or g.conj(q, b) != a:
-            continue
-        if all(g.conj(q, x) == x for x in rest):
-            return q
-    return None
+    pos = np.full(g.order, k, dtype=np.intp)
+    pos[list(elems)] = np.arange(k)
+    perms = pos[g.conj_table[:, elems]]  # perms[q, i]: position of q s_i q^-1, k if outside s
+    stab = np.flatnonzero((perms < k).all(axis=1))
+    kernel = np.flatnonzero((perms == np.arange(k)).all(axis=1))
+    rows = perms[stab]
+    by_perm = np.lexsort(rows.T[::-1])  # stable, so equal rows keep ascending q
+    ranked = rows[by_perm]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.sort(by_perm[starts])  # each permutation's least q, ascending
+    realized = {tuple(perm): q for perm, q in zip(rows[first].tolist(), stab[first].tolist())}
+    return StabilizerDecomposition(tuple(stab.tolist()), tuple(kernel.tolist()), realized)
 
 
 def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
-    """Certificate with adjacent-transposition witnesses, or None."""
+    """Certificate with adjacent-transposition witnesses, or None.
+
+    The witness for (i, i+1) is the least q whose row of
+    ``conj_table[:, s]`` is s with those two members swapped.
+    """
     elems = _normalize_set(g, s)
     for i, x in enumerate(elems):
         for y in elems[i + 1:]:
             if not g.commutes(x, y):
                 return None
     witnesses: dict[tuple[int, int], int] = {}
-    for i in range(len(elems) - 1):
-        w = _transposition_witness(g, elems, i)
-        if w is None:
-            return None
-        witnesses[(i, i + 1)] = w
+    if len(elems) > 1:
+        images = g.conj_table[:, elems]
+        for i in range(len(elems) - 1):
+            want = list(elems)
+            want[i], want[i + 1] = want[i + 1], want[i]
+            hits = np.flatnonzero((images == want).all(axis=1))
+            if not hits.size:
+                return None
+            witnesses[(i, i + 1)] = int(hits[0])
     return TssCertificate(g, elems, witnesses)
 
 
@@ -162,15 +151,20 @@ def tss_by_size(g: FiniteGroup) -> Iterator[list[TssCertificate]]:
         if g.order % math.factorial(size) != 0:
             return
         part = conjugacy_classes(g)
+        classes = [np.array(cls) for cls in part.classes]
+        m = g.table
         # level is sorted and class members ascend, so nxt comes out sorted
         nxt: list[TssCertificate] = []
         for cert in level:
             elems = cert.elements
-            for x in part.classes[part.class_of[elems[0]]]:
-                if x > elems[-1] and all(g.commutes(x, y) for y in elems):
-                    ext = certify_tss(g, elems + (x,))
-                    if ext is not None:
-                        nxt.append(ext)
+            cls = classes[part.class_of[elems[0]]]
+            cand = cls[np.searchsorted(cls, elems[-1], side="right"):]
+            for y in elems:
+                cand = cand[m[y, cand] == m[cand, y]]
+            for x in cand.tolist():
+                ext = certify_tss(g, elems + (x,))
+                if ext is not None:
+                    nxt.append(ext)
         level = nxt
 
 
@@ -202,14 +196,21 @@ def max_tss_size(g: FiniteGroup, up_to_conjugacy: bool = False) -> TssReport:
 
 
 def dedup_up_to_conjugacy(g: FiniteGroup, certs: Sequence[TssCertificate]) -> list[TssCertificate]:
-    """Keep one representative per orbit under simultaneous conjugation."""
+    """Keep one representative per orbit under simultaneous conjugation: the
+    sets that are the lexicographic minimum of their orbit."""
     kept = []
     for cert in certs:
-        canonical = min(
-            tuple(sorted(g.conj(q, x) for x in cert.elements))
-            for q in range(g.order)
-        )
-        if cert.elements == canonical:
+        # row q: the sorted image of the set under q; the identity's row is the
+        # set, and rows whose least entry is larger cannot be smaller than it
+        images = g.conj_table[:, cert.elements]
+        images = np.sort(images[images.min(axis=1) <= cert.elements[0]], axis=1)
+        for j, x in enumerate(cert.elements):
+            column = images[:, j]
+            least = column.min()
+            if least < x:
+                break
+            images = images[column == least]
+        else:
             kept.append(cert)
     return kept
 

@@ -20,6 +20,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import homs, tss
 from .groups import (
     FiniteGroup,
+    GroupError,
     conjugacy_classes,
     derived_series,
     split_product_index,
@@ -415,6 +416,16 @@ def _lemma_fixtures(opts: dict) -> list[dict]:
         {"fixture": "braid-b4-s4", "expect": "same_size"},
         {"fixture": "sweep-s4-s3", "expect": "sweep", **_budget_param(opts)},
     ]
+
+
+def fundamental_lemma_grid(names: Sequence[str], opts: dict) -> list[dict]:
+    """The fundamental-lemma fixtures with the given names, in that order."""
+    roster = {params["fixture"]: params for params in _lemma_fixtures(opts)}
+    for name in names:
+        if name not in roster:
+            raise GroupError(f"unknown fundamental-lemma fixture {name!r}; "
+                             f"known fixtures: {', '.join(roster)}")
+    return [roster[name] for name in names]
 
 
 def _s4_klein(s4: FiniteGroup) -> list[int]:

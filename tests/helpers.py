@@ -4,6 +4,8 @@ These deliberately avoid the library's own algorithms: conjugacy is decided
 by naive witness search over all pairs, centralizers by direct scans.
 """
 
+import itertools
+
 from tsslab.groups import FiniteGroup
 
 
@@ -45,3 +47,82 @@ def is_subgroup(g: FiniteGroup, elems) -> bool:
     if g.identity not in s:
         return False
     return all(g.mul[a][b] in s for a in s for b in s) and all(g.inv[a] in s for a in s)
+
+
+# --- per-entry reference formulas for the dense constructors -----------------
+
+def ref_cyclic_mul(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def ref_dihedral_mul(n: int) -> list[list[int]]:
+    """D_2n with index eps*n + i for s^eps r^i."""
+    def prod(a: int, b: int) -> int:
+        e1, i1 = divmod(a, n)
+        e2, i2 = divmod(b, n)
+        i = ((i1 if e2 == 0 else -i1) + i2) % n
+        return ((e1 + e2) % 2) * n + i
+
+    return [[prod(a, b) for b in range(2 * n)] for a in range(2 * n)]
+
+
+def ref_symmetric_mul(n: int) -> list[list[int]]:
+    """S_n in lexicographic one-line order, (p q)(k) = p[q[k]]."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+
+
+def ref_semidirect_mul(p: int, m: int, k: int) -> list[list[int]]:
+    """Z_p x| Z_m with index a*m + b for r^a s^b and s r s^-1 = r^k."""
+    kpow = [pow(k, b, p) for b in range(m)]
+
+    def prod(x: int, y: int) -> int:
+        a1, b1 = divmod(x, m)
+        a2, b2 = divmod(y, m)
+        return ((a1 + a2 * kpow[b1]) % p) * m + (b1 + b2) % m
+
+    return [[prod(x, y) for y in range(p * m)] for x in range(p * m)]
+
+
+def ref_product_mul(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:
+    """Componentwise product with index x*|H| + y."""
+    pairs = [(x, y) for x in range(g.order) for y in range(h.order)]
+    return [[g.mul[x1][x2] * h.order + h.mul[y1][y2] for (x2, y2) in pairs]
+            for (x1, y1) in pairs]
+
+
+# --- scalar references for the conjugation-table searches --------------------
+
+def ref_realized_permutations(g: FiniteGroup, elems: tuple[int, ...]):
+    """(stabilizer, kernel, realized) by conjugating each member with each q."""
+    pos = {x: i for i, x in enumerate(elems)}
+    ident = tuple(range(len(elems)))
+    stab, kernel, realized = [], [], {}
+    for q in range(g.order):
+        perm = tuple(pos.get(conj(g, q, x)) for x in elems)
+        if None in perm:
+            continue
+        stab.append(q)
+        if perm == ident:
+            kernel.append(q)
+        realized.setdefault(perm, q)
+    return tuple(stab), tuple(kernel), realized
+
+
+def ref_transposition_witnesses(g: FiniteGroup, elems: tuple[int, ...]):
+    """For each i, the least q swapping elems[i], elems[i+1] and fixing the rest."""
+    out = {}
+    for i in range(len(elems) - 1):
+        want = list(elems)
+        want[i], want[i + 1] = want[i + 1], want[i]
+        out[(i, i + 1)] = next(
+            (q for q in range(g.order) if [conj(g, q, x) for x in elems] == want), None
+        )
+    return out
+
+
+def ref_dedup(g: FiniteGroup, sets) -> list[tuple[int, ...]]:
+    """The sets equal to the least sorted image of themselves under conjugation."""
+    return [s for s in sets
+            if s == min(tuple(sorted(conj(g, q, x) for x in s)) for q in range(g.order))]

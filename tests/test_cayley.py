@@ -87,3 +87,31 @@ def test_empty_document():
 
 def test_s4_survives_roundtrip(s4):
     assert from_cayley_table(to_cayley_table(s4)).mul == s4.mul
+
+
+@pytest.mark.parametrize("row,message,col", [
+    ("1 x 0", "non-integer entry 'x'", 1),
+    ("1 -1 0", "entry -1 out of range 0..2", 1),
+    ("1 7 0", "entry 7 out of range 0..2", 1),
+    ("1 0 2.0", "non-integer entry '2.0'", 2),
+])
+def test_bad_entry_location(row, message, col):
+    # the bad entry sits mid-row on the third line; earlier entries are fine
+    with pytest.raises(CayleyTableError) as info:
+        from_cayley_table(f"3\n0 1 2\n{row}\n2 0 1\n")
+    err = info.value
+    assert (err.line, err.row, err.col) == (3, 1, col)
+    assert str(err) == f"{message} (line 3, row 1, column {col})"
+
+
+def test_other_spellings_of_entries():
+    # "+1" and "01" are not the writer's spelling but still name entry 1
+    g = from_cayley_table("2\n0 +1\n01 0\n")
+    assert g.mul == ((0, 1), (1, 0))
+
+
+def test_writer_format(s4):
+    lines = to_cayley_table(s4).splitlines()
+    assert lines[0] == "24"
+    assert lines[1:25] == [" ".join(str(v) for v in row) for row in s4.mul]
+    assert lines[25:] == [f"label {i} {lab}" for i, lab in enumerate(s4.labels)]

@@ -235,6 +235,29 @@ class TestUsage:
         assert code == 2 and syntax in err
         assert "unpack" not in err and "invalid literal" not in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "x"])
+    def test_bad_budget(self, capsys, budget):
+        code, _, err = run(capsys, "--budget", budget, "hom", "enumerate",
+                           "--presentation", "braid:3", "--target", "sym:3")
+        assert code == 2 and "--budget" in err and "positive integer" in err
+
+    def test_fundamental_lemma_grid(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "verify", "fundamental-lemma",
+                           "--grid", "braid-b4-s4; identity-d8")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"]
+        assert [i["params"]["fixture"] for i in doc["instances"]] == ["braid-b4-s4", "identity-d8"]
+
+    def test_fundamental_lemma_grid_budget(self, capsys):
+        code, _, err = run(capsys, "--budget", "10", "verify", "fundamental-lemma",
+                           "--grid", "sweep-s4-s3")
+        assert code == 3 and "budget" in err
+
+    def test_unknown_fundamental_lemma_fixture(self, capsys):
+        code, _, err = run(capsys, "verify", "fundamental-lemma", "--grid", "identity-d8;x")
+        assert code == 2 and "unknown fundamental-lemma fixture 'x'" in err
+        assert "identity-d8, identity-s4, quotient-d8-r2" in err and "sweep-s4-s3" in err
+
     def test_grid_negative_range(self):
         assert _parse_ints("-3--1,2-3") == [-3, -2, -1, 2, 3]
 

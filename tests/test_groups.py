@@ -1,5 +1,8 @@
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +23,17 @@ from tsslab.groups import (
     split_product_index,
 )
 
-from helpers import brute_centralizer, brute_conjugacy_partition, is_subgroup
+from helpers import (
+    brute_centralizer,
+    brute_conjugacy_partition,
+    brute_conjugate_witness,
+    is_subgroup,
+    ref_cyclic_mul,
+    ref_dihedral_mul,
+    ref_product_mul,
+    ref_semidirect_mul,
+    ref_symmetric_mul,
+)
 
 
 class TestCyclic:
@@ -299,3 +312,129 @@ class TestValidation:
     def test_product_order(self, a, b):
         g = direct_product(make_cyclic(a), make_cyclic(b))
         assert g.order == a * b
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 70000], [1, 0]], "entry out of range at row 0, column 1"),
+        ([[0, 1], [1, -1]], "entry out of range at row 1, column 1"),
+        ([[0, 1, 2], [1, 2, 0]], "multiplication table is not square"),
+        ([], "multiplication table must be a nonempty square matrix"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "not a Latin square: row 1 repeats entry 1"),
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], "not a Latin square: column 0 repeats entry 1"),
+        # a loop in which 2 * 3 = e but 3 * 2 != e
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+          [4, 2, 0, 1, 3]], "element 2 has no two-sided inverse"),
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+          [4, 3, 1, 2, 0]], r"associativity fails at triple \(1, 1, 2\)"),
+    ])
+    def test_error_messages(self, table, message):
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            groups.make_group(table)
+
+
+def _dense_corpus():
+    """Every constructor at small parameters, and products of them."""
+    out = [(make_cyclic(n), ref_cyclic_mul(n)) for n in range(1, 13)]
+    out += [(make_dihedral(n), ref_dihedral_mul(n)) for n in range(1, 13)]
+    out += [(make_symmetric(n), ref_symmetric_mul(n)) for n in range(1, 6)]
+    for p, m, k in [(2, 1, 1), (3, 2, 2), (3, 6, 2), (5, 4, 2), (7, 3, 2), (7, 6, 3),
+                    (11, 5, 3), (13, 3, 3), (5, 4, 1)]:
+        out.append((make_semidirect_cyclic(SemidirectParams(p, m, k)),
+                    ref_semidirect_mul(p, m, k)))
+    factors = [make_cyclic(1), make_cyclic(4), make_dihedral(3), make_symmetric(3),
+               make_semidirect_cyclic(SemidirectParams(7, 3, 2))]
+    for g, h in [(factors[0], factors[2]), (factors[1], factors[2]), (factors[2], factors[3]),
+                 (factors[3], factors[1]), (factors[4], factors[1]),
+                 (make_symmetric(4), factors[3])]:
+        out.append((direct_product(g, h), ref_product_mul(g, h)))
+    return out
+
+
+DENSE_CORPUS = _dense_corpus()
+
+
+class TestDenseCore:
+    @pytest.mark.parametrize("g,want", DENSE_CORPUS, ids=lambda v: getattr(v, "name", ""))
+    def test_constructor_matches_entry_formula(self, g, want):
+        assert g.mul == tuple(tuple(row) for row in want)
+        assert g.table.tolist() == want
+        assert all(g.mul[x][g.inv[x]] == g.identity == g.mul[g.inv[x]][x]
+                   for x in range(g.order))
+
+    @pytest.mark.parametrize("g,want", DENSE_CORPUS, ids=lambda v: getattr(v, "name", ""))
+    def test_conj_table_is_conjugation(self, g, want):
+        c = g.conj_table
+        m, inv = g.mul, g.inv
+        assert all(c[q][x] == m[m[q][x]][inv[q]]
+                   for q in range(g.order) for x in range(g.order))
+
+    def test_classes_match_witness_oracle(self):
+        for g, _ in DENSE_CORPUS:
+            if g.order <= 48:
+                assert sorted(conjugacy_classes(g).classes) == brute_conjugacy_partition(g)
+
+    def test_dtype_and_read_only(self, s4):
+        for arr in (s4.table, s4.conj_table):
+            assert arr.dtype == np.int16 and arr.shape == (24, 24)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
+    def test_wide_dtype_above_int16(self):
+        assert groups.table_dtype(32767) == np.int16
+        assert groups.table_dtype(32768) == np.int32
+
+    def test_rows_share_int_objects(self):
+        g = make_dihedral(300)  # entries above 256, which CPython does not intern
+        x = g.mul[0][400]
+        assert x == 400 and x is g.mul[400][0] is g.inv[x]  # 400 is a reflection
+
+    def test_classes_cached_on_the_group(self, s4):
+        assert conjugacy_classes(s4) is conjugacy_classes(s4)
+        assert conjugacy_classes(s4) is s4.conjugacy_partition
+
+    def test_witness_and_centralizer_match_scans(self, small_corpus):
+        for g in small_corpus:
+            for x in range(g.order):
+                assert centralizer(g, x) == brute_centralizer(g, x)
+                for y in range(0, g.order, 3):
+                    assert conjugating_witness(g, x, y) == brute_conjugate_witness(g, x, y)
+
+
+class TestOrderCap:
+    """Orders just over the cap: each is rejected before any table exists."""
+
+    @pytest.mark.parametrize("build", [
+        lambda cap: make_cyclic(cap + 1),
+        lambda cap: make_dihedral(cap // 2 + 1),
+        lambda cap: make_semidirect_cyclic(SemidirectParams(2, cap // 2 + 1, 1)),
+        lambda cap: make_symmetric(8),
+    ], ids=["cyclic", "dihedral", "semidirect", "symmetric"])
+    def test_rejected_before_allocating(self, build):
+        cap = groups.DEFAULT_ORDER_CAP
+        assert math.factorial(8) > cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError, match="cap"):
+                build(cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_product_rejected_before_allocating(self):
+        side = math.isqrt(groups.DEFAULT_ORDER_CAP) + 1
+        factor = make_cyclic(side)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError, match="cap"):
+                direct_product(factor, factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cli_exits_2(self, capsys):
+        from tsslab.cli import main
+
+        assert main(["group", "build", "--spec", "dihedral:100000"]) == 2
+        assert "order 200000, above the global order cap" in capsys.readouterr().err

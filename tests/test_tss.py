@@ -1,4 +1,5 @@
 import math
+import random
 
 import jsonschema
 import pytest
@@ -15,6 +16,7 @@ from tsslab.groups import (
 from tsslab.schemas import TSS_REPORT_SCHEMA, tss_report_to_json
 from tsslab.specs import parse_group_spec
 from tsslab.tss import (
+    TssCertificate,
     TssError,
     brute_force_tss,
     certify_tss,
@@ -25,6 +27,8 @@ from tsslab.tss import (
     max_tss_size,
     realized_permutations,
 )
+
+from helpers import ref_dedup, ref_realized_permutations, ref_transposition_witnesses
 
 
 class TestRealizedPermutations:
@@ -235,3 +239,56 @@ class TestOracle:
         triple = tuple(i for i, lab in enumerate(s4.labels)
                        if lab in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"))
         assert triple in brute_force_tss(s4, 3)
+
+
+# groups up to order 48, and S4 x S3 (order 144)
+TABLE_SEARCH_SPECS = ["cyclic:12", "dihedral:4", "dihedral:6", "dihedral:24", "sym:3", "sym:4",
+                      "semidirect:3,6,2", "semidirect:7,6,3", "semidirect:13,3,3",
+                      "product:sym:3,cyclic:2", "product:sym:4,cyclic:2", "product:dihedral:4,sym:3",
+                      "product:sym:4,sym:3"]
+
+
+def _search_sets(g):
+    """Every certified TSS of size >= 2, and seeded sets that are mostly not TSS."""
+    sets = [c.elements for level in list(tss.tss_by_size(g))[1:] for c in level]
+    rng = random.Random(g.order)
+    for size in (1, 2, 3, 4):
+        sets += [tuple(sorted(rng.sample(range(g.order), size))) for _ in range(8)]
+    return sets
+
+
+class TestConjugationTableSearches:
+    """The row filters on ``conj_table`` against scalar conjugation loops."""
+
+    @pytest.mark.parametrize("spec", TABLE_SEARCH_SPECS)
+    def test_realized_permutations(self, spec):
+        g = parse_group_spec(spec)
+        for s in _search_sets(g):
+            dec = realized_permutations(g, s)
+            stab, kernel, realized = ref_realized_permutations(g, s)
+            assert dec.stabilizer == stab and dec.kernel == kernel
+            assert list(dec.realized.items()) == list(realized.items())
+            assert all(type(q) is int for q in dec.stabilizer + dec.kernel)
+
+    @pytest.mark.parametrize("spec", TABLE_SEARCH_SPECS)
+    def test_certify_witnesses(self, spec):
+        g = parse_group_spec(spec)
+        for s in _search_sets(g):
+            cert = certify_tss(g, s)
+            commuting = all(g.commutes(x, y) for x in s for y in s)
+            want = ref_transposition_witnesses(g, s)
+            if commuting and None not in want.values():
+                assert cert is not None and cert.witnesses == want
+            else:
+                assert cert is None
+
+    @pytest.mark.parametrize("spec", TABLE_SEARCH_SPECS)
+    def test_dedup(self, spec):
+        g = parse_group_spec(spec)
+        for level in tss.tss_by_size(g):
+            kept = [c.elements for c in dedup_up_to_conjugacy(g, level)]
+            assert kept == ref_dedup(g, [c.elements for c in level])
+        # the orbit minimum is decided for any set, not only for TSS
+        sets = _search_sets(g)
+        kept = dedup_up_to_conjugacy(g, [TssCertificate(g, s) for s in sets])
+        assert [c.elements for c in kept] == ref_dedup(g, sets)
