@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -35,8 +34,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# longest integer range a --grid may spell, e.g. 3-12; checked before expanding
-GRID_RANGE_CAP = 1000
+# how many words each `word` op takes; None means one or more
+F2_ARITY = {"reduce": 1, "mul": None, "inverse": 1, "commutes": 2, "conjugate": 2,
+            "obstruction": 1}
+BS_ARITY = {"mul": None, "inverse": 1, "commutes": 2, "swap": 2, "classify": 0}
+FP_ARITY = {"mul": None, "inverse": 1, "reduce": 1, "cyclic": 1, "analyze": None}
 
 
 def _positive_int(source: str) -> Callable[[str], int]:
@@ -115,19 +117,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_word = sub.add_parser("word", help="exact infinite-group word operations")
     word_sub = p_word.add_subparsers(dest="word_command", required=True)
     p_f2 = word_sub.add_parser("f2", help="free group on a, b")
-    p_f2.add_argument("op", choices=("reduce", "mul", "inverse", "commutes",
-                                     "conjugate", "obstruction"))
-    p_f2.add_argument("words", nargs="+")
+    p_f2.add_argument("op", choices=tuple(F2_ARITY))
+    p_f2.add_argument("words", nargs="*")
     p_bs = word_sub.add_parser("bs", help="Baumslag-Solitar BS(1,n)")
     p_bs.add_argument("--n", type=int, required=True)
-    p_bs.add_argument("op", choices=("mul", "inverse", "commutes", "swap", "classify"))
+    p_bs.add_argument("op", choices=tuple(BS_ARITY))
     p_bs.add_argument("words", nargs="*")
     p_bs.add_argument("--bound", type=int, default=6)
     p_bs.add_argument("--radius", type=int, default=4)
     p_fp = word_sub.add_parser("fp", help="free product of two table groups")
     p_fp.add_argument("--factors", required=True, help="<spec>,<spec>")
-    p_fp.add_argument("op", choices=("mul", "inverse", "reduce", "cyclic", "analyze"))
-    p_fp.add_argument("words", nargs="+")
+    p_fp.add_argument("op", choices=tuple(FP_ARITY))
+    p_fp.add_argument("words", nargs="*")
 
     p_verify = sub.add_parser("verify", help="run a theorem suite")
     p_verify.add_argument("theorem", choices=sorted(verify.THEOREMS))
@@ -330,7 +331,16 @@ def _parse_presentation(text: str) -> homs.Presentation:
     )
 
 
+def _check_word_count(args: argparse.Namespace, arity: dict[str, Optional[int]]) -> None:
+    want, got = arity[args.op], len(args.words)
+    if got != want and not (want is None and got > 0):
+        expected = ("one or more words" if want is None else "no words" if want == 0
+                    else f"{want} word{'s' * (want > 1)}")
+        raise GroupError(f"word {args.word_command} {args.op} expects {expected}, got {got}")
+
+
 def _cmd_word_f2(args: argparse.Namespace) -> int:
+    _check_word_count(args, F2_ARITY)
     op = args.op
     if op == "reduce":
         w = f2.f2_reduce(f2.parse_f2_letters(args.words[0]))
@@ -365,6 +375,7 @@ def _cmd_word_f2(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_bs(args: argparse.Namespace) -> int:
+    _check_word_count(args, BS_ARITY)
     n = args.n
     if args.op == "classify":
         report = bs.bs_classification_check(n, args.radius, bound=args.bound)
@@ -387,13 +398,14 @@ def _cmd_word_bs(args: argparse.Namespace) -> int:
     elif args.op == "commutes":
         print("yes" if bs.bs_commutes(words[0], words[1], n) else "no")
     else:
-        res = bs.bs_swap_search(words[0], words[1], n, args.bound)
+        res = bs.bs_swap_decide(words[0], words[1], n, args.bound)
         print(res.describe() if res.witness is None
               else f"witness {bs.format_bs(res.witness, n)}")
     return EXIT_PASS
 
 
 def _cmd_word_fp(args: argparse.Namespace) -> int:
+    _check_word_count(args, FP_ARITY)
     try:
         left_spec, right_spec = split_spec_pair(args.factors)
     except GroupSpecError as exc:
@@ -442,7 +454,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         options["samples"] = args.samples
     if args.budget != homs.DEFAULT_HOM_BUDGET:
         options["budget"] = args.budget
-    grid = _parse_grid(args.theorem, args.grid, options) if args.grid else None
+    grid = verify.THEOREMS[args.theorem].grid(options, args.grid)
     result = verify.verify_suite(
         args.theorem, grid, jobs=args.jobs, out_dir=args.out, **options
     )
@@ -458,103 +470,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     _emit(doc, args, lines, rows)
     return EXIT_PASS if result.passed else EXIT_FAIL
-
-
-def _parse_grid(theorem: str, text: str, options: dict[str, Any]) -> list[dict]:
-    """Grid mini-syntax: integers/ranges for n-grids, 'p,m,k' triples joined
-    by ';' for semidirect, 'spec+spec' pairs joined by ';' for pair grids,
-    fixture names joined by ';' for fundamental-lemma."""
-    items = [t for t in text.split(";") if t.strip()]
-    if theorem in ("abelian", "dihedral"):
-        return [{"n": n} for n in _parse_ints(text)]
-    if theorem == "free-group":
-        return [{"length": n} for n in _parse_ints(text)]
-    if theorem == "baumslag-solitar":
-        return [{"n": n, "radius": options.get("radius", 4),
-                 "bound": options.get("bound", 6)} for n in _parse_ints(text)]
-    if theorem == "semidirect":
-        out = []
-        for item in items:
-            try:
-                p, m, k = (int(v) for v in item.split(","))
-            except ValueError:
-                raise GroupError(
-                    f"bad --grid item {item!r}; expected 'p,m,k' integer triples "
-                    f"joined by ';', e.g. '3,6,2;5,20,2'"
-                ) from None
-            out.append({"p": p, "m": m, "k": k})
-        return out
-    if theorem in ("direct-product", "free-product"):
-        out = []
-        for item in items:
-            left, right = _split_grid_pair(item, "<spec>+<spec>")
-            params: dict[str, Any] = {"left": left, "right": right}
-            if theorem == "free-product":
-                params["max_syllables"] = options.get("max_syllables", 4)
-            out.append(params)
-        return out
-    if theorem == "braid-corollary":
-        out = []
-        for item in items:
-            strands, target = _split_grid_pair(item, "<strands>+<spec>")
-            if not strands.isdigit():
-                raise GroupError(f"bad --grid item {item!r}; expected <strands>+<spec> "
-                                 f"with an integer strand count, e.g. '5+sym:5'")
-            params = {"strands": int(strands), "target": target}
-            if "budget" in options:
-                params["budget"] = options["budget"]
-            out.append(params)
-        return out
-    if theorem == "fundamental-lemma":
-        return verify.fundamental_lemma_grid([item.strip() for item in items], options)
-    if theorem == "no-injection":
-        out = []
-        for item in items:
-            source, target = _split_grid_pair(item, "<spec>+<spec>")
-            params = {"source": source, "target": target}
-            if "budget" in options:
-                params["budget"] = options["budget"]
-            out.append(params)
-        return out
-    # corpus-style suites take group specs joined by ';'
-    params_extra: dict[str, Any] = {}
-    if theorem == "stabilizer-ses":
-        params_extra = {"samples": options.get("samples", 20),
-                        "seed": options.get("seed", 0)}
-    return [{"group": item.strip(), **params_extra} for item in items]
-
-
-def _split_grid_pair(item: str, syntax: str) -> tuple[str, str]:
-    if "+" not in item:
-        raise GroupError(f"bad --grid item {item!r}; expected {syntax} pairs joined by ';'")
-    left, right = item.split("+", 1)
-    return left.strip(), right.strip()
-
-
-def _parse_ints(text: str) -> list[int]:
-    out: list[int] = []
-    for tok in text.replace(";", ",").split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        bounds = re.fullmatch(r"([+-]?\d+)\s*-\s*([+-]?\d+)", tok)  # either end may be negative
-        try:
-            if bounds:
-                values = range(int(bounds[1]), int(bounds[2]) + 1)
-            else:
-                values = [int(tok)]
-        except ValueError:
-            raise GroupError(
-                f"bad --grid value {tok!r}; expected integers or ranges like '3-12' "
-                f"joined by ','"
-            ) from None
-        if len(values) > GRID_RANGE_CAP:
-            raise GroupError(
-                f"--grid range {tok!r} spans {len(values)} values, above the cap of "
-                f"{GRID_RANGE_CAP}"
-            )
-        out.extend(values)
-    return out
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import homs, tss
 from .groups import (
@@ -228,7 +229,7 @@ def _run_direct_product(params: dict) -> SuiteInstance:
 def _run_free_product(params: dict) -> SuiteInstance:
     start = time.perf_counter()
     left_spec, right_spec = params["left"], params["right"]
-    max_syllables = params.get("max_syllables", 4)
+    max_syllables = params["max_syllables"]
     g = parse_group_spec(left_spec)
     h = parse_group_spec(right_spec)
     bound = max(tss.max_tss_size(g).s_of_g, tss.max_tss_size(h).s_of_g)
@@ -361,8 +362,8 @@ def _run_solvable(params: dict) -> SuiteInstance:
 def _run_stabilizer_ses(params: dict) -> SuiteInstance:
     start = time.perf_counter()
     spec = params["group"]
-    samples = params.get("samples", 20)
-    seed = params.get("seed", 0)
+    samples = params["samples"]
+    seed = params["seed"]
     g = parse_group_spec(spec)
     checked = 0
     for size, level in enumerate(tss.tss_by_size(g), start=1):
@@ -407,25 +408,24 @@ def _budget_param(opts: dict) -> dict:
     return {"budget": opts["budget"]} if "budget" in opts else {}
 
 
-def _lemma_fixtures(opts: dict) -> list[dict]:
-    return [
-        {"fixture": "identity-d8", "expect": "same_size"},
-        {"fixture": "identity-s4", "expect": "same_size"},
-        {"fixture": "quotient-d8-r2", "expect": "collapsed"},
-        {"fixture": "quotient-s4-v", "expect": "collapsed"},
-        {"fixture": "braid-b4-s4", "expect": "same_size"},
-        {"fixture": "sweep-s4-s3", "expect": "sweep", **_budget_param(opts)},
-    ]
+# fixture name -> the branch the lemma should take on it
+_LEMMA_FIXTURES = {
+    "identity-d8": "same_size",
+    "identity-s4": "same_size",
+    "quotient-d8-r2": "collapsed",
+    "quotient-s4-v": "collapsed",
+    "braid-b4-s4": "same_size",
+    "sweep-s4-s3": "sweep",
+}
 
 
-def fundamental_lemma_grid(names: Sequence[str], opts: dict) -> list[dict]:
-    """The fundamental-lemma fixtures with the given names, in that order."""
-    roster = {params["fixture"]: params for params in _lemma_fixtures(opts)}
-    for name in names:
-        if name not in roster:
-            raise GroupError(f"unknown fundamental-lemma fixture {name!r}; "
-                             f"known fixtures: {', '.join(roster)}")
-    return [roster[name] for name in names]
+def _lemma_instance(name: str, opts: dict) -> dict:
+    if name not in _LEMMA_FIXTURES:
+        raise GroupError(f"unknown fundamental-lemma fixture {name!r}; "
+                         f"known fixtures: {', '.join(_LEMMA_FIXTURES)}")
+    expect = _LEMMA_FIXTURES[name]
+    return {"fixture": name, "expect": expect,
+            **(_budget_param(opts) if expect == "sweep" else {})}
 
 
 def _s4_klein(s4: FiniteGroup) -> list[int]:
@@ -598,8 +598,8 @@ def _run_free_group(params: dict) -> SuiteInstance:
 def _run_baumslag(params: dict) -> SuiteInstance:
     start = time.perf_counter()
     n = params["n"]
-    radius = params.get("radius", 4)
-    bound = params.get("bound", 6)
+    radius = params["radius"]
+    bound = params["bound"]
     report = bs.bs_classification_check(n, radius, bound=bound)
     if not report.all_ok:
         bad = next(i for i in report.instances if i.verdict == "fail")
@@ -674,122 +674,162 @@ _ORACLE_CORPUS = [
 _PRODUCT_FACTORS = ["cyclic:5", "cyclic:6", "dihedral:3", "dihedral:4", "sym:3", "sym:4"]
 
 
-def _default_product_grid() -> list[dict]:
+def _default_product_pairs() -> list[tuple[str, str]]:
     orders = {s: parse_group_spec(s).order for s in _PRODUCT_FACTORS}
-    grid = []
-    for i, a in enumerate(_PRODUCT_FACTORS):
-        for b in _PRODUCT_FACTORS[i:]:
-            if orders[a] * orders[b] <= 600:
-                grid.append({"left": a, "right": b})
-    return grid
+    return [(a, b) for i, a in enumerate(_PRODUCT_FACTORS) for b in _PRODUCT_FACTORS[i:]
+            if orders[a] * orders[b] <= 600]
 
 
-def _braid_grid(opts: dict) -> list[dict]:
-    return opts.get("pairs") or [{"strands": 5, "target": t, **_budget_param(opts)}
-                                 for t in ("cyclic:6", "semidirect:7,3,2", "sym:5")]
+# --- grids -------------------------------------------------------------------
+
+# longest integer range a --grid may spell, e.g. 3-12; checked before expanding
+GRID_RANGE_CAP = 1000
 
 
-def _no_injection_grid(opts: dict) -> list[dict]:
-    return opts.get("pairs") or [{"source": s, "target": t, **_budget_param(opts)}
-                                 for s, t in (("sym:4", "dihedral:4"), ("sym:4", "cyclic:12"),
-                                              ("dihedral:4", "cyclic:8"))]
+def _grid_items(text: str) -> list[str]:
+    return [t for t in text.split(";") if t.strip()]
 
+
+def _parse_ints(text: str) -> list[int]:
+    """Integers and ranges such as '3-12' joined by ',' or ';'."""
+    out: list[int] = []
+    for tok in text.replace(";", ",").split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        bounds = re.fullmatch(r"([+-]?\d+)\s*-\s*([+-]?\d+)", tok)  # either end may be negative
+        try:
+            values = range(int(bounds[1]), int(bounds[2]) + 1) if bounds else [int(tok)]
+        except ValueError:
+            raise GroupError(f"bad --grid value {tok!r}; expected integers or ranges like "
+                             f"'3-12' joined by ','") from None
+        if len(values) > GRID_RANGE_CAP:
+            raise GroupError(f"--grid range {tok!r} spans {len(values)} values, above the "
+                             f"cap of {GRID_RANGE_CAP}")
+        out.extend(values)
+    return out
+
+
+def _parse_triples(text: str) -> list[tuple[int, ...]]:
+    out = []
+    for item in _grid_items(text):
+        try:
+            p, m, k = (int(v) for v in item.split(","))
+        except ValueError:
+            raise GroupError(f"bad --grid item {item!r}; expected 'p,m,k' integer triples "
+                             f"joined by ';', e.g. '3,6,2;5,20,2'") from None
+        out.append((p, m, k))
+    return out
+
+
+def _split_grid_pair(item: str, syntax: str) -> tuple[str, str]:
+    if "+" not in item:
+        raise GroupError(f"bad --grid item {item!r}; expected {syntax} pairs joined by ';'")
+    left, right = item.split("+", 1)
+    return left.strip(), right.strip()
+
+
+def _spec_pairs(text: str) -> list[tuple[str, str]]:
+    return [_split_grid_pair(item, "<spec>+<spec>") for item in _grid_items(text)]
+
+
+def _braid_pairs(text: str) -> list[tuple[int, str]]:
+    out = []
+    for item in _grid_items(text):
+        strands, target = _split_grid_pair(item, "<strands>+<spec>")
+        if not strands.isdigit():
+            raise GroupError(f"bad --grid item {item!r}; expected <strands>+<spec> "
+                             f"with an integer strand count, e.g. '5+sym:5'")
+        out.append((int(strands), target))
+    return out
+
+
+def _names(text: str) -> list[str]:
+    return [item.strip() for item in _grid_items(text)]
+
+
+def _pair_instance(first: str, second: str,
+                   extra: Callable[[dict], dict] = lambda opts: {}) -> Callable[[Any, dict], dict]:
+    return lambda pair, opts: {first: pair[0], second: pair[1], **extra(opts)}
+
+
+# --- registry ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TheoremSpec:
+    """A suite: its runner, and its grid, built by ``grid`` from the default
+    items or from --grid text.  Corpus suites take group specs joined by ';'."""
     runner: Callable[[dict], SuiteInstance]
-    default_grid: Callable[[dict], list[dict]]
     description: str
+    default_items: Callable[[dict], Iterable[Any]]  # grid items from the options
+    parse_items: Callable[[str], list[Any]] = _names  # --grid text -> grid items
+    instance: Callable[[Any, dict], dict] = lambda spec, opts: {"group": spec}  # item -> params
+
+    def grid(self, opts: dict, text: Optional[str] = None) -> list[dict]:
+        """Instance params for the --grid ``text``, or for the default grid."""
+        items = self.default_items(opts) if text is None else self.parse_items(text)
+        return [self.instance(item, opts) for item in items]
 
 
 THEOREMS: dict[str, TheoremSpec] = {
     "abelian": TheoremSpec(
-        _run_abelian,
-        lambda opts: [{"n": n} for n in opts.get("ns", list(range(1, 31)))],
-        "abelian groups have only singleton TSS",
-    ),
+        _run_abelian, "abelian groups have only singleton TSS",
+        lambda opts: opts.get("ns", range(1, 31)), _parse_ints, lambda n, opts: {"n": n}),
     "dihedral": TheoremSpec(
-        _run_dihedral,
-        lambda opts: [{"n": n} for n in opts.get("ns", list(range(3, 13)))],
-        "S(D_2n) = 2 with the literal two-family classification",
-    ),
+        _run_dihedral, "S(D_2n) = 2 with the literal two-family classification",
+        lambda opts: opts.get("ns", range(3, 13)), _parse_ints, lambda n, opts: {"n": n}),
+    # (7,14,3) has an ill-defined action (ord_7(3) = 6 does not divide 14) and
+    # is flagged not-applicable; (7,14,6) and (7,42,3) are the valid even-order
+    # instances for those p, m choices.
     "semidirect": TheoremSpec(
-        _run_semidirect,
-        # (7,14,3) has an ill-defined action (ord_7(3) = 6 does not divide 14)
-        # and is flagged not-applicable; (7,14,6) and (7,42,3) are the valid
-        # even-order instances for those p, m choices.
-        lambda opts: [{"p": p, "m": m, "k": k}
-                      for (p, m, k) in opts.get(
-                          "triples",
-                          [(3, 6, 2), (5, 20, 2), (7, 14, 3), (7, 14, 6), (7, 42, 3)])],
-        "S(Z_p x| Z_m) = 2 when -1 is a power of the action multiplier",
-    ),
+        _run_semidirect, "S(Z_p x| Z_m) = 2 when -1 is a power of the action multiplier",
+        lambda opts: opts.get("triples", [(3, 6, 2), (5, 20, 2), (7, 14, 3), (7, 14, 6), (7, 42, 3)]),
+        _parse_triples, lambda pmk, opts: {"p": pmk[0], "m": pmk[1], "k": pmk[2]}),
     "direct-product": TheoremSpec(
-        _run_direct_product,
-        lambda opts: opts.get("pairs") or _default_product_grid(),
-        "S(G x H) = max(S(G), S(H)) plus the coordinate-structure corollary",
-    ),
+        _run_direct_product, "S(G x H) = max(S(G), S(H)) plus the coordinate-structure corollary",
+        lambda opts: _default_product_pairs(),
+        _spec_pairs, _pair_instance("left", "right")),
     "free-product": TheoremSpec(
-        _run_free_product,
-        lambda opts: opts.get("pairs") or [
-            {"left": "cyclic:3", "right": "cyclic:3", "max_syllables": opts.get("max_syllables", 4)},
-            {"left": "dihedral:4", "right": "sym:3", "max_syllables": opts.get("max_syllables", 4)},
-        ],
-        "S(G * H) = max(S(G), S(H)); every TSS is a conjugated factor TSS",
-    ),
+        _run_free_product, "S(G * H) = max(S(G), S(H)); every TSS is a conjugated factor TSS",
+        lambda opts: [("cyclic:3", "cyclic:3"), ("dihedral:4", "sym:3")],
+        _spec_pairs, _pair_instance(
+            "left", "right", lambda opts: {"max_syllables": opts.get("max_syllables", 4)})),
     "inverse-pair": TheoremSpec(
-        _run_inverse_pair,
-        lambda opts: [{"group": s} for s in opts.get("groups", _SMALL_CORPUS)],
-        "a TSS containing g and g^-1 is exactly {g, g^-1}",
-    ),
+        _run_inverse_pair, "a TSS containing g and g^-1 is exactly {g, g^-1}",
+        lambda opts: opts.get("groups", _SMALL_CORPUS)),
     "odd-order": TheoremSpec(
-        _run_odd_order,
-        lambda opts: [{"group": s} for s in odd_order_corpus(opts.get("max_order", 200))],
-        "odd-order groups have only singleton TSS",
-    ),
+        _run_odd_order, "odd-order groups have only singleton TSS",
+        lambda opts: odd_order_corpus(opts.get("max_order", 200))),
     "solvable": TheoremSpec(
-        _run_solvable,
-        lambda opts: [{"group": s} for s in opts.get("groups", _SOLVABLE_CORPUS)],
-        "solvable groups satisfy S(G) <= 4 (size 3 occurs: S_4)",
-    ),
+        _run_solvable, "solvable groups satisfy S(G) <= 4 (size 3 occurs: S_4)",
+        lambda opts: opts.get("groups", _SOLVABLE_CORPUS)),
     "stabilizer-ses": TheoremSpec(
-        _run_stabilizer_ses,
-        lambda opts: [{"group": s, "samples": opts.get("samples", 20),
-                       "seed": opts.get("seed", 0)}
-                      for s in opts.get("groups", _SMALL_CORPUS)],
-        "1 -> kernel -> Stab(S) -> Sym(S) -> 1 cardinality identity",
-    ),
+        _run_stabilizer_ses, "1 -> kernel -> Stab(S) -> Sym(S) -> 1 cardinality identity",
+        lambda opts: opts.get("groups", _SMALL_CORPUS), _names,
+        lambda spec, opts: {"group": spec, "samples": opts.get("samples", 20),
+                            "seed": opts.get("seed", 0)}),
     "fundamental-lemma": TheoremSpec(
-        _run_fundamental_lemma,
-        _lemma_fixtures,
-        "TSS images have full size (and are TSS) or collapse to a point",
-    ),
+        _run_fundamental_lemma, "TSS images have full size (and are TSS) or collapse to a point",
+        lambda opts: list(_LEMMA_FIXTURES), _names, _lemma_instance),
     "no-injection": TheoremSpec(
-        _run_no_injection,
-        _no_injection_grid,
-        "no injective homomorphism when S(source) > S(target)",
-    ),
+        _run_no_injection, "no injective homomorphism when S(source) > S(target)",
+        lambda opts: [("sym:4", "dihedral:4"), ("sym:4", "cyclic:12"), ("dihedral:4", "cyclic:8")],
+        _spec_pairs, _pair_instance("source", "target", _budget_param)),
     "braid-corollary": TheoremSpec(
-        _run_braid_corollary,
-        _braid_grid,
-        "homomorphisms B_n -> G are cyclic when S(G) < floor(n/2)",
-    ),
+        _run_braid_corollary, "homomorphisms B_n -> G are cyclic when S(G) < floor(n/2)",
+        lambda opts: [(5, t) for t in ("cyclic:6", "semidirect:7,3,2", "sym:5")],
+        _braid_pairs, _pair_instance("strands", "target", _budget_param)),
     "free-group": TheoremSpec(
-        _run_free_group,
-        lambda opts: [{"length": n} for n in range(1, opts.get("max_len", 6) + 1)],
-        "F_2 words are never conjugate to their inverses; S(F_2) = 1 evidence",
-    ),
+        _run_free_group, "F_2 words are never conjugate to their inverses; S(F_2) = 1 evidence",
+        lambda opts: range(1, opts.get("max_len", 6) + 1), _parse_ints,
+        lambda n, opts: {"length": n}),
     "baumslag-solitar": TheoremSpec(
-        _run_baumslag,
-        lambda opts: [{"n": n, "radius": opts.get("radius", 4), "bound": opts.get("bound", 6)}
-                      for n in opts.get("ns", [-3, -2, -1, 2, 3])],
-        "S(BS(1,n)) is 2 for n = -1 and 1 otherwise (bounded evidence)",
-    ),
+        _run_baumslag, "S(BS(1,n)) is 2 for n = -1 and 1 otherwise (exact swap decisions)",
+        lambda opts: opts.get("ns", [-3, -2, -1, 2, 3]), _parse_ints,
+        lambda n, opts: {"n": n, "radius": opts.get("radius", 4), "bound": opts.get("bound", 6)}),
     "oracle": TheoremSpec(
-        _run_oracle,
-        lambda opts: [{"group": s} for s in opts.get("groups", _ORACLE_CORPUS)],
-        "pruned enumerator matches the no-pruning brute-force oracle",
-    ),
+        _run_oracle, "pruned enumerator matches the no-pruning brute-force oracle",
+        lambda opts: opts.get("groups", _ORACLE_CORPUS)),
 }
 
 
@@ -815,7 +855,10 @@ def verify_suite(
         raise KeyError(f"unknown theorem id {theorem!r}; known: {', '.join(sorted(THEOREMS))}")
     start = time.perf_counter()
     spec = THEOREMS[theorem]
-    instances_params = grid if grid is not None else spec.default_grid(options)
+    # a `pairs` option (instance params for the pair suites) is taken as the grid
+    instances_params = grid if grid is not None else options.get("pairs") or spec.grid(options)
+    if not instances_params:
+        raise GroupError(f"verify {theorem}: the grid has no instances")
     args = [(theorem, p) for p in instances_params]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -123,6 +123,35 @@ def bs_swap_search(
     return SwapSearchResult(None, bound, depth)
 
 
+def bs_swap_decide(
+    u: BsElement, v: BsElement, n: int, bound: int, depth: int = 2
+) -> SwapSearchResult:
+    """Decide exactly whether some h has h u h^-1 = v and h v h^-1 = u.
+
+    Returns what ``bs_swap_search(u, v, n, bound, depth)`` returns for any
+    depth >= 0, with the same input checks, but without searching: conjugation
+    by h = (s, f) sends (r, t) to (s(1 - n^t) + n^f r, t), so a swap of
+    distinct u, v needs t_u = t_v and n^f = -1 (n = -1, f odd), and then
+    s(1 - (-1)^t) = r_u + r_v.  Distinct commuting elements of BS(1, -1) with
+    equal t have even t (odd t forces r_u = r_v), so any s works once
+    r_u + r_v = 0, and the first witness in spiral order is b = (0, 1).  For
+    u = v it is the identity.  Otherwise no h swaps u and v at all, and
+    ``bound`` enters only the reported exhausted(bound).
+    """
+    _check_n(n)
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    if not bs_commutes(u, v, n):
+        raise ValueError("swap search requires commuting inputs")
+    if u == v:
+        witness: Optional[BsElement] = BS_IDENTITY
+    elif n == -1 and u.t == v.t and u.r + v.r == 0:
+        witness = BS_B
+    else:
+        witness = None
+    return SwapSearchResult(witness, bound, depth)
+
+
 @dataclass(frozen=True)
 class BsPairEvidence:
     u: BsElement
@@ -141,25 +170,24 @@ class BsClassificationReport:
     all_ok: bool
 
 
-def bs_classification_check(
-    n: int, radius: int, bound: int = 6, third_radius: int = 3
-) -> BsClassificationReport:
-    """Reproduce the BS(1, n) classification at desk scale.
+def bs_classification_check(n: int, radius: int, bound: int = 6) -> BsClassificationReport:
+    """Reproduce the BS(1, n) classification at desk scale, deciding every
+    swap exactly with ``bs_swap_decide``.
 
     n = -1: every pair {a^x b^2m, a^-x b^2m} within the radius is certified a
-    TSS (exact commutation, exact swap witness), and no third element within
-    third_radius survives: the inverse-pair argument applies when the pair is
-    {g, g^-1}, and the bounded swap search exhausts otherwise.
+    TSS (exact commutation, swap witness b), and no third element joins it:
+    the only element that can be swapped with (r, t), t even, is (-r, t).
 
     n = 1: abelian branch, conjugation is trivial.
 
     Other n: every distinct commuting pair within the radius is shown
-    non-swappable: the exact unique-solution conditions rule it out and the
-    bounded swap search confirms exhaustion.
+    non-swappable, reported as exhausted(bound) since no swap exists at all.
     """
     _check_n(n)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     instances: list[BsPairEvidence] = []
 
     if n == 1:
@@ -170,7 +198,7 @@ def bs_classification_check(
                 v = bs_ab(-i, j)
                 if u == v:
                     continue
-                swapped = bs_conjugate(BS_A, u, 1) == v
+                swapped = bs_swap_decide(u, v, n, bound).witness is not None
                 instances.append(
                     BsPairEvidence(
                         u, v,
@@ -192,19 +220,17 @@ def bs_classification_check(
                     instances.append(BsPairEvidence(u, v, "fail", "expected commuting pair"))
                     ok = False
                     continue
-                res = bs_swap_search(u, v, n, bound)
+                res = bs_swap_decide(u, v, n, bound)
                 if res.witness is None:
                     instances.append(BsPairEvidence(u, v, "fail", "no swap witness found"))
                     ok = False
                     continue
-                third = _no_third_element(u, v, n, bound, third_radius)
-                verdict = "pass" if third is None else "fail"
-                ok = ok and third is None
+                # v is the only element that can be swapped with u, so no
+                # third element extends {u, v}.
                 instances.append(
                     BsPairEvidence(
-                        u, v, verdict,
-                        f"certified TSS via {res.describe()}; "
-                        + (third or "no size-3 superset in reach"),
+                        u, v, "pass",
+                        f"certified TSS via {res.describe()}; no size-3 superset in reach",
                     )
                 )
         return BsClassificationReport(n, radius, bound, "inverse_pairs", tuple(instances), ok)
@@ -216,7 +242,7 @@ def bs_classification_check(
         for v in elems[idx + 1:]:
             if not bs_commutes(u, v, n):
                 continue
-            res = bs_swap_search(u, v, n, bound)
+            res = bs_swap_decide(u, v, n, bound)
             if res.witness is not None:
                 instances.append(
                     BsPairEvidence(u, v, "fail", f"unexpected swap witness {res.describe()}")
@@ -224,46 +250,10 @@ def bs_classification_check(
                 ok = False
                 continue
             instances.append(
-                BsPairEvidence(u, v, f"exhausted({bound})", _rigid_condition(u, v, n, bound))
+                BsPairEvidence(u, v, f"exhausted({bound})", "exact: a swap needs equal "
+                               f"b-exponents and n^f = -1, impossible for n = {n}")
             )
     return BsClassificationReport(n, radius, bound, "rigid", tuple(instances), ok)
-
-
-def _no_third_element(
-    u: BsElement, v: BsElement, n: int, bound: int, third_radius: int
-) -> Optional[str]:
-    """None if every third element within reach is excluded, else a failure note."""
-    if bs_multiply(u, v, n).is_identity():
-        # v = u^-1: a TSS containing both is exactly {u, u^-1}.
-        return None
-    t = u.t
-    for z in range(-third_radius, third_radius + 1):
-        w = bs_ab(z, t)
-        if w in (u, v):
-            continue
-        if not (bs_commutes(u, w, n) and bs_commutes(v, w, n)):
-            continue
-        if bs_swap_search(u, w, n, bound).witness is not None:
-            return f"third element a^{z} b^{t} is swappable with u"
-    return None
-
-
-def _rigid_condition(u: BsElement, v: BsElement, n: int, bound: int) -> str:
-    """The exact condition ruling out a swap for |n| >= 2, per case."""
-    if u.t != v.t:
-        return "conjugation preserves the b-exponent; u, v differ there"
-    y = u.t
-    if y != 0:
-        # commuting with equal nonzero tails forces equality:
-        # r_u (1 - n^y) = r_v (1 - n^y) and 1 - n^y != 0.
-        return "unique-solution condition: equal nonzero b-exponent forces equal elements"
-    # y = 0: swapping a^i and a^x needs x = -i and n^f = -1, impossible for |n| >= 2.
-    if u.r != -v.r:
-        return "exponent condition x = -i fails"
-    return (
-        f"needs n^f = -1, impossible for n = {n}: |n^f| != 1 for f != 0 "
-        f"(checked f in [-{bound}, {bound}] and exactly)"
-    )
 
 
 def format_bs(u: BsElement, n: int) -> str:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from tsslab.words.baumslag import (
     bs_inverse,
     bs_multiply,
     bs_power,
+    bs_swap_decide,
     bs_swap_search,
     format_bs,
     parse_bs,
@@ -111,6 +113,82 @@ class TestSwapSearch:
         assert bs_conjugate(h, v, -1) == u
 
 
+# (bound, depth) settings of the spiral search that the decider must reproduce
+SEARCH_SETTINGS = [(b, d) for b in range(1, 7) for d in range(3)]
+
+
+def _commuting_pairs(n):
+    """Ordered commuting pairs from a pool of elements with Z[1/n] fractions,
+    b-exponents -2..2 and a few powers: every pair with u = v or with equal
+    b-exponents and r_u = -r_v, and a stride sample of about 36 of the rest."""
+    rs = sorted({Fraction(r) for r in (0, 1, -1, 2, Fraction(1, n), Fraction(-3, n * n))})
+    pool = [BsElement(r, t) for r in rs for t in range(-2, 3)]
+    pool += [bs_power(u, k, n) for u in pool[::6] for k in (-1, 2)]
+    pairs = [(u, v) for u, v in itertools.product(pool, repeat=2) if bs_commutes(u, v, n)]
+    near = [(u, v) for u, v in pairs if u == v or (u.t == v.t and u.r == -v.r)]
+    rest = [p for p in pairs if p not in near]
+    return near + rest[::max(1, len(rest) // 36)]
+
+
+class TestExactDecision:
+    @pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
+    def test_matches_search_on_commuting_pairs(self, n):
+        # each pair against one search setting, cycling through all 18
+        pairs = _commuting_pairs(n)
+        seen = set()
+        for i, (u, v) in enumerate(pairs):
+            bound, depth = SEARCH_SETTINGS[i % len(SEARCH_SETTINGS)]
+            res = bs_swap_decide(u, v, n, bound, depth)
+            assert res == bs_swap_search(u, v, n, bound, depth), (u, v, bound, depth)
+            seen.add("identity" if res.witness == BS_IDENTITY
+                     else "exhausted" if res.exhausted else "b")
+        assert len(pairs) >= 2 * len(SEARCH_SETTINGS)
+        assert seen == ({"identity", "b", "exhausted"} if n == -1 else {"identity", "exhausted"})
+
+    @pytest.mark.parametrize("bound,depth", SEARCH_SETTINGS)
+    def test_witnesses_at_every_setting(self, bound, depth):
+        for u, v in [(bs_ab(3, 0), bs_ab(-3, 0)), (bs_ab(2, -4), bs_ab(-2, -4)),
+                     (bs_ab(0, 2), bs_ab(0, 2))]:
+            res = bs_swap_decide(u, v, -1, bound, depth)
+            assert res == bs_swap_search(u, v, -1, bound, depth)
+            assert res.witness == (BS_IDENTITY if u == v else BS_B)
+
+    @pytest.mark.parametrize("n,u,v", [
+        (2, bs_ab(1, 1), bs_ab(2, 1)),  # equal b-exponents
+        (2, bs_ab(1, 0), bs_ab(0, 1)),  # unequal b-exponents
+        (-3, bs_ab(Fraction(1, 3), -1), bs_ab(1, 2)),
+        (-1, bs_ab(1, 1), bs_ab(2, 1)),
+        (-1, BS_A, BS_B),
+    ])
+    def test_rejects_non_commuting_like_search(self, n, u, v):
+        for decide in (bs_swap_search, bs_swap_decide):
+            with pytest.raises(ValueError, match="^swap search requires commuting inputs$"):
+                decide(u, v, n, 3)
+
+    @pytest.mark.parametrize("n,bound,message", [
+        (0, 3, "^BS\\(1, n\\) requires a nonzero n$"),
+        (2, 0, "^bound must be >= 1, got 0$"),
+        (-1, -2, "^bound must be >= 1, got -2$"),
+    ])
+    def test_rejects_bad_arguments_like_search(self, n, bound, message):
+        for decide in (bs_swap_search, bs_swap_decide):
+            with pytest.raises(ValueError, match=message):
+                decide(BS_A, BS_A, n, bound)
+
+    def test_no_third_element_by_search(self):
+        # for every n = -1 pair {a^x b^2m, a^-x b^2m} within radius 3, no third
+        # element a^z b^2m, |z| <= 3, that commutes with both can be swapped
+        # with a^x b^2m by the search at the bound `table` uses
+        for x in range(1, 4):
+            for m in range(-3, 4):
+                u, v = bs_ab(x, 2 * m), bs_ab(-x, 2 * m)
+                for z in range(-3, 4):
+                    w = bs_ab(z, 2 * m)
+                    if w in (u, v) or not (bs_commutes(u, w, -1) and bs_commutes(v, w, -1)):
+                        continue
+                    assert bs_swap_search(u, w, -1, 4).exhausted, (u, w)
+
+
 class TestClassification:
     def test_minus_one_certifies_pairs(self):
         report = bs_classification_check(-1, 3, bound=5)
@@ -126,8 +204,8 @@ class TestClassification:
 
     def test_minus_one_radius_5(self):
         # every pair {a^x b^2m, a^-x b^2m} with |x|, |m| <= 5 certifies, and
-        # third elements within radius 3 are excluded
-        report = bs_classification_check(-1, 5, bound=6, third_radius=3)
+        # no third element extends it
+        report = bs_classification_check(-1, 5, bound=6)
         assert report.all_ok
         assert len(report.instances) == 5 * 11
 
@@ -138,6 +216,15 @@ class TestClassification:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             bs_classification_check(0, 2)
+
+    @pytest.mark.parametrize("n", [-2, -1, 1, 2])
+    @pytest.mark.parametrize("radius,bound,message", [
+        (0, 6, "radius must be >= 1, got 0"),
+        (2, 0, "bound must be >= 1, got 0"),
+    ])
+    def test_rejects_bad_radius_and_bound_for_every_n(self, n, radius, bound, message):
+        with pytest.raises(ValueError, match=message):
+            bs_classification_check(n, radius, bound=bound)
 
     def test_unique_solution_detail_present(self):
         report = bs_classification_check(3, 2, bound=4)

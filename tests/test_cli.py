@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from tsslab.cli import GRID_RANGE_CAP, _parse_ints, main
+from tsslab.cli import main
+from tsslab.verify import GRID_RANGE_CAP, _parse_ints
 from tsslab.schemas import SUITE_RESULT_SCHEMA, TSS_REPORT_SCHEMA, HOM_REPORT_SCHEMA
 
 
@@ -124,6 +125,35 @@ class TestWord:
                            "a^1/2^0 b^1", "a^1/2^0 b^0")
         assert out.strip() == "a^3/2^0 b^1"
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["bs", "--n", "2", "mul"], "word bs mul expects one or more words, got 0"),
+        (["bs", "--n", "2", "swap", "a^1/2^0 b^0"], "word bs swap expects 2 words, got 1"),
+        (["bs", "--n", "2", "commutes", "a^1/2^0 b^0"],
+         "word bs commutes expects 2 words, got 1"),
+        (["bs", "--n", "2", "commutes", "a^1/2^0 b^0", "a^1/2^0 b^0", "a^1/2^0 b^0"],
+         "word bs commutes expects 2 words, got 3"),
+        (["bs", "--n", "2", "inverse"], "word bs inverse expects 1 word, got 0"),
+        (["bs", "--n", "2", "classify", "a^1/2^0 b^0"], "word bs classify expects no words, got 1"),
+        (["f2", "commutes", "ab"], "word f2 commutes expects 2 words, got 1"),
+        (["f2", "conjugate", "ab"], "word f2 conjugate expects 2 words, got 1"),
+        (["f2", "conjugate", "ab", "ba", "ab"], "word f2 conjugate expects 2 words, got 3"),
+        (["f2", "reduce", "ab", "ba"], "word f2 reduce expects 1 word, got 2"),
+        (["f2", "mul"], "word f2 mul expects one or more words, got 0"),
+        (["fp", "--factors", "cyclic:3,cyclic:3", "inverse", "[G:1]", "[G:2]"],
+         "word fp inverse expects 1 word, got 2"),
+        (["fp", "--factors", "cyclic:3,cyclic:3", "analyze"],
+         "word fp analyze expects one or more words, got 0"),
+    ])
+    def test_word_count(self, capsys, argv, expected):
+        code, out, err = run(capsys, "word", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {expected}\n"
+
+    def test_bs_classify_bad_bound_every_n(self, capsys):
+        for n in ("1", "-1", "2"):
+            code, _, err = run(capsys, "word", "bs", "--n", n, "classify", "--bound", "0")
+            assert code == 2 and "bound must be >= 1, got 0" in err
+
     def test_fp(self, capsys):
         code, out, _ = run(capsys, "word", "fp", "--factors", "dihedral:4,sym:3",
                            "analyze", "[G:1]", "[G:3]")
@@ -166,6 +196,34 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "semidirect")
         assert code == 0
         assert "not-applicable" in out and "no semidirect product exists" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["baumslag-solitar", "--bound", "0"],
+        ["baumslag-solitar", "--grid", "1", "--bound", "0"],
+        ["baumslag-solitar", "--grid", "-1", "--radius", "0"],
+    ])
+    def test_baumslag_bad_bound_or_radius(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and "PASS" not in out and "must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["odd-order", "--max-order", "-5"],
+        ["dihedral", "--grid", ","],
+        ["free-group", "--max-len", "0"],
+        ["oracle", "--grid", " ; "],
+    ])
+    def test_empty_grid_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {argv[0]}: the grid has no instances\n"
+
+    def test_grid_defaults_match_default_grid(self, capsys):
+        # a --grid instance carries the same defaults as the default grid
+        _, default, _ = run(capsys, "--format", "json", "verify", "stabilizer-ses")
+        _, grid, _ = run(capsys, "--format", "json", "verify", "stabilizer-ses",
+                         "--grid", "cyclic:6")
+        assert json.loads(grid)["instances"][0]["params"] == \
+            json.loads(default)["instances"][0]["params"]
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "verify", "abelian", "--grid", "5")
