@@ -454,7 +454,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         options["samples"] = args.samples
     if args.budget != homs.DEFAULT_HOM_BUDGET:
         options["budget"] = args.budget
-    grid = verify.THEOREMS[args.theorem].grid(options, args.grid)
+    grid = verify.THEOREMS[args.theorem].grid(options, args.grid) if args.grid else None
     result = verify.verify_suite(
         args.theorem, grid, jobs=args.jobs, out_dir=args.out, **options
     )

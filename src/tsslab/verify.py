@@ -764,11 +764,19 @@ class TheoremSpec:
     default_items: Callable[[dict], Iterable[Any]]  # grid items from the options
     parse_items: Callable[[str], list[Any]] = _names  # --grid text -> grid items
     instance: Callable[[Any, dict], dict] = lambda spec, opts: {"group": spec}  # item -> params
+    # params every instance carries, with the values used when the options omit them
+    defaults: dict = field(default_factory=dict)
 
     def grid(self, opts: dict, text: Optional[str] = None) -> list[dict]:
         """Instance params for the --grid ``text``, or for the default grid."""
         items = self.default_items(opts) if text is None else self.parse_items(text)
-        return [self.instance(item, opts) for item in items]
+        return [self.complete(self.instance(item, opts), opts) for item in items]
+
+    def complete(self, params: dict, opts: dict) -> dict:
+        """``params`` followed by each of ``defaults`` they lack, from ``opts``
+        when given there."""
+        return {**params, **{k: opts.get(k, v) for k, v in self.defaults.items()
+                             if k not in params}}
 
 
 THEOREMS: dict[str, TheoremSpec] = {
@@ -792,8 +800,7 @@ THEOREMS: dict[str, TheoremSpec] = {
     "free-product": TheoremSpec(
         _run_free_product, "S(G * H) = max(S(G), S(H)); every TSS is a conjugated factor TSS",
         lambda opts: [("cyclic:3", "cyclic:3"), ("dihedral:4", "sym:3")],
-        _spec_pairs, _pair_instance(
-            "left", "right", lambda opts: {"max_syllables": opts.get("max_syllables", 4)})),
+        _spec_pairs, _pair_instance("left", "right"), {"max_syllables": 4}),
     "inverse-pair": TheoremSpec(
         _run_inverse_pair, "a TSS containing g and g^-1 is exactly {g, g^-1}",
         lambda opts: opts.get("groups", _SMALL_CORPUS)),
@@ -805,9 +812,7 @@ THEOREMS: dict[str, TheoremSpec] = {
         lambda opts: opts.get("groups", _SOLVABLE_CORPUS)),
     "stabilizer-ses": TheoremSpec(
         _run_stabilizer_ses, "1 -> kernel -> Stab(S) -> Sym(S) -> 1 cardinality identity",
-        lambda opts: opts.get("groups", _SMALL_CORPUS), _names,
-        lambda spec, opts: {"group": spec, "samples": opts.get("samples", 20),
-                            "seed": opts.get("seed", 0)}),
+        lambda opts: opts.get("groups", _SMALL_CORPUS), defaults={"samples": 20, "seed": 0}),
     "fundamental-lemma": TheoremSpec(
         _run_fundamental_lemma, "TSS images have full size (and are TSS) or collapse to a point",
         lambda opts: list(_LEMMA_FIXTURES), _names, _lemma_instance),
@@ -825,8 +830,8 @@ THEOREMS: dict[str, TheoremSpec] = {
         lambda n, opts: {"length": n}),
     "baumslag-solitar": TheoremSpec(
         _run_baumslag, "S(BS(1,n)) is 2 for n = -1 and 1 otherwise (exact swap decisions)",
-        lambda opts: opts.get("ns", [-3, -2, -1, 2, 3]), _parse_ints,
-        lambda n, opts: {"n": n, "radius": opts.get("radius", 4), "bound": opts.get("bound", 6)}),
+        lambda opts: opts.get("ns", [-3, -2, -1, 2, 3]), _parse_ints, lambda n, opts: {"n": n},
+        {"radius": 4, "bound": 6}),
     "oracle": TheoremSpec(
         _run_oracle, "pruned enumerator matches the no-pruning brute-force oracle",
         lambda opts: opts.get("groups", _ORACLE_CORPUS)),
@@ -848,6 +853,9 @@ def verify_suite(
 ) -> SuiteResult:
     """Run one theorem suite over its grid, optionally across worker processes.
 
+    Without ``grid`` the suite's default grid is built from ``options``.  A
+    given grid's params that lack one of the suite's defaulted params (the
+    BS radius and bound, say) take it from ``options`` or its default.
     Worker outputs are collected in grid order, so runs are deterministic for
     any job count.
     """
@@ -855,8 +863,8 @@ def verify_suite(
         raise KeyError(f"unknown theorem id {theorem!r}; known: {', '.join(sorted(THEOREMS))}")
     start = time.perf_counter()
     spec = THEOREMS[theorem]
-    # a `pairs` option (instance params for the pair suites) is taken as the grid
-    instances_params = grid if grid is not None else options.get("pairs") or spec.grid(options)
+    instances_params = (spec.grid(options) if grid is None
+                        else [spec.complete(params, options) for params in grid])
     if not instances_params:
         raise GroupError(f"verify {theorem}: the grid has no instances")
     args = [(theorem, p) for p in instances_params]

@@ -240,7 +240,7 @@ def test_criterion_12_free_product():
     with criterion(12, "Z3*Z3 and D8*S3 commuting sets, syllable length<=4", 300):
         result = verify.verify_suite(
             "free-product",
-            pairs=[
+            grid=[
                 {"left": "cyclic:3", "right": "cyclic:3", "max_syllables": 4},
                 {"left": "dihedral:4", "right": "sym:3", "max_syllables": 4},
             ],

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from tsslab.cli import main
-from tsslab.verify import GRID_RANGE_CAP, _parse_ints
+from tsslab.verify import GRID_RANGE_CAP, _parse_ints, verify_suite
 from tsslab.schemas import SUITE_RESULT_SCHEMA, TSS_REPORT_SCHEMA, HOM_REPORT_SCHEMA
 
 
@@ -224,6 +224,21 @@ class TestVerify:
                          "--grid", "cyclic:6")
         assert json.loads(grid)["instances"][0]["params"] == \
             json.loads(default)["instances"][0]["params"]
+
+    @pytest.mark.parametrize("theorem,given,options,params", [
+        ("baumslag-solitar", {"n": 2}, {}, {"n": 2, "radius": 4, "bound": 6}),
+        ("baumslag-solitar", {"n": -1, "bound": 3}, {"radius": 2, "bound": 5},
+         {"n": -1, "bound": 3, "radius": 2}),
+        ("free-product", {"left": "cyclic:2", "right": "cyclic:2"}, {},
+         {"left": "cyclic:2", "right": "cyclic:2", "max_syllables": 4}),
+        ("stabilizer-ses", {"group": "cyclic:6"}, {"seed": 3},
+         {"group": "cyclic:6", "samples": 20, "seed": 3}),
+    ])
+    def test_library_grid_takes_defaults(self, theorem, given, options, params):
+        # grid params a caller leaves out come from the options or the defaults
+        result = verify_suite(theorem, grid=[given], **options)
+        assert result.passed
+        assert [i.params for i in result.instances] == [params]
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "verify", "abelian", "--grid", "5")
