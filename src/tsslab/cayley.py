@@ -33,16 +33,24 @@ class CayleyTableError(GroupError):
 
 
 def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
-    """Parse and validate a Cayley-table document."""
-    rows: list[tuple[int, list[str]]] = []
+    """Parse and validate a Cayley-table document.
+
+    The n row bodies are parsed in one ``np.loadtxt`` call.  A document that
+    call rejects or is not given (an entry outside 0..n-1, a non-ASCII
+    character) is parsed again row by row: that path names the first bad
+    entry and takes every spelling ``int`` takes (``1_0``, full-width
+    digits), so both paths accept the same tables.
+    """
+    rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            rows.append((lineno, body.split()))
+            rows.append((lineno, body))
 
     if not rows:
         raise CayleyTableError("empty table document")
-    lineno, head = rows[0]
+    lineno, body = rows[0]
+    head = body.split()
     if len(head) != 1 or not head[0].isdigit():
         raise CayleyTableError("first line must hold the group order", line=lineno)
     n = int(head[0])
@@ -51,21 +59,15 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     if len(rows) < 1 + n:
         raise CayleyTableError(f"expected {n} table rows, found {len(rows) - 1}")
 
-    table = np.empty((n, n), dtype=table_dtype(n))
-    entry = {str(v): v for v in range(n)}.__getitem__  # the canonical spellings of 0..n-1
-    for r in range(n):
-        lineno, toks = rows[1 + r]
-        if len(toks) != n:
-            raise CayleyTableError(
-                f"expected {n} entries, found {len(toks)}", line=lineno, row=r
-            )
-        try:
-            table[r] = list(map(entry, toks))
-        except KeyError:  # a bad entry, or another spelling of a good one such as "+1"
-            table[r] = _parse_row(toks, n, lineno, r)
+    table = _parse_block([body for _, body in rows[1:1 + n]], n)
+    if table is None:
+        table = np.empty((n, n), dtype=table_dtype(n))
+        for r, (lineno, body) in enumerate(rows[1:1 + n]):
+            table[r] = _parse_row(body.split(), n, lineno, r)
 
     labels: Optional[list[str]] = None
-    for lineno, toks in rows[1 + n:]:
+    for lineno, body in rows[1 + n:]:
+        toks = body.split()
         if toks[0] != "label" or len(toks) < 3:
             raise CayleyTableError(
                 "trailing lines must be 'label <index> <string>'", line=lineno
@@ -88,8 +90,29 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         raise CayleyTableError(str(exc)) from exc
 
 
+def _parse_block(bodies: list[str], n: int) -> Optional[np.ndarray]:
+    """All n rows in one C-level parse, or None when some entry needs the
+    row-by-row path: a ragged row, an entry outside 0..n-1, or a spelling
+    that ``np.loadtxt`` does not read.
+
+    Only ASCII rows reach ``np.loadtxt``: on numpy 2.4 a long run of calls
+    on rows holding characters above U+FFFF crashed the interpreter.
+    """
+    if not all(map(str.isascii, bodies)):
+        return None
+    try:
+        table = np.loadtxt(bodies, dtype=table_dtype(n), ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+        return None
+    return table
+
+
 def _parse_row(toks: list[str], n: int, lineno: int, r: int) -> list[int]:
     """Parse a row token by token, naming the first bad entry."""
+    if len(toks) != n:
+        raise CayleyTableError(f"expected {n} entries, found {len(toks)}", line=lineno, row=r)
     entries = []
     for c, tok in enumerate(toks):
         try:
@@ -108,9 +131,10 @@ def _parse_row(toks: list[str], n: int, lineno: int, r: int) -> list[int]:
 
 def to_cayley_table(g: FiniteGroup) -> str:
     """Serialize a group in the canonical table format."""
-    text = list(map(str, range(g.order))).__getitem__
+    text = np.array([str(v) for v in range(g.order)], dtype=object)
     lines = [str(g.order)]
-    lines += [" ".join(map(text, row)) for row in g.mul]
+    # one row of str objects at a time, so no order^2 object array is made
+    lines += [" ".join(text[row].tolist()) for row in g.table]
     if g.labels is not None:
         for i, lab in enumerate(g.labels):
             lines.append(f"label {i} {lab}")

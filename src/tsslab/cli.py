@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -483,10 +484,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+def _attach_grid(argv: list[str]) -> list[str]:
+    """Join ``--grid -3--1`` into ``--grid=-3--1``.
+
+    argparse takes a separate value that starts with ``-`` for an option,
+    unless it is a plain negative number.  No option starts with ``-`` and a
+    digit, so such a value after ``--grid`` is always the grid.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[0-9]", arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

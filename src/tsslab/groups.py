@@ -1,10 +1,12 @@
 """Finite groups as dense multiplication tables with 0-based element indices.
 
 Every group is a full order x order Cayley table, held once as a read-only
-numpy array (``FiniteGroup.table``).  ``mul`` and ``inv`` are tuple copies of
-it for scalar lookups; searches over the whole group run as row and column
-filters on ``table`` and on the conjugation table ``conj_table``.  Labels are
-advisory display strings only.
+numpy array (``FiniteGroup.table``); it is the only structure of order^2
+entries built with the group.  Searches over the whole group run as row and
+column filters on ``table`` and on the conjugation table ``conj_table``, which
+is built on first use.  ``inv`` is a tuple of inverses, and ``mul``, the rows
+of ``table`` as tuples for scalar lookups, is derived on first use too.
+Labels are advisory display strings only.
 """
 
 from __future__ import annotations
@@ -37,16 +39,15 @@ class FiniteGroup:
     """An order-n group: identity, multiplication and inverse tables.
 
     ``table`` is the read-only order x order array, a Latin square over
-    0..order-1 of dtype ``table_dtype(order)``; ``mul`` holds the same rows as
-    tuples (all rows share one set of int objects) and ``inv`` the inverses.
-    ``assoc_verified`` records whether associativity was checked on all
-    triples (skipped above the construction cap, where constructor
-    correctness is relied on).
+    0..order-1 of dtype ``table_dtype(order)``, and ``inv`` holds the
+    inverses.  ``mul`` (the rows of ``table`` as tuples) and ``conj_table``
+    are derived from them on first use and kept.  ``assoc_verified`` records
+    whether associativity was checked on all triples (skipped above the
+    construction cap, where constructor correctness is relied on).
     """
 
     order: int
     identity: int
-    mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     table: np.ndarray = field(repr=False)
     labels: Optional[tuple[str, ...]] = None
@@ -81,6 +82,18 @@ class FiniteGroup:
             acc = m[acc][x]
             k += 1
         return k
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``table`` as tuples, for scalar lookups.
+
+        All rows share the int objects of ``inv``: each row is gathered from
+        an object array of them, so the rows hold references, not fresh ints.
+        """
+        ints = np.empty(self.order, dtype=object)
+        for x in self.inv:
+            ints[x] = x
+        return tuple(tuple(ints[row].tolist()) for row in self.table)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -267,14 +280,10 @@ def make_group(
     if labels is not None and len(labels) != n:
         raise GroupError("label count does not match group order")
     table.flags.writeable = False
-    # one int object per element, shared by all rows: each row is gathered
-    # from this object array, so the rows hold references, not fresh ints
-    ints = np.array(range(n), dtype=object)
     return FiniteGroup(
         order=n,
         identity=identity,
-        mul=tuple(tuple(ints[row].tolist()) for row in table),
-        inv=tuple(ints[inv].tolist()),
+        inv=tuple(inv.tolist()),
         table=table,
         labels=tuple(labels) if labels is not None else None,
         generators=tuple(generators) if generators is not None else None,

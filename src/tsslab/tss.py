@@ -102,9 +102,10 @@ def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
     ``conj_table[:, s]`` is s with those two members swapped.
     """
     elems = _normalize_set(g, s)
+    m = g.table
     for i, x in enumerate(elems):
         for y in elems[i + 1:]:
-            if not g.commutes(x, y):
+            if m[x, y] != m[y, x]:
                 return None
     witnesses: dict[tuple[int, int], int] = {}
     if len(elems) > 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -20,7 +21,8 @@ class BsElement:
     t: int
 
     def __init__(self, r: RationalLike, t: int):
-        object.__setattr__(self, "r", Fraction(r))
+        # a Fraction is immutable, so one that is already exact is kept as is
+        object.__setattr__(self, "r", r if type(r) is Fraction else Fraction(r))
         object.__setattr__(self, "t", int(t))
 
     def is_identity(self) -> bool:
@@ -38,6 +40,7 @@ def _check_n(n: int) -> int:
     return n
 
 
+@lru_cache(maxsize=4096)
 def _npow(n: int, t: int) -> Fraction:
     return Fraction(n) ** t
 

@@ -5,8 +5,12 @@ by naive witness search over all pairs, centralizers by direct scans.
 """
 
 import itertools
+from typing import Optional
 
-from tsslab.groups import FiniteGroup
+import numpy as np
+
+from tsslab.cayley import CayleyTableError
+from tsslab.groups import FiniteGroup, GroupError, make_group, table_dtype
 
 
 def conj(g: FiniteGroup, q: int, x: int) -> int:
@@ -126,3 +130,86 @@ def ref_dedup(g: FiniteGroup, sets) -> list[tuple[int, ...]]:
     """The sets equal to the least sorted image of themselves under conjugation."""
     return [s for s in sets
             if s == min(tuple(sorted(conj(g, q, x) for x in s)) for q in range(g.order))]
+
+
+# --- per-entry references for the table codec and the scalar rows ------------
+
+def ref_eager_mul(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``table`` as tuples, built the way groups once built them
+    eagerly: gathered from one object array of the ints 0..order-1."""
+    ints = np.array(range(g.order), dtype=object)
+    return tuple(tuple(ints[row].tolist()) for row in g.table)
+
+
+def ref_from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
+    """The token-by-token Cayley decoder: every row split and each entry looked
+    up, or read by ``int`` when it is not the writer's spelling."""
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((lineno, body.split()))
+
+    if not rows:
+        raise CayleyTableError("empty table document")
+    lineno, head = rows[0]
+    if len(head) != 1 or not head[0].isdigit():
+        raise CayleyTableError("first line must hold the group order", line=lineno)
+    n = int(head[0])
+    if n < 1:
+        raise CayleyTableError("group order must be >= 1", line=lineno)
+    if len(rows) < 1 + n:
+        raise CayleyTableError(f"expected {n} table rows, found {len(rows) - 1}")
+
+    table = np.empty((n, n), dtype=table_dtype(n))
+    entry = {str(v): v for v in range(n)}.__getitem__
+    for r in range(n):
+        lineno, toks = rows[1 + r]
+        if len(toks) != n:
+            raise CayleyTableError(
+                f"expected {n} entries, found {len(toks)}", line=lineno, row=r
+            )
+        try:
+            table[r] = list(map(entry, toks))
+        except KeyError:
+            table[r] = _ref_parse_row(toks, n, lineno, r)
+
+    labels: Optional[list[str]] = None
+    for lineno, toks in rows[1 + n:]:
+        if toks[0] != "label" or len(toks) < 3:
+            raise CayleyTableError(
+                "trailing lines must be 'label <index> <string>'", line=lineno
+            )
+        try:
+            idx = int(toks[1])
+        except ValueError:
+            raise CayleyTableError(f"bad label index {toks[1]!r}", line=lineno) from None
+        if not (0 <= idx < n):
+            raise CayleyTableError(f"label index {idx} out of range", line=lineno)
+        if labels is None:
+            labels = [str(i) for i in range(n)]
+        labels[idx] = " ".join(toks[2:])
+
+    try:
+        return make_group(table, labels=labels, name=name)
+    except CayleyTableError:
+        raise
+    except GroupError as exc:
+        raise CayleyTableError(str(exc)) from exc
+
+
+def _ref_parse_row(toks: list[str], n: int, lineno: int, r: int) -> list[int]:
+    entries = []
+    for c, tok in enumerate(toks):
+        try:
+            v = int(tok)
+        except ValueError:
+            raise CayleyTableError(
+                f"non-integer entry {tok!r}", line=lineno, row=r, col=c
+            ) from None
+        if not (0 <= v < n):
+            raise CayleyTableError(
+                f"entry {v} out of range 0..{n - 1}", line=lineno, row=r, col=c
+            )
+        entries.append(v)
+    return entries

@@ -1,7 +1,18 @@
 import pytest
 
+from tsslab import cayley
 from tsslab.cayley import CayleyTableError, from_cayley_table, to_cayley_table
-from tsslab.groups import conjugacy_classes, make_symmetric
+from tsslab.groups import (
+    SemidirectParams,
+    conjugacy_classes,
+    direct_product,
+    make_cyclic,
+    make_dihedral,
+    make_semidirect_cyclic,
+    make_symmetric,
+)
+
+from helpers import ref_from_cayley_table
 
 
 def test_trivial_group():
@@ -115,3 +126,107 @@ def test_writer_format(s4):
     assert lines[0] == "24"
     assert lines[1:25] == [" ".join(str(v) for v in row) for row in s4.mul]
     assert lines[25:] == [f"label {i} {lab}" for i, lab in enumerate(s4.labels)]
+
+
+# --- the block decode against the token-by-token decoder ---------------------
+
+def _canonical_documents():
+    return [to_cayley_table(g) for g in (
+        make_cyclic(1), make_cyclic(12), make_dihedral(6), make_symmetric(4),
+        make_semidirect_cyclic(SemidirectParams(7, 3, 2)),
+        direct_product(make_cyclic(2), make_dihedral(4)),
+    )]
+
+
+def _with_row(text: str, r: int, row: str) -> str:
+    """The document with table row r (0-based, after the order line) replaced."""
+    lines = text.splitlines()
+    lines[1 + r] = row
+    return "\n".join(lines) + "\n"
+
+
+Z3 = "3\n0 1 2\n1 2 0\n2 0 1\n"
+Z12 = to_cayley_table(make_cyclic(12))  # row 1 is "1 2 ... 11 0"
+FULL_WIDTH_ONE = "\uff11"
+
+DOCUMENTS = _canonical_documents() + [
+    # other spellings of good entries
+    _with_row(Z3, 0, "0 +1 2"),
+    _with_row(Z3, 0, "00 01 002"),
+    _with_row(Z3, 0, "-0 1 2"),
+    _with_row(Z12, 1, "1 2 3 4 5 6 7 8 9 1_0 11 0"),
+    _with_row(Z3, 1, f"{FULL_WIDTH_ONE} 2 0"),
+    _with_row(Z3, 1, "1\t2\t0"),
+    _with_row(Z3, 1, "1\xa02\xa00"),
+    _with_row(Z3, 1, "1\x0c2\x0c0"),
+    _with_row(Z3, 1, "  1   2 0  "),
+    # comments and blank lines
+    "3\n0 1 2\n1 2 0 # trailing comment\n2 0 1\n",
+    "3\n0 1 2\n1 2 # 0 mid-row comment\n2 0 1\n",
+    "3\n0 1 2\n\n   \n# comment only\n1 2 0\n\n2 0 1\n",
+    "# leading comment\n\n3 # the order\n0 1 2\n1 2 0\n2 0 1\nlabel 1 g # one\n",
+    # ragged and missing rows
+    _with_row(Z3, 1, "1 2"),
+    _with_row(Z3, 1, "1 2 0 0"),
+    "3\n0 1 2\n1 2 0\n",
+    "2\n0 1 0\n1 0 1\n",  # every row one entry too long
+    "1\n0 0\n",
+    # bad entries
+    _with_row(Z3, 1, "1 -1 0"),
+    _with_row(Z3, 1, "1 3 0"),
+    _with_row(Z3, 1, "1 40000 0"),
+    _with_row(Z3, 1, "1 65537 0"),
+    _with_row(Z3, 1, "1 2 1.0"),
+    _with_row(Z3, 1, "1 2 0x0"),
+    _with_row(Z3, 1, "1 2 1e0"),
+    _with_row(Z3, 2, "2 0 x"),
+    # good entries that do not make a group
+    _with_row(Z3, 1, "0 1 2"),
+    "3\n1 2 0\n0 1 2\n2 0 1\n",
+    # the header and label lines
+    "", "3 3\n", "-3\n", "0\n", "1\n0\nnote 0 e\n", "1\n0\nlabel x e\n",
+]
+
+
+def _outcome(decode, text):
+    try:
+        g = decode(text)
+    except CayleyTableError as exc:
+        return "error", str(exc), exc.line, exc.row, exc.col
+    return ("group", g.order, g.identity, g.table.dtype, g.table.tolist(), g.inv,
+            g.labels, g.assoc_verified)
+
+
+@pytest.mark.parametrize("text", DOCUMENTS, ids=range(len(DOCUMENTS)))
+def test_block_decode_matches_token_decoder(text):
+    assert _outcome(from_cayley_table, text) == _outcome(ref_from_cayley_table, text)
+
+
+def test_differential_documents_cover_both_outcomes():
+    kinds = [_outcome(from_cayley_table, text)[0] for text in DOCUMENTS]
+    assert kinds.count("group") >= 15 and kinds.count("error") >= 15
+
+
+def test_canonical_documents_skip_the_row_path(monkeypatch):
+    def row_path(*args):
+        raise AssertionError("the row-by-row path ran on a canonical document")
+
+    monkeypatch.setattr(cayley, "_parse_row", row_path)
+    for text in _canonical_documents():
+        assert to_cayley_table(from_cayley_table(text)) == text
+
+
+def test_non_ascii_rows_skip_the_block_parse(monkeypatch):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt ran on a row with a non-ASCII character")
+
+    monkeypatch.setattr(cayley.np, "loadtxt", loadtxt)
+    for row in (f"{FULL_WIDTH_ONE} 2 0", "1\xa02\xa00", "1 2 \U0009c6ca"):
+        text = _with_row(Z3, 1, row)
+        assert _outcome(from_cayley_table, text) == _outcome(ref_from_cayley_table, text)
+
+
+def test_block_decode_fills_the_table_dtype():
+    g = from_cayley_table(to_cayley_table(make_dihedral(6)))
+    assert g.table.dtype == "int16" and not g.table.flags.writeable
+    assert "mul" not in g.__dict__

@@ -206,6 +206,29 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "PASS" not in out and "must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("grid,ns", [
+        ("-3--1", [-3, -2, -1]),
+        ("-1;2", [-1, 2]),
+        ("-2,3", [-2, 3]),
+    ])
+    def test_grid_starting_with_a_dash(self, capsys, grid, ns):
+        # a separate value that starts with "-" reads the same as the "=" form
+        outs = []
+        for argv in (["--grid", grid], [f"--grid={grid}"]):
+            code, out, err = run(capsys, "--format", "json", "verify", "baumslag-solitar",
+                                 *argv)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert [inst["params"]["n"] for inst in doc["instances"]] == ns
+            for d in [doc, *doc["instances"]]:
+                d.pop("elapsed_s")
+            outs.append(doc)
+        assert outs[0] == outs[1]
+
+    def test_grid_value_that_is_an_option_is_not_joined(self, capsys):
+        code, out, err = run(capsys, "verify", "baumslag-solitar", "--grid", "--radius", "2")
+        assert (code, out) == (2, "") and "argument --grid: expected one argument" in err
+
     @pytest.mark.parametrize("argv", [
         ["odd-order", "--max-order", "-5"],
         ["dihedral", "--grid", ","],

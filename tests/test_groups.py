@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsslab import groups
+from tsslab.cayley import from_cayley_table, to_cayley_table
 from tsslab.groups import (
     GroupError,
     SemidirectParams,
@@ -22,6 +23,8 @@ from tsslab.groups import (
     make_symmetric,
     split_product_index,
 )
+from tsslab.specs import parse_group_spec
+from tsslab.tss import max_tss_size, realized_permutations
 
 from helpers import (
     brute_centralizer,
@@ -30,6 +33,7 @@ from helpers import (
     is_subgroup,
     ref_cyclic_mul,
     ref_dihedral_mul,
+    ref_eager_mul,
     ref_product_mul,
     ref_semidirect_mul,
     ref_symmetric_mul,
@@ -398,6 +402,28 @@ class TestDenseCore:
                 assert centralizer(g, x) == brute_centralizer(g, x)
                 for y in range(0, g.order, 3):
                     assert conjugating_witness(g, x, y) == brute_conjugate_witness(g, x, y)
+
+
+class TestLazyMul:
+    """``mul`` is derived from ``table`` on the first scalar read, never by the
+    array paths."""
+
+    @pytest.mark.parametrize("spec", ["sym:4", "dihedral:6", "product:cyclic:2,dihedral:4",
+                                      "semidirect:7,3,2"])
+    def test_array_paths_do_not_build_mul(self, spec):
+        g = parse_group_spec(spec)
+        text = to_cayley_table(g)
+        back = from_cayley_table(text)
+        report = max_tss_size(g, up_to_conjugacy=True)
+        for cert in report.maximal_sets:
+            realized_permutations(g, cert.elements)
+        assert to_cayley_table(back) == text
+        assert "mul" not in g.__dict__ and "mul" not in back.__dict__
+
+    def test_mul_matches_eager_rows(self, small_corpus):
+        for g in [g for g, _ in DENSE_CORPUS] + small_corpus:
+            assert g.mul == ref_eager_mul(g)
+            assert g.mul is g.mul  # derived once, then kept
 
 
 class TestOrderCap:
