@@ -42,8 +42,9 @@ class FiniteGroup:
     0..order-1 of dtype ``table_dtype(order)``, and ``inv`` holds the
     inverses.  ``mul`` (the rows of ``table`` as tuples) and ``conj_table``
     are derived from them on first use and kept.  ``assoc_verified`` records
-    whether associativity was checked on all triples (skipped above the
-    construction cap, where constructor correctness is relied on).
+    whether associativity was verified for all triples, by Light's test in
+    ``make_group`` (skipped above the construction cap, where constructor
+    correctness is relied on).
     """
 
     order: int
@@ -227,7 +228,37 @@ def _find_identity(mul: np.ndarray) -> int:
     raise GroupError("table has no two-sided identity")
 
 
-def _check_assoc(mul: np.ndarray) -> None:
+def _check_assoc(mul: np.ndarray, identity: int) -> None:
+    """Light's associativity test.
+
+    The y with (x*y)*z == x*(y*z) for all x, z form a set A closed under
+    products, and A holds the identity.  So y is checked only while some
+    element is not yet a product of checked elements: the least such element
+    is checked with two order^2 gathers, then the reached set is closed under
+    products.  In a group each checked element at least doubles the reached
+    subgroup, so at most log2(order) elements are checked.  Only a failing y
+    runs the full scan, which names the first failing triple.
+    """
+    n = mul.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    count = 1
+    while count < n:
+        y = int(reached.argmin())
+        if not (mul.take(mul[:, y], 0) == mul.take(mul[y], 1)).all():
+            _assoc_scan(mul)
+        reached[y] = True
+        count += 1
+        while count < n:
+            members = reached.nonzero()[0]
+            reached.put(mul.take(members, 0).take(members, 1), True)
+            grown = np.count_nonzero(reached)
+            if grown == count:
+                break
+            count = grown
+
+
+def _assoc_scan(mul: np.ndarray) -> None:
     # (x*y)*z == x*(y*z), vectorized row by row to bound memory; the intp copy
     # (at most assoc_cap^2 entries) saves converting the index on every row
     index = mul.astype(np.intp)
@@ -248,10 +279,14 @@ def make_group(
 ) -> FiniteGroup:
     """Validate a raw table and build a FiniteGroup.
 
-    Latin-square, identity and inverse checks always run; the O(n^3)
-    associativity check runs only for order <= assoc_cap.  An integer ndarray
-    already of dtype ``table_dtype(order)`` becomes the group's read-only
-    ``table`` without a copy.
+    Latin-square, identity and inverse checks always run.  Associativity is
+    decided for order <= assoc_cap (default ``DEFAULT_ASSOC_CAP``, 512; above
+    it ``assoc_verified`` is False) by Light's test, ``_check_assoc``: two
+    order^2 gathers for each of at most log2(order) elements of a group, so
+    O(n^2 log n) work.  A table that fails it gets the full O(n^3) scan,
+    which names the first failing triple.  An integer ndarray already of dtype
+    ``table_dtype(order)`` becomes the group's read-only ``table`` without a
+    copy.
     """
     if isinstance(mul, np.ndarray) and mul.dtype.kind in "iu":
         arr = mul
@@ -276,7 +311,7 @@ def make_group(
         raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
     assoc_verified = n <= assoc_cap
     if assoc_verified:
-        _check_assoc(table)
+        _check_assoc(table, identity)
     if labels is not None and len(labels) != n:
         raise GroupError("label count does not match group order")
     table.flags.writeable = False

@@ -96,6 +96,22 @@ def ref_product_mul(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:
             for (x1, y1) in pairs]
 
 
+# --- reference for table validation ------------------------------------------
+
+def ref_check_assoc(mul: np.ndarray) -> None:
+    """The full associativity scan, x-major: raises GroupError naming the first
+    failing triple (x, y, z)."""
+    # (x*y)*z == x*(y*z), vectorized row by row to bound memory; the intp copy
+    # (at most assoc_cap^2 entries) saves converting the index on every row
+    index = mul.astype(np.intp)
+    for x in range(mul.shape[0]):
+        lhs = mul[index[x]]         # lhs[y, z] = (x*y)*z
+        rhs = mul[x][index]         # rhs[y, z] = x*(y*z)
+        if not np.array_equal(lhs, rhs):
+            y, z = map(int, np.argwhere(lhs != rhs)[0])
+            raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
+
+
 # --- scalar references for the conjugation-table searches --------------------
 
 def ref_realized_permutations(g: FiniteGroup, elems: tuple[int, ...]):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsslab import groups
-from tsslab.cayley import from_cayley_table, to_cayley_table
+from tsslab.cayley import CayleyTableError, from_cayley_table, to_cayley_table
 from tsslab.groups import (
     GroupError,
     SemidirectParams,
@@ -31,6 +32,7 @@ from helpers import (
     brute_conjugacy_partition,
     brute_conjugate_witness,
     is_subgroup,
+    ref_check_assoc,
     ref_cyclic_mul,
     ref_dihedral_mul,
     ref_eager_mul,
@@ -333,6 +335,118 @@ class TestValidation:
     def test_error_messages(self, table, message):
         with pytest.raises(GroupError, match=f"^{message}$"):
             groups.make_group(table)
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square of order n whose row 0 and column 0 are 0..n-1."""
+    rows = [tuple(range(n))]
+
+    def extend():
+        if len(rows) == n:
+            yield [list(row) for row in rows]
+            return
+        for perm in itertools.permutations(range(n)):
+            if perm[0] == len(rows) and all(
+                    perm[c] != row[c] for row in rows for c in range(1, n)):
+                rows.append(perm)
+                yield from extend()
+                rows.pop()
+
+    yield from extend()
+
+
+def _has_two_sided_inverses(table):
+    n = len(table)
+    return all(any(table[x][y] == 0 == table[y][x] for y in range(n)) for x in range(n))
+
+
+def _intercalate_swap(table, rng):
+    """Swap u and v in a 2x2 Latin subsquare of a group table with identity 0:
+    rows a, a*t and columns t*d, d for an involution t, all away from row,
+    column and entry 0, so the result is a loop with identity 0 and the same
+    inverses."""
+    m = np.array(table)
+    n = m.shape[0]
+    involutions = [t for t in range(1, n) if m[t, t] == 0]
+    while True:
+        t, a, d = rng.choice(involutions), rng.randrange(1, n), rng.randrange(1, n)
+        b, c = m[a, t], m[t, d]
+        u, v = m[a, c], m[a, d]
+        if 0 not in (b, c, u, v):
+            m[a, c] = m[b, d] = v
+            m[a, d] = m[b, c] = u
+            return m
+
+
+def _loop_times_group(loop, group):
+    """The direct product with index l * |group| + g: its middle nucleus holds
+    {e} x group, so the first elements Light's test checks pass."""
+    loop, group = np.asarray(loop), np.asarray(group)
+    k = group.shape[0]
+    return (loop[:, None, :, None] * k + group[None, :, None, :]).reshape(
+        loop.shape[0] * k, -1)
+
+
+def _assoc_outcome(check, table):
+    """None if ``check`` accepts the table, else the GroupError text."""
+    try:
+        check(table)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+def _order_5_loops():
+    return [np.array(t) for t in _reduced_latin_squares(5) if _has_two_sided_inverses(t)]
+
+
+class TestLightAssociativity:
+    """make_group's associativity verdict and message against the full scan."""
+
+    @pytest.mark.parametrize("n,squares", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56)])
+    def test_every_loop_up_to_order_5(self, n, squares):
+        tables = list(_reduced_latin_squares(n))
+        assert len(tables) == squares
+        loops = [np.array(t) for t in tables if _has_two_sided_inverses(t)]
+        outcomes = [_assoc_outcome(ref_check_assoc, t) for t in loops]
+        assert outcomes == [_assoc_outcome(groups.make_group, t) for t in loops]
+        if n == 5:
+            assert len(loops) == 8 and outcomes.count(None) == 6
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_intercalate_loops(self, seed):
+        rng = random.Random(seed)
+        specs = ("dihedral:3", "dihedral:4", "dihedral:12", "dihedral:32", "sym:3", "sym:4",
+                 "cyclic:6", "cyclic:10", "cyclic:64", "semidirect:7,6,3", "semidirect:5,4,2",
+                 "product:cyclic:2,sym:4", "product:dihedral:4,cyclic:3",
+                 "product:cyclic:4,cyclic:4")
+        table = _intercalate_swap(parse_group_spec(rng.choice(specs)).table, rng)
+        want = _assoc_outcome(ref_check_assoc, table)
+        assert want is not None and want.startswith("associativity fails")
+        assert _assoc_outcome(groups.make_group, table) == want
+
+    @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:5", "dihedral:3", "sym:3",
+                                      "cyclic:12"])
+    def test_loop_products_with_associative_first_checks(self, spec):
+        group = parse_group_spec(spec).table
+        outcomes = []
+        for loop in _order_5_loops():
+            table = _loop_times_group(loop, group)
+            want = _assoc_outcome(ref_check_assoc, table)
+            assert _assoc_outcome(groups.make_group, table) == want
+            outcomes.append(want)
+        assert outcomes.count(None) == 6
+
+    def test_decoded_order_480_loop(self):
+        table = _intercalate_swap(parse_group_spec("product:sym:4,dihedral:10").table,
+                                  random.Random(480))
+        text = f"{len(table)}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in table.tolist())
+        want = _assoc_outcome(ref_check_assoc, table)
+        assert want is not None
+        with pytest.raises(CayleyTableError) as exc:
+            from_cayley_table(text)
+        assert str(exc.value) == want
 
 
 def _dense_corpus():
