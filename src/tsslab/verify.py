@@ -364,6 +364,8 @@ def _run_stabilizer_ses(params: dict) -> SuiteInstance:
     spec = params["group"]
     samples = params["samples"]
     seed = params["seed"]
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     g = parse_group_spec(spec)
     checked = 0
     for size, level in enumerate(tss.tss_by_size(g), start=1):

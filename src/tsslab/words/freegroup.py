@@ -3,6 +3,11 @@ commutation decision procedures.
 
 Letters are signed integers: +1/-1 for a/a^-1, +2/-2 for b/b^-1.  Words are
 always stored freely reduced; the empty word is the identity.
+
+Input is checked where it enters: the public ``FreeWord(...)`` constructor,
+``f2_reduce`` (through that constructor) and ``parse_f2``.  Words made by the
+arithmetic here (products, inverses, cyclic cores, conjugators, roots) are
+reduced by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -38,11 +43,18 @@ class FreeWord:
         return format_f2(self)
 
 
+def _free_word(letters: tuple[int, ...]) -> FreeWord:
+    """A word that is reduced by construction: no letter check."""
+    w = object.__new__(FreeWord)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 IDENTITY = FreeWord(())
 
 
 def f2_reduce(letters: Iterable[int]) -> FreeWord:
-    """Freely reduce a raw letter sequence."""
+    """Freely reduce a raw letter sequence; the letters are checked."""
     stack: list[int] = []
     for x in letters:
         if stack and stack[-1] == -x:
@@ -53,11 +65,17 @@ def f2_reduce(letters: Iterable[int]) -> FreeWord:
 
 
 def f2_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    return f2_reduce(u.letters + v.letters)
+    """The reduced form of u v: only the longest run of u's suffix that is
+    inverse to v's prefix cancels, since u and v are each reduced."""
+    a, b = u.letters, v.letters
+    k, m = 0, min(len(a), len(b))
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return _free_word(a[:len(a) - k] + b[k:])
 
 
 def f2_inverse(u: FreeWord) -> FreeWord:
-    return FreeWord(tuple(-x for x in reversed(u.letters)))
+    return _free_word(tuple(-x for x in reversed(u.letters)))
 
 
 def f2_power(u: FreeWord, k: int) -> FreeWord:
@@ -71,12 +89,12 @@ def f2_power(u: FreeWord, k: int) -> FreeWord:
 
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
     """Split w = c * core * c^-1 with core cyclically reduced."""
-    letters = list(w.letters)
-    prefix: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return FreeWord(tuple(letters)), FreeWord(tuple(prefix))
+    a = w.letters
+    lo, hi = 0, len(a)
+    while hi - lo >= 2 and a[lo] == -a[hi - 1]:
+        lo += 1
+        hi -= 1
+    return _free_word(a[lo:hi]), _free_word(a[:lo])
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
@@ -93,7 +111,7 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
         if n % p != 0:
             continue
         if core.letters == core.letters[:p] * (n // p):
-            root_core = FreeWord(core.letters[:p])
+            root_core = _free_word(core.letters[:p])
             root = f2_multiply(f2_multiply(conj, root_core), f2_inverse(conj))
             exp = n // p
             if f2_power(root, exp) != w:  # pragma: no cover - sanity guard
@@ -154,7 +172,7 @@ def f2_conjugate_test(u: FreeWord, v: FreeWord) -> Optional[FreeWord]:
     for r in range(max(1, len(core_u))):
         if _rotation(core_u.letters, r) != core_v.letters:
             continue
-        prefix = FreeWord(core_u.letters[:r])
+        prefix = _free_word(core_u.letters[:r])
         # core_v = prefix^-1 core_u prefix, hence v = h u h^-1 with:
         h = f2_multiply(f2_multiply(cv, f2_inverse(prefix)), f2_inverse(cu))
         if f2_multiply(f2_multiply(h, u), f2_inverse(h)) != v:  # pragma: no cover

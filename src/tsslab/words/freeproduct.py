@@ -1,15 +1,24 @@
 """Syllable normal form for free products G * H of two finite table groups.
 
 A word is an alternating sequence of (factor tag, non-identity element)
-syllables; tag 0 is the left factor, tag 1 the right.  Normalization merges
-adjacent same-factor syllables in the factor and deletes identity syllables,
-cascading until the word alternates.
+syllables; tag 0 is the left factor, tag 1 the right.  Raw syllable sequences
+are normalized by ``fp_from_syllables``, which merges adjacent same-factor
+syllables in the factor and deletes identity syllables, cascading until the
+word alternates.
+
+Input is checked where it enters: the public ``FpWord(...)`` constructor,
+``fp_from_syllables`` (tags and element ranges) and the parsers.  Words made
+by the arithmetic here (products, inverses, cyclic cores, conjugators, roots,
+ball words) are normal by construction and skip that check.  A product of two
+normal words changes only where they meet, so ``fp_multiply`` works at the
+junction and never re-normalizes whole words.  Each word keeps its cyclic
+reduction and primitive root once computed, so every caller that sees the
+word shares one result.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..groups import FiniteGroup
@@ -18,11 +27,22 @@ from ..tss import TssCertificate, certify_tss
 Syllable = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FpWord:
+    """A free-product word in syllable normal form.
+
+    The constructor rejects syllables that are not in normal form.  The two
+    memo fields hold ``fp_cyclic_reduce`` and ``fp_primitive_root`` results;
+    they take no part in ``==``, ``hash`` or ``repr``.
+    """
+
     left: FiniteGroup
     right: FiniteGroup
     syllables: tuple[Syllable, ...]
+    _reduced: Optional[tuple[FpWord, FpWord]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _root: Optional[tuple[Optional[FpWord], int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev_tag = None
@@ -55,8 +75,26 @@ class FpWord:
         return format_fp(self)
 
 
+# The slots' own setters fill a frozen word without __init__ or __setattr__.
+_set_left, _set_right, _set_syllables, _set_reduced, _set_root = (
+    FpWord.__dict__[name].__set__
+    for name in ("left", "right", "syllables", "_reduced", "_root")
+)
+
+
+def _fp_word(left: FiniteGroup, right: FiniteGroup, syllables: tuple[Syllable, ...]) -> FpWord:
+    """A word whose syllables are normal by construction: no field check."""
+    w = object.__new__(FpWord)
+    _set_left(w, left)
+    _set_right(w, right)
+    _set_syllables(w, syllables)
+    _set_reduced(w, None)
+    _set_root(w, None)
+    return w
+
+
 def fp_identity(left: FiniteGroup, right: FiniteGroup) -> FpWord:
-    return FpWord(left, right, ())
+    return _fp_word(left, right, ())
 
 
 def fp_from_syllables(
@@ -81,7 +119,7 @@ def fp_from_syllables(
             else:
                 stack.append(cur)
                 cur = None
-    return FpWord(left, right, tuple(stack))
+    return _fp_word(left, right, tuple(stack))
 
 
 def fp_normalize(left: FiniteGroup, right: FiniteGroup, raw: Iterable[Syllable]) -> FpWord:
@@ -94,15 +132,31 @@ def _same_factors(u: FpWord, v: FpWord) -> None:
 
 
 def fp_multiply(u: FpWord, v: FpWord) -> FpWord:
+    """The normal form of u v, worked out where the two words meet.
+
+    In u and v every syllable differs in factor from its neighbours, so only
+    the last syllable of u and the first of v can merge.  A merge to the
+    identity removes both, and the next pair again shares a factor; any other
+    merge, or a change of factor, ends the cascade.
+    """
     _same_factors(u, v)
-    return fp_from_syllables(u.left, u.right, u.syllables + v.syllables)
+    a, b = u.syllables, v.syllables
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1][0] == b[j][0]:
+        tag = b[j][0]
+        factor = u.left if tag == 0 else u.right
+        merged = factor.mul[a[i - 1][1]][b[j][1]]
+        if merged != factor.identity:
+            return _fp_word(u.left, u.right, a[:i - 1] + ((tag, merged),) + b[j + 1:])
+        i -= 1
+        j += 1
+    return _fp_word(u.left, u.right, a[:i] + b[j:])
 
 
 def fp_inverse(u: FpWord) -> FpWord:
-    syls = tuple(
-        (tag, u.factor(tag).inv[elem]) for tag, elem in reversed(u.syllables)
-    )
-    return FpWord(u.left, u.right, syls)
+    invs = (u.left.inv, u.right.inv)
+    syls = tuple((tag, invs[tag][elem]) for tag, elem in reversed(u.syllables))
+    return _fp_word(u.left, u.right, syls)
 
 
 def fp_power(u: FpWord, k: int) -> FpWord:
@@ -123,29 +177,53 @@ def fp_cyclic_reduce(w: FpWord) -> tuple[FpWord, FpWord]:
 
     The first syllable is peeled while it shares a factor with the last; a
     core of length <= 1 identifies w as a conjugate of a factor element.
+    A word whose ends differ in factor is its own core; any other word
+    computes its split once and keeps it.
     """
-    core = list(w.syllables)
-    prefix: list[Syllable] = []
-    while len(core) >= 2 and core[0][0] == core[-1][0]:
-        tag, first = core[0]
+    syls = w.syllables
+    if len(syls) < 2 or syls[0][0] != syls[-1][0]:
+        return w, fp_identity(w.left, w.right)
+    if w._reduced is None:
+        _set_reduced(w, _cyclic_reduce(w))
+    return w._reduced
+
+
+def _cyclic_reduce(w: FpWord) -> tuple[FpWord, FpWord]:
+    # Peeling only ever removes the front, so the conjugator is a prefix of w;
+    # the back absorbs each peeled syllable, and a merge that is not the
+    # identity leaves a core whose ends differ in factor.
+    syls = w.syllables
+    lo, hi = 0, len(syls)
+    tail: tuple[Syllable, ...] = ()
+    while hi - lo >= 2 and syls[lo][0] == syls[hi - 1][0]:
+        tag = syls[lo][0]
         factor = w.factor(tag)
-        prefix.append((tag, first))
-        merged = factor.mul[core[-1][1]][first]
-        core = core[1:-1]
+        merged = factor.mul[syls[hi - 1][1]][syls[lo][1]]
+        lo += 1
+        hi -= 1
         if merged != factor.identity:
-            if core and core[-1][0] == tag:  # pragma: no cover - cannot alternate
-                raise RuntimeError("normal form violated during cyclic reduction")
-            core.append((tag, merged))
-    conjugator = fp_from_syllables(w.left, w.right, prefix)
-    return FpWord(w.left, w.right, tuple(core)), conjugator
+            tail = ((tag, merged),)
+            break
+    core = _fp_word(w.left, w.right, syls[lo:hi] + tail)
+    return core, _fp_word(w.left, w.right, syls[:lo])
 
 
 def fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
     """Primitive root of a word whose core has syllable length >= 2.
 
     Cyclically reduced words of even syllable length concatenate cleanly, so
-    the root core is the smallest period prefix.
+    the root core is the smallest period prefix.  Computed, and checked
+    against w, once per word and kept on it.
     """
+    if w._root is None:
+        root, exp = _primitive_root(w)
+        # a word that is its own root keeps no second copy of itself
+        _set_root(w, (None if root == w else root, exp))
+    root, exp = w._root
+    return (w if root is None else root), exp
+
+
+def _primitive_root(w: FpWord) -> tuple[FpWord, int]:
     core, conj = fp_cyclic_reduce(w)
     size = len(core)
     if size < 2:
@@ -154,7 +232,7 @@ def fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
         if size % p != 0:
             continue
         if core.syllables == core.syllables[:p] * (size // p):
-            root_core = FpWord(w.left, w.right, core.syllables[:p])
+            root_core = _fp_word(w.left, w.right, core.syllables[:p])
             root = fp_multiply(fp_multiply(conj, root_core), fp_inverse(conj))
             exp = size // p
             if fp_power(root, exp) != w:  # pragma: no cover - sanity guard
@@ -240,13 +318,14 @@ def fp_tss_analyze(words: Sequence[FpWord]) -> FpTssVerdict:
         raise RuntimeError("commuting set mixes factor conjugates with infinite-order words")
 
     # Powers of a common element: extract roots and exponents for the record.
-    root, _ = fp_primitive_root(words[0])
+    roots = [fp_primitive_root(w) for w in words]
+    root = roots[0][0]
+    inv_root = fp_inverse(root)
     exps = []
-    for w in words:
-        r, e = fp_primitive_root(w)
+    for r, e in roots:
         if r == root:
             exps.append(e)
-        elif r == fp_inverse(root):
+        elif r == inv_root:
             exps.append(-e)
         else:  # pragma: no cover - impossible for exact-commuting input
             raise RuntimeError("commuting non-factor words with different roots")
@@ -269,6 +348,8 @@ def fp_tss_analyze(words: Sequence[FpWord]) -> FpTssVerdict:
 def fp_ball(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[FpWord]:
     """All words of syllable length <= max_syllables, ordered by length then
     lexicographically by syllables."""
+    if max_syllables < 1:
+        raise ValueError(f"max_syllables must be >= 1, got {max_syllables}")
     out = [fp_identity(left, right)]
     level: list[tuple[Syllable, ...]] = [()]
     for _ in range(max_syllables):
@@ -283,7 +364,7 @@ def fp_ball(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[F
                         continue
                     nxt.append(syls + ((tag, elem),))
         nxt.sort()
-        out.extend(FpWord(left, right, s) for s in nxt)
+        out.extend(_fp_word(left, right, s) for s in nxt)
         level = nxt
     return out
 

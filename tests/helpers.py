@@ -11,6 +11,8 @@ import numpy as np
 
 from tsslab.cayley import CayleyTableError
 from tsslab.groups import FiniteGroup, GroupError, make_group, table_dtype
+from tsslab.words.freegroup import FreeWord, f2_reduce
+from tsslab.words.freeproduct import FpWord
 
 
 def conj(g: FiniteGroup, q: int, x: int) -> int:
@@ -229,3 +231,66 @@ def _ref_parse_row(toks: list[str], n: int, lineno: int, r: int) -> list[int]:
             )
         entries.append(v)
     return entries
+
+
+# --- whole-word references for free-product and F2 word arithmetic -----------
+
+def ref_fp_normalize(left: FiniteGroup, right: FiniteGroup, raw) -> FpWord:
+    """Normal form of a raw syllable sequence by the cascading stack: merge
+    each syllable into the top while they share a factor, drop identities.
+    The result goes through the checking ``FpWord`` constructor."""
+    stack: list[tuple[int, int]] = []
+    for syl in raw:
+        cur = syl
+        while cur is not None:
+            tag, elem = cur
+            factor = left if tag == 0 else right
+            if elem == factor.identity:
+                cur = None
+            elif stack and stack[-1][0] == tag:
+                cur = (tag, factor.mul[stack.pop()[1]][elem])
+            else:
+                stack.append(cur)
+                cur = None
+    return FpWord(left, right, tuple(stack))
+
+
+def ref_fp_multiply(u: FpWord, v: FpWord) -> FpWord:
+    """u v by concatenating the words and re-normalizing the whole result."""
+    return ref_fp_normalize(u.left, u.right, u.syllables + v.syllables)
+
+
+def ref_fp_cyclic_reduce(w: FpWord) -> tuple[FpWord, FpWord]:
+    """(core, conjugator) with w = c core c^-1, peeling one syllable pair at a
+    time from a list copy; nothing is cached."""
+    core = list(w.syllables)
+    prefix: list[tuple[int, int]] = []
+    while len(core) >= 2 and core[0][0] == core[-1][0]:
+        tag, first = core[0]
+        factor = w.factor(tag)
+        prefix.append((tag, first))
+        merged = factor.mul[core[-1][1]][first]
+        core = core[1:-1]
+        if merged != factor.identity:
+            core.append((tag, merged))
+    return (FpWord(w.left, w.right, tuple(core)),
+            ref_fp_normalize(w.left, w.right, prefix))
+
+
+def ref_fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
+    """(root, k) with w = root^k and root primitive, from the least period of
+    the core, conjugated back; raises ValueError for factor conjugates."""
+    core, conj = ref_fp_cyclic_reduce(w)
+    syls = core.syllables
+    if len(syls) < 2:
+        raise ValueError("primitive roots are extracted for non-factor words only")
+    p = next(p for p in range(2, len(syls) + 1, 2)
+             if len(syls) % p == 0 and syls == syls[:p] * (len(syls) // p))
+    inv_conj = [(tag, w.factor(tag).inv[elem]) for tag, elem in reversed(conj.syllables)]
+    root = ref_fp_normalize(w.left, w.right, [*conj.syllables, *syls[:p], *inv_conj])
+    return root, len(syls) // p
+
+
+def ref_f2_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
+    """u v by freely reducing the whole concatenation."""
+    return f2_reduce(u.letters + v.letters)

@@ -366,3 +366,37 @@ class TestUsage:
         code, _, err = run(capsys, "word", "fp", "--factors", "cyclic:3",
                            "reduce", "[G:1]")
         assert code == 2 and "'<spec>,<spec>'" in err
+
+
+class TestNoVacuousPass:
+    """A size option below its least meaningful value exits 2 instead of
+    passing over an empty ball or sample."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["free-product", "--max-syllables", "-1"], "max_syllables must be >= 1, got -1"),
+        (["free-product", "--max-syllables", "0"], "max_syllables must be >= 1, got 0"),
+        (["free-product", "--grid", "cyclic:2+cyclic:3", "--max-syllables", "0"],
+         "max_syllables must be >= 1, got 0"),
+        (["stabilizer-ses", "--samples", "-3"], "samples must be >= 0, got -3"),
+        (["stabilizer-ses", "--grid", "cyclic:4", "--samples", "-1"],
+         "samples must be >= 0, got -1"),
+    ])
+    def test_cli_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "") and err == f"error: {message}\n"
+
+    def test_zero_samples_still_checks_every_tss(self, capsys):
+        code, out, _ = run(capsys, "verify", "stabilizer-ses", "--grid", "cyclic:6",
+                           "--samples", "0")
+        assert code == 0 and "SES identity held on 6 sets" in out
+
+    @pytest.mark.parametrize("theorem,params,message", [
+        ("free-product", {"left": "cyclic:2", "right": "cyclic:3", "max_syllables": -1},
+         "max_syllables must be >= 1, got -1"),
+        ("stabilizer-ses", {"group": "cyclic:6", "samples": -3, "seed": 0},
+         "samples must be >= 0, got -3"),
+    ])
+    def test_library_raises(self, theorem, params, message):
+        with pytest.raises(ValueError) as info:
+            verify_suite(theorem, grid=[params])
+        assert str(info.value) == message

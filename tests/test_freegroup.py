@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,8 @@ from tsslab.words.freegroup import (
     parse_f2_letters,
     primitive_root,
 )
+
+from helpers import ref_f2_multiply
 
 letters_strategy = st.lists(
     st.sampled_from([1, -1, 2, -2]), min_size=0, max_size=20
@@ -201,3 +205,56 @@ class TestParsing:
     @given(words())
     def test_format_parse_roundtrip(self, w):
         assert parse_f2(format_f2(w)) == w
+
+
+def _reduced_words_up_to(length):
+    out = [FreeWord(())]
+    level = [()]
+    for _ in range(length):
+        level = [w + (x,) for w in level for x in (1, -1, 2, -2) if not w or w[-1] != -x]
+        out.extend(FreeWord(w) for w in level)
+    return out
+
+
+class TestJunctionAgreesWithWholeWord:
+    def test_every_pair_of_reduced_words_up_to_length_3(self):
+        ball = _reduced_words_up_to(3)
+        assert len(ball) == 1 + 4 + 12 + 36
+        for u, v in itertools.product(ball, repeat=2):
+            assert f2_multiply(u, v) == ref_f2_multiply(u, v)
+
+    def test_products_pass_the_checking_constructor(self):
+        ball = _reduced_words_up_to(3)
+        for u, v in itertools.product(ball, repeat=2):
+            w = f2_multiply(u, v)
+            assert FreeWord(w.letters) == w
+
+
+class TestInputChecksKept:
+    @pytest.mark.parametrize("letters,message", [
+        ((3,), "letter 3 is not one of +-1, +-2"),
+        ((1, 0), "letter 0 is not one of +-1, +-2"),
+        ((1, -1), "word (1, -1) is not freely reduced; build via f2_reduce"),
+        ((2, 1, -1), "word (2, 1, -1) is not freely reduced; build via f2_reduce"),
+    ])
+    def test_constructor(self, letters, message):
+        with pytest.raises(ValueError) as info:
+            FreeWord(letters)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("letters", [(3,), (1, 2, 5), (-3, 1)])
+    def test_reduce_checks_letters(self, letters):
+        bad = next(x for x in letters if x not in (1, -1, 2, -2))
+        with pytest.raises(ValueError) as info:
+            f2_reduce(letters)
+        assert str(info.value) == f"letter {bad} is not one of +-1, +-2"
+
+    @pytest.mark.parametrize("text,message", [
+        ("aAb", "word 'aAb' is not freely reduced; did you mean 'b'?"),
+        ("abBA", "word 'abBA' is not freely reduced; did you mean 'e'?"),
+        ("ax", "invalid letter 'x': words use a, A, b, B"),
+    ])
+    def test_parse_f2(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_f2(text)
+        assert str(info.value) == message

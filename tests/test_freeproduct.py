@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,13 @@ from tsslab.words.freeproduct import (
     fp_tss_analyze,
     parse_fp,
     parse_fp_raw,
+)
+from tsslab.groups import GroupError
+
+from helpers import (
+    ref_fp_cyclic_reduce,
+    ref_fp_multiply,
+    ref_fp_primitive_root,
 )
 
 Z3 = make_cyclic(3)
@@ -271,3 +280,149 @@ class TestTextForm:
             parse_fp("[G:zz]", D8, S3)
         with pytest.raises(ValueError):
             parse_fp("G:1", D8, S3)
+
+
+class TestJunctionAgreesWithWholeWord:
+    """fp_multiply works only at the seam; the reference re-normalizes the
+    whole concatenation through the checking constructor."""
+
+    def test_every_pair_of_the_z3_z3_ball(self):
+        ball = fp_ball(Z3, Z3B, 3)
+        for u, v in itertools.product(ball, repeat=2):
+            assert fp_multiply(u, v) == ref_fp_multiply(u, v)
+
+    def test_seeded_pairs_of_the_d8_s3_ball(self):
+        ball = fp_ball(D8, S3, 4)
+        rng = random.Random(0)
+        for _ in range(2000):
+            u, v = rng.choice(ball), rng.choice(ball)
+            assert fp_multiply(u, v) == ref_fp_multiply(u, v)
+
+    def test_full_cancellation_cascades_through_both_words(self):
+        u = dw((0, 1), (1, 2), (0, 3), (1, 1))
+        assert fp_multiply(u, fp_inverse(u)) == fp_identity(D8, S3)
+        # three cancels, then a merge in the left factor
+        v = dw((1, S3.inv[1]), (0, D8.inv[3]), (1, S3.inv[2]), (0, 5))
+        assert fp_multiply(u, v) == dw((0, D8.mul[1][5]))
+
+    def test_results_are_normal(self):
+        ball = fp_ball(D8, S3, 3)
+        rng = random.Random(1)
+        for _ in range(500):
+            w = fp_multiply(rng.choice(ball), rng.choice(ball))
+            assert FpWord(D8, S3, w.syllables) == w  # the checking constructor accepts it
+
+
+class TestMemoizedReductions:
+    def test_cyclic_reduce_and_root_match_uncached_reference_on_d8_s3_ball(self):
+        for w in fp_ball(D8, S3, 4):
+            want = ref_fp_cyclic_reduce(w)
+            assert fp_cyclic_reduce(w) == want
+            assert fp_cyclic_reduce(w) == want  # served from the word
+            if len(want[0]) < 2:
+                with pytest.raises(ValueError, match="non-factor words only"):
+                    fp_primitive_root(w)
+                continue
+            root, exp = ref_fp_primitive_root(w)
+            assert fp_primitive_root(w) == (root, exp)
+            assert fp_primitive_root(w) == (root, exp)
+            assert fp_power(root, exp) == w
+
+    def test_memo_is_per_word_not_per_syllables(self):
+        # the same syllables in different free products reduce to words over
+        # their own factors
+        syls = ((0, 1), (1, 1), (0, 1))
+        for left, right in ((Z3, Z3B), (Z3B, Z3), (D8, S3)):
+            w = fp_from_syllables(left, right, syls)
+            core, conj = fp_cyclic_reduce(w)
+            assert (core, conj) == ref_fp_cyclic_reduce(w)
+            assert core.left is left and conj.right is right
+            square = fp_power(fp_from_syllables(left, right, syls[:2]), 2)
+            root, exp = fp_primitive_root(square)
+            assert (root, exp) == ref_fp_primitive_root(square)
+            assert root.left is left and root.right is right
+
+    def test_memo_is_invisible_to_eq_hash_and_repr(self):
+        # a conjugated square: neither its core nor its root is the word itself
+        v = fp_conjugate(dw((1, 3)), fp_power(dw((0, 1), (1, 2)), 2))
+        assert v.syllables[0][0] == v.syllables[-1][0]
+        filled = FpWord(D8, S3, v.syllables)
+        blank = FpWord(D8, S3, v.syllables)
+        assert fp_cyclic_reduce(filled)[0] is fp_cyclic_reduce(filled)[0]
+        assert fp_primitive_root(filled)[0] is fp_primitive_root(filled)[0]
+        assert fp_primitive_root(filled)[1] == 2
+        assert filled == blank
+        assert hash(filled) == hash(blank)
+        assert repr(filled) == repr(blank)
+        assert repr(filled) == f"FpWord(left={D8!r}, right={S3!r}, syllables={v.syllables!r})"
+        assert {filled: 1}[blank] == 1
+
+    def test_cyclically_reduced_primitive_word_is_its_own_core_and_root(self):
+        w = dw((0, 1), (1, 2), (0, 3), (1, 1))
+        core, conj = fp_cyclic_reduce(w)
+        assert core is w and conj.is_identity()
+        assert fp_primitive_root(w)[0] is w
+        assert fp_primitive_root(w) == (w, 1)
+
+    def test_words_are_slotted_and_pickle(self):
+        w = dw((0, 1), (1, 2))
+        fp_cyclic_reduce(w)
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(AttributeError):
+            w.syllables = ()
+        back = pickle.loads(pickle.dumps(w))
+        assert back.syllables == w.syllables and len(back) == 2
+
+
+class TestInputChecksKept:
+    """Words enter through checked doors; each keeps its exact message."""
+
+    @pytest.mark.parametrize("syls,exc,message", [
+        (((2, 1),), ValueError, "syllable tag 2 must be 0 or 1"),
+        (((0, 8),), GroupError, "element index 8 out of range for D8 (order 8)"),
+        (((1, 6),), GroupError, "element index 6 out of range for S3 (order 6)"),
+        (((1, 0),), ValueError,
+         "identity syllables are not allowed in normal form; build via fp_from_syllables"),
+        (((0, 1), (0, 2)), ValueError,
+         "adjacent syllables share a factor; build via fp_from_syllables"),
+    ])
+    def test_constructor(self, syls, exc, message):
+        with pytest.raises(exc) as info:
+            FpWord(D8, S3, syls)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("raw,exc,message", [
+        ([(0, 1), (1, 6)], GroupError, "element index 6 out of range for S3 (order 6)"),
+        ([(0, -1)], GroupError, "element index -1 out of range for D8 (order 8)"),
+        ([(0, 1), (3, 1)], ValueError, "syllable tag 3 must be 0 or 1"),
+    ])
+    def test_from_syllables(self, raw, exc, message):
+        with pytest.raises(exc) as info:
+            fp_from_syllables(D8, S3, raw)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("[G:1][G:2]", "'[G:1][G:2]' is not in normal form; did you mean '[G:3]'?"),
+        ("[G:0]", "'[G:0]' is not in normal form; did you mean 'e'?"),
+        ("[H:9]", "element index 9 out of range for S3 (order 6)"),
+        ("[X:1]", "factor tag must be G or H, got 'X'"),
+    ])
+    def test_parse_fp(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_fp(text, D8, S3)
+        assert str(info.value) == message
+
+
+class TestBallSize:
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_ball_and_cliques_reject_non_positive_syllables(self, bad):
+        message = f"max_syllables must be >= 1, got {bad}"
+        with pytest.raises(ValueError) as info:
+            fp_ball(D8, S3, bad)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            list(fp_commuting_cliques(D8, S3, bad))
+        assert str(info.value) == message
+
+    def test_one_syllable_ball(self):
+        assert len(fp_ball(D8, S3, 1)) == 1 + 7 + 5
