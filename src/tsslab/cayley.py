@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError, make_group, table_dtype
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, make_group, table_dtype
 
 
 class CayleyTableError(GroupError):
@@ -39,7 +39,9 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     call rejects or is not given (an entry outside 0..n-1, a non-ASCII
     character) is parsed again row by row: that path names the first bad
     entry and takes every spelling ``int`` takes (``1_0``, full-width
-    digits), so both paths accept the same tables.
+    digits), so both paths accept the same tables.  Associativity is checked
+    at every order up to the order cap, not only up to ``DEFAULT_ASSOC_CAP``
+    as for constructor-built tables: a document comes from outside.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,8 +84,9 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
             labels = [str(i) for i in range(n)]
         labels[idx] = " ".join(toks[2:])
 
+    del rows  # the row strings are parsed; free them before validation
     try:
-        return make_group(table, labels=labels, name=name)
+        return make_group(table, labels=labels, name=name, assoc_cap=DEFAULT_ORDER_CAP)
     except CayleyTableError:
         raise
     except GroupError as exc:
@@ -138,4 +141,5 @@ def to_cayley_table(g: FiniteGroup) -> str:
     if g.labels is not None:
         for i, lab in enumerate(g.labels):
             lines.append(f"label {i} {lab}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)

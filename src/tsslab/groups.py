@@ -22,6 +22,9 @@ import numpy as np
 DEFAULT_ASSOC_CAP = 512
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_SYMMETRIC_CAP = 8
+# Entries per block of the gathers in Light's test: a single block up to
+# order 512, so that validation above it peaks no higher than the Latin check.
+_ASSOC_BLOCK = 1 << 18
 
 
 class GroupError(ValueError):
@@ -43,8 +46,9 @@ class FiniteGroup:
     inverses.  ``mul`` (the rows of ``table`` as tuples) and ``conj_table``
     are derived from them on first use and kept.  ``assoc_verified`` records
     whether associativity was verified for all triples, by Light's test in
-    ``make_group`` (skipped above the construction cap, where constructor
-    correctness is relied on).
+    ``make_group`` (skipped for constructor-built tables above order 512,
+    where constructor correctness is relied on; decoded Cayley documents are
+    checked up to the order cap).
     """
 
     order: int
@@ -234,10 +238,14 @@ def _check_assoc(mul: np.ndarray, identity: int) -> None:
     The y with (x*y)*z == x*(y*z) for all x, z form a set A closed under
     products, and A holds the identity.  So y is checked only while some
     element is not yet a product of checked elements: the least such element
-    is checked with two order^2 gathers, then the reached set is closed under
-    products.  In a group each checked element at least doubles the reached
-    subgroup, so at most log2(order) elements are checked.  Only a failing y
-    runs the full scan, which names the first failing triple.
+    is checked with two order^2 gathers, made ``_ASSOC_BLOCK`` entries at a
+    time, then the reached set is closed under products.  In a group each
+    checked element at least doubles the reached subgroup, so at most
+    log2(order) elements are checked.  A failing y up to order
+    ``DEFAULT_ASSOC_CAP`` runs the full scan, which names the first failing
+    triple; above it, the scan's order^2 index copy and O(order^3) work are
+    too much, and the triple named is (x, y, z) for the least failing (x, z)
+    of that y.
     """
     n = mul.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -245,8 +253,12 @@ def _check_assoc(mul: np.ndarray, identity: int) -> None:
     count = 1
     while count < n:
         y = int(reached.argmin())
-        if not (mul.take(mul[:, y], 0) == mul.take(mul[y], 1)).all():
-            _assoc_scan(mul)
+        failure = _light_failure(mul, y)
+        if failure is not None:
+            if n <= DEFAULT_ASSOC_CAP:
+                _assoc_scan(mul)
+            x, z = failure
+            raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
         reached[y] = True
         count += 1
         while count < n:
@@ -256,6 +268,20 @@ def _check_assoc(mul: np.ndarray, identity: int) -> None:
             if grown == count:
                 break
             count = grown
+
+
+def _light_failure(mul: np.ndarray, y: int) -> Optional[tuple[int, int]]:
+    """The least (x, z), row-major, with (x*y)*z != x*(y*z), or None; the
+    two gathers are made ``_ASSOC_BLOCK`` entries at a time."""
+    n = mul.shape[0]
+    step = max(1, _ASSOC_BLOCK // n)
+    xy, yz = mul[:, y], mul[y]
+    for lo in range(0, n, step):
+        fails = mul.take(xy[lo:lo + step], 0) != mul[lo:lo + step].take(yz, 1)
+        if fails.any():
+            x, z = divmod(int(fails.argmax()), n)
+            return lo + x, z
+    return None
 
 
 def _assoc_scan(mul: np.ndarray) -> None:
@@ -283,8 +309,10 @@ def make_group(
     decided for order <= assoc_cap (default ``DEFAULT_ASSOC_CAP``, 512; above
     it ``assoc_verified`` is False) by Light's test, ``_check_assoc``: two
     order^2 gathers for each of at most log2(order) elements of a group, so
-    O(n^2 log n) work.  A table that fails it gets the full O(n^3) scan,
-    which names the first failing triple.  An integer ndarray already of dtype
+    O(n^2 log n) work.  A failing table up to order 512 gets the full O(n^3)
+    scan, which names the first failing triple; a larger one (Cayley
+    documents are checked up to the order cap) names a failing triple of
+    Light's failing element in O(n^2).  An integer ndarray already of dtype
     ``table_dtype(order)`` becomes the group's read-only ``table`` without a
     copy.
     """

@@ -6,11 +6,19 @@ adjacent transpositions only: realized permutations form a subgroup of
 Sym(S), and adjacent transpositions generate it.
 
 One level-wise search, ``tss_by_size``, produces every certified TSS one size
-at a time; ``enumerate_tss`` and ``max_tss_size`` read its levels.
+at a time; ``enumerate_tss`` and ``max_tss_size`` read its levels.  A level is
+held as an array of sorted rows and the next one is built from all of it at
+once: candidates, commutation filters, witnesses and the orbit minima of
+``dedup_up_to_conjugacy`` are array operations on blocks of parents or sets,
+each block bounded by ``_BLOCK`` entries, so memory does not grow with the
+size of a level beyond the level itself.  The witness
+for a transposition is always the least conjugator realizing it, found by one
+kernel, ``_least_witnesses``, that ``certify_tss`` shares.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,6 +27,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, GroupError, conjugacy_classes
+
+# Block size of the level search and of dedup_up_to_conjugacy: a block of
+# parents has about this many candidates, and a block of sets gathers about
+# this many conjugation-table entries (a block holds at least one of either).
+_BLOCK = 1 << 15
 
 
 class TssError(ValueError):
@@ -107,17 +120,45 @@ def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
         for y in elems[i + 1:]:
             if m[x, y] != m[y, x]:
                 return None
-    witnesses: dict[tuple[int, int], int] = {}
-    if len(elems) > 1:
-        images = g.conj_table[:, elems]
-        for i in range(len(elems) - 1):
-            want = list(elems)
-            want[i], want[i + 1] = want[i + 1], want[i]
-            hits = np.flatnonzero((images == want).all(axis=1))
-            if not hits.size:
-                return None
-            witnesses[(i, i + 1)] = int(hits[0])
-    return TssCertificate(g, elems, witnesses)
+    if len(elems) == 1:
+        return TssCertificate(g, elems, {})
+    witnesses = _least_witnesses(g, np.array([elems], dtype=np.intp))[0].tolist()
+    if -1 in witnesses:
+        return None
+    return TssCertificate(g, elems, {(i, i + 1): q for i, q in enumerate(witnesses)})
+
+
+@functools.cache
+def _swaps(k: int) -> np.ndarray:
+    """Row i: the positions 0..k-1 with i and i+1 exchanged."""
+    swaps = np.tile(np.arange(k), (k - 1, 1))
+    for i in range(k - 1):
+        swaps[i, i:i + 2] = i + 1, i
+    swaps.flags.writeable = False  # shared by every caller through the cache
+    return swaps
+
+
+def _least_witnesses(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
+    """Least witnesses for a batch of sorted k-sets, an (e, k) array.
+
+    Column i of the (e, k-1) result holds, for each set, the least q whose
+    row of ``conj_table[:, set]`` is the set with members i and i+1 swapped,
+    or -1 where no q is.  Sets go through in blocks whose hit matrices hold
+    about ``_BLOCK`` entries; ``argmax`` down the q axis of a hit matrix gives
+    the first hit row.
+    """
+    e, k = sets.shape
+    swaps = _swaps(k)
+    c = g.conj_table
+    out = np.empty((e, k - 1), dtype=np.intp)
+    step = max(1, _BLOCK // (g.order * k * (k - 1)))
+    for lo in range(0, e, step):
+        block = sets[lo:lo + step]
+        # hit[q, r, i]: q block[r] q^-1 is block[r] with members i and i+1
+        # swapped; compared in the table's dtype, so the images are not widened
+        hit = (c[:, block][:, :, None, :] == block[:, swaps].astype(c.dtype)).all(axis=3)
+        out[lo:lo + len(block)] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+    return out
 
 
 def is_tss(g: FiniteGroup, s: Iterable[int]) -> bool:
@@ -143,30 +184,76 @@ def tss_by_size(g: FiniteGroup) -> Iterator[list[TssCertificate]]:
     size-(k+1) TSS is on level k) and members of a TSS of size >= 2 are
     pairwise conjugate.  Stops after the last nonempty level, or before size k
     when k! does not divide |G| (|S|! | |Stab(S)| | |G| is necessary).
+
+    Each level is an (m, k) array of sorted rows in lexicographic order, and
+    the whole of it is extended at once, in blocks of parents with about
+    ``_BLOCK`` candidates, by ``_extend``; the certificates are made from the
+    arrays.  Witnesses come from ``_least_witnesses``, as in ``certify_tss``.
     """
-    level = [TssCertificate(g, (x,), {}) for x in range(g.order)]
-    size = 1
-    while level:
-        yield level
-        size += 1
-        if g.order % math.factorial(size) != 0:
+    level = np.arange(g.order, dtype=np.intp)[:, None]
+    witnesses = np.empty((g.order, 0), dtype=np.intp)
+    layout = None
+    while len(level):
+        keys = [(i, i + 1) for i in range(level.shape[1] - 1)]
+        yield [TssCertificate(g, tuple(elems), dict(zip(keys, wits)))
+               for elems, wits in zip(level.tolist(), witnesses.tolist())]
+        if g.order % math.factorial(level.shape[1] + 1) != 0:
             return
-        part = conjugacy_classes(g)
-        classes = [np.array(cls) for cls in part.classes]
-        m = g.table
-        # level is sorted and class members ascend, so nxt comes out sorted
-        nxt: list[TssCertificate] = []
-        for cert in level:
-            elems = cert.elements
-            cls = classes[part.class_of[elems[0]]]
-            cand = cls[np.searchsorted(cls, elems[-1], side="right"):]
-            for y in elems:
-                cand = cand[m[y, cand] == m[cand, y]]
-            for x in cand.tolist():
-                ext = certify_tss(g, elems + (x,))
-                if ext is not None:
-                    nxt.append(ext)
-        level = nxt
+        if layout is None:
+            layout = _class_layout(g)
+        level, witnesses = _extend(g, level, *layout)
+
+
+def _class_layout(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes' members, class by class and ascending within each, and for
+    each element x its position in that array and the end of its class there."""
+    part = conjugacy_classes(g)
+    members = np.fromiter(itertools.chain.from_iterable(part.classes), dtype=np.intp,
+                          count=g.order)
+    position = np.empty(g.order, dtype=np.intp)
+    position[members] = np.arange(g.order)
+    sizes = np.array([len(cls) for cls in part.classes], dtype=np.intp)
+    class_end = np.cumsum(sizes)[np.array(part.class_of, dtype=np.intp)]
+    return members, position, class_end
+
+
+def _extend(g: FiniteGroup, level: np.ndarray, members: np.ndarray, position: np.ndarray,
+            class_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level k+1 and its witnesses from level k.
+
+    Every member of a parent lies in the class of its last member x, so the
+    parent's candidates are the members after x in ``members`` up to the end
+    of that class: all larger class members, none for a class of size 1.
+    Parents are taken in order and their candidates in ascending order, so the
+    extensions come out lexicographically sorted.
+    """
+    t = g.table
+    m, k = level.shape
+    first = position[level[:, -1]] + 1
+    count = class_end[level[:, -1]] - first
+    total = np.cumsum(count)
+    rows, wits = [], []
+    lo = 0
+    while lo < m:
+        done = total[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(total, done + _BLOCK, side="right")))
+        # parent p's candidates are members[first[p]:first[p] + count[p]], and
+        # they start at total[p - 1] - done in this block's flat arrays
+        n_cand = count[lo:hi]
+        parent = np.repeat(np.arange(lo, hi), n_cand)
+        shift = np.repeat(first[lo:hi] - (total[lo:hi] - n_cand - done), n_cand)
+        cand = members[np.arange(len(parent)) + shift]
+        for j in range(k):
+            y = level[parent, j]
+            commuting = t[y, cand] == t[cand, y]
+            parent, cand = parent[commuting], cand[commuting]
+        ext = np.concatenate([level[parent], cand[:, None]], axis=1)
+        found = _least_witnesses(g, ext)
+        certified = (found >= 0).all(axis=1)
+        rows.append(ext[certified])
+        wits.append(found[certified])
+        lo = hi
+    return np.concatenate(rows), np.concatenate(wits)
 
 
 def enumerate_tss(g: FiniteGroup, size: int) -> list[TssCertificate]:
@@ -198,22 +285,50 @@ def max_tss_size(g: FiniteGroup, up_to_conjugacy: bool = False) -> TssReport:
 
 def dedup_up_to_conjugacy(g: FiniteGroup, certs: Sequence[TssCertificate]) -> list[TssCertificate]:
     """Keep one representative per orbit under simultaneous conjugation: the
-    sets that are the lexicographic minimum of their orbit."""
-    kept = []
-    for cert in certs:
-        # row q: the sorted image of the set under q; the identity's row is the
-        # set, and rows whose least entry is larger cannot be smaller than it
-        images = g.conj_table[:, cert.elements]
-        images = np.sort(images[images.min(axis=1) <= cert.elements[0]], axis=1)
-        for j, x in enumerate(cert.elements):
-            column = images[:, j]
-            least = column.min()
-            if least < x:
-                break
-            images = images[column == least]
-        else:
-            kept.append(cert)
-    return kept
+    sets that are the lexicographic minimum of their orbit.
+
+    Sets of one size are decided together by ``_orbit_minima``.
+    """
+    keep = np.zeros(len(certs), dtype=bool)
+    by_size: dict[int, list[int]] = {}
+    for i, cert in enumerate(certs):
+        by_size.setdefault(len(cert.elements), []).append(i)
+    for idx in by_size.values():
+        sets = np.array([certs[i].elements for i in idx], dtype=np.intp)
+        keep[idx] = _orbit_minima(g, sets)
+    return [cert for cert, kept in zip(certs, keep.tolist()) if kept]
+
+
+def _orbit_minima(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
+    """For each sorted row of an (e, k) array, whether it is the least sorted
+    image of itself under conjugation.
+
+    Row q of a set's images is its image under q; the identity's row is the set
+    itself.  The rows are narrowed to the lexicographically least sorted image
+    one column at a time, and a set is kept iff each column minimum equals its
+    own entry.  The rows still in after column j-1 share the j smallest
+    entries, so their sorted column j is their least entry above the previous
+    minimum, and no row is sorted.  Sets go through in blocks of about
+    ``_BLOCK`` gathered entries.
+    """
+    e, k = sets.shape
+    n = g.order
+    c = g.conj_table
+    out = np.empty(e, dtype=bool)
+    step = max(1, _BLOCK // (n * k))
+    for lo in range(0, e, step):
+        block = sets[lo:lo + step]
+        images = c[:, block]  # images[q, r, j] = q block[r, j] q^-1
+        column = images.min(axis=2)
+        keep = np.ones(len(block), dtype=bool)
+        for j in range(k):
+            least = column.min(axis=0)
+            keep &= least == block[:, j]
+            if j + 1 < k:
+                above = np.where(images > least[:, None], images, n).min(axis=2)
+                column = np.where(column == least, above, n)
+        out[lo:lo + len(block)] = keep
+    return out
 
 
 def brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:

@@ -571,7 +571,10 @@ def _run_free_group(params: dict) -> SuiteInstance:
     length = params["length"]
     words = _all_reduced_words(length)
     for w in words:
-        if f2.f2_conjugate_test(w, f2.f2_inverse(w)) is not None:
+        # the evidence tests w against root^-n, which is w^-1: one conjugacy
+        # test per word decides both failures
+        evidence = f2.f2_tss_obstruction(w)
+        if evidence.conjugate_to_inverse:
             return _instance(
                 params, "fail",
                 f"{f2.format_f2(w)} is conjugate to its inverse", start,
@@ -579,7 +582,6 @@ def _run_free_group(params: dict) -> SuiteInstance:
                 repro=f"tsslab word f2 conjugate {f2.format_f2(w)} "
                       f"{f2.format_f2(f2.f2_inverse(w))}",
             )
-        evidence = f2.f2_tss_obstruction(w)
         if not evidence.certified:
             return _instance(
                 params, "fail",

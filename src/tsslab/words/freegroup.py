@@ -5,9 +5,9 @@ Letters are signed integers: +1/-1 for a/a^-1, +2/-2 for b/b^-1.  Words are
 always stored freely reduced; the empty word is the identity.
 
 Input is checked where it enters: the public ``FreeWord(...)`` constructor,
-``f2_reduce`` (through that constructor) and ``parse_f2``.  Words made by the
-arithmetic here (products, inverses, cyclic cores, conjugators, roots) are
-reduced by construction and skip that check.
+``f2_reduce`` (every letter, before reducing) and ``parse_f2``.  Words made
+by the arithmetic here (products, inverses, cyclic cores, conjugators, roots)
+are reduced by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -19,14 +19,18 @@ _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
 _CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
 
 
+def _check_letters(letters: Iterable[int]) -> None:
+    for x in letters:
+        if x not in _CHAR_OF_LETTER:
+            raise ValueError(f"letter {x} is not one of +-1, +-2")
+
+
 @dataclass(frozen=True)
 class FreeWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for x in self.letters:
-            if x not in _CHAR_OF_LETTER:
-                raise ValueError(f"letter {x} is not one of +-1, +-2")
+        _check_letters(self.letters)
         for u, v in zip(self.letters, self.letters[1:]):
             if u == -v:
                 raise ValueError(
@@ -54,14 +58,17 @@ IDENTITY = FreeWord(())
 
 
 def f2_reduce(letters: Iterable[int]) -> FreeWord:
-    """Freely reduce a raw letter sequence; the letters are checked."""
+    """Freely reduce a raw letter sequence.  Every letter is checked before
+    reducing, so a bad letter is rejected even where it would cancel."""
+    letters = tuple(letters)
+    _check_letters(letters)
     stack: list[int] = []
     for x in letters:
         if stack and stack[-1] == -x:
             stack.pop()
         else:
             stack.append(x)
-    return FreeWord(tuple(stack))
+    return _free_word(tuple(stack))
 
 
 def f2_multiply(u: FreeWord, v: FreeWord) -> FreeWord:

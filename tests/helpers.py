@@ -5,12 +5,25 @@ by naive witness search over all pairs, centralizers by direct scans.
 """
 
 import itertools
+import math
 from typing import Optional
 
 import numpy as np
 
 from tsslab.cayley import CayleyTableError
-from tsslab.groups import FiniteGroup, GroupError, make_group, table_dtype
+from tsslab.groups import (
+    FiniteGroup,
+    GroupError,
+    SemidirectParams,
+    conjugacy_classes,
+    direct_product,
+    make_cyclic,
+    make_dihedral,
+    make_group,
+    make_semidirect_cyclic,
+    make_symmetric,
+    table_dtype,
+)
 from tsslab.words.freegroup import FreeWord, f2_reduce
 from tsslab.words.freeproduct import FpWord
 
@@ -98,6 +111,24 @@ def ref_product_mul(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:
             for (x1, y1) in pairs]
 
 
+def dense_corpus() -> list[tuple[FiniteGroup, list[list[int]]]]:
+    """Every constructor at small parameters, and products of them."""
+    out = [(make_cyclic(n), ref_cyclic_mul(n)) for n in range(1, 13)]
+    out += [(make_dihedral(n), ref_dihedral_mul(n)) for n in range(1, 13)]
+    out += [(make_symmetric(n), ref_symmetric_mul(n)) for n in range(1, 6)]
+    for p, m, k in [(2, 1, 1), (3, 2, 2), (3, 6, 2), (5, 4, 2), (7, 3, 2), (7, 6, 3),
+                    (11, 5, 3), (13, 3, 3), (5, 4, 1)]:
+        out.append((make_semidirect_cyclic(SemidirectParams(p, m, k)),
+                    ref_semidirect_mul(p, m, k)))
+    factors = [make_cyclic(1), make_cyclic(4), make_dihedral(3), make_symmetric(3),
+               make_semidirect_cyclic(SemidirectParams(7, 3, 2))]
+    for g, h in [(factors[0], factors[2]), (factors[1], factors[2]), (factors[2], factors[3]),
+                 (factors[3], factors[1]), (factors[4], factors[1]),
+                 (make_symmetric(4), factors[3])]:
+        out.append((direct_product(g, h), ref_product_mul(g, h)))
+    return out
+
+
 # --- reference for table validation ------------------------------------------
 
 def ref_check_assoc(mul: np.ndarray) -> None:
@@ -145,9 +176,20 @@ def ref_transposition_witnesses(g: FiniteGroup, elems: tuple[int, ...]):
 
 
 def ref_dedup(g: FiniteGroup, sets) -> list[tuple[int, ...]]:
-    """The sets equal to the least sorted image of themselves under conjugation."""
-    return [s for s in sets
-            if s == min(tuple(sorted(conj(g, q, x) for x in s)) for q in range(g.order))]
+    """The sets equal to the least sorted image of themselves under conjugation.
+
+    The images q s q^-1 are read off ``table`` and ``inv`` for every q at once;
+    each image is sorted, and the least one is the first row of a full
+    lexicographic sort."""
+    q = np.arange(g.order)
+    inv = np.array(g.inv)
+    kept = []
+    for s in sets:
+        images = np.sort(g.table[g.table[q[:, None], list(s)], inv[:, None]], axis=1)
+        least = images[np.lexsort(images.T[::-1])[0]]
+        if tuple(least.tolist()) == tuple(s):
+            kept.append(s)
+    return kept
 
 
 # --- per-entry references for the table codec and the scalar rows ------------
@@ -294,3 +336,30 @@ def ref_fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
 def ref_f2_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     """u v by freely reducing the whole concatenation."""
     return f2_reduce(u.letters + v.letters)
+
+
+# --- the per-candidate TSS search --------------------------------------------
+
+def ref_tss_by_size(g: FiniteGroup):
+    """Levels of certified TSS as lists of (elements, witnesses), one candidate
+    at a time: each size-k set is extended by every larger member of its first
+    member's class that commutes with all its members, and kept when
+    ``ref_transposition_witnesses`` finds a witness for every transposition.
+    Stops after the last nonempty level, or before size k when k! does not
+    divide the order."""
+    part = conjugacy_classes(g)
+    level = [((x,), {}) for x in range(g.order)]
+    size = 1
+    while level:
+        yield level
+        size += 1
+        if g.order % math.factorial(size):
+            return
+        nxt = []
+        for elems, _ in level:
+            for x in part.classes[part.class_of[elems[0]]]:
+                if x > elems[-1] and all(g.commutes(x, y) for y in elems):
+                    witnesses = ref_transposition_witnesses(g, elems + (x,))
+                    if None not in witnesses.values():
+                        nxt.append((elems + (x,), witnesses))
+        level = nxt

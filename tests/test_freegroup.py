@@ -249,6 +249,17 @@ class TestInputChecksKept:
             f2_reduce(letters)
         assert str(info.value) == f"letter {bad} is not one of +-1, +-2"
 
+    @pytest.mark.parametrize("letters,bad", [
+        ((1, 3, -3), 3), ((2, -2, 0), 0), ((1, -1, 5, -5, 1), 5)])
+    def test_reduce_checks_letters_that_cancel(self, letters, bad):
+        with pytest.raises(ValueError) as info:
+            f2_reduce(letters)
+        assert str(info.value) == f"letter {bad} is not one of +-1, +-2"
+
+    def test_reduce_accepts_every_good_letter(self):
+        assert f2_reduce([1, -1, 2, -2, 1, 2]) == FreeWord((1, 2))
+        assert f2_reduce(iter([2, 2, -2])) == FreeWord((2,))
+
     @pytest.mark.parametrize("text,message", [
         ("aAb", "word 'aAb' is not freely reduced; did you mean 'b'?"),
         ("abBA", "word 'abBA' is not freely reduced; did you mean 'e'?"),
@@ -258,3 +269,45 @@ class TestInputChecksKept:
         with pytest.raises(ValueError) as info:
             parse_f2(text)
         assert str(info.value) == message
+
+
+class TestFreeGroupSuite:
+    """``verify free-group`` runs one conjugacy test per word, and keeps both
+    failure messages and repro strings (checked with planted evidence)."""
+
+    def test_one_conjugacy_test_per_word(self, monkeypatch):
+        from tsslab import verify
+        from tsslab.words import freegroup
+
+        calls = []
+        real = freegroup.f2_conjugate_test
+        monkeypatch.setattr(freegroup, "f2_conjugate_test",
+                            lambda u, v: calls.append((u, v)) or real(u, v))
+        inst = verify.verify_suite("free-group", grid=[{"length": 3}]).instances[0]
+        assert inst.verdict == "pass" and len(calls) == 36
+        assert all(v == f2_inverse(u) for u, v in calls)
+
+    @pytest.mark.parametrize("conjugate,detail,repro", [
+        (True, "abA is conjugate to its inverse", "tsslab word f2 conjugate abA aBA"),
+        (False, "obstruction chain failed for abA", "tsslab word f2 obstruction abA"),
+    ])
+    def test_planted_evidence_fails(self, monkeypatch, conjugate, detail, repro):
+        from dataclasses import replace
+
+        from tsslab import verify
+        from tsslab.words import freegroup
+
+        real = freegroup.f2_tss_obstruction
+        bad = parse_f2("abA")
+
+        def planted(w):
+            evidence = real(w)
+            if w == bad:
+                evidence = replace(evidence, conjugate_to_inverse=conjugate, certified=False)
+            return evidence
+
+        monkeypatch.setattr(freegroup, "f2_tss_obstruction", planted)
+        inst = verify.verify_suite("free-group", grid=[{"length": 3}]).instances[0]
+        assert inst.verdict == "fail"
+        assert (inst.detail, inst.repro) == (detail, repro)
+        assert inst.counterexample == {"word": "abA"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,14 +32,10 @@ from helpers import (
     brute_centralizer,
     brute_conjugacy_partition,
     brute_conjugate_witness,
+    dense_corpus,
     is_subgroup,
     ref_check_assoc,
-    ref_cyclic_mul,
-    ref_dihedral_mul,
     ref_eager_mul,
-    ref_product_mul,
-    ref_semidirect_mul,
-    ref_symmetric_mul,
 )
 
 
@@ -449,25 +446,57 @@ class TestLightAssociativity:
         assert str(exc.value) == want
 
 
-def _dense_corpus():
-    """Every constructor at small parameters, and products of them."""
-    out = [(make_cyclic(n), ref_cyclic_mul(n)) for n in range(1, 13)]
-    out += [(make_dihedral(n), ref_dihedral_mul(n)) for n in range(1, 13)]
-    out += [(make_symmetric(n), ref_symmetric_mul(n)) for n in range(1, 6)]
-    for p, m, k in [(2, 1, 1), (3, 2, 2), (3, 6, 2), (5, 4, 2), (7, 3, 2), (7, 6, 3),
-                    (11, 5, 3), (13, 3, 3), (5, 4, 1)]:
-        out.append((make_semidirect_cyclic(SemidirectParams(p, m, k)),
-                    ref_semidirect_mul(p, m, k)))
-    factors = [make_cyclic(1), make_cyclic(4), make_dihedral(3), make_symmetric(3),
-               make_semidirect_cyclic(SemidirectParams(7, 3, 2))]
-    for g, h in [(factors[0], factors[2]), (factors[1], factors[2]), (factors[2], factors[3]),
-                 (factors[3], factors[1]), (factors[4], factors[1]),
-                 (make_symmetric(4), factors[3])]:
-        out.append((direct_product(g, h), ref_product_mul(g, h)))
-    return out
+    @staticmethod
+    def _document(table):
+        return f"{len(table)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+
+    def test_decoded_order_576_loop(self, monkeypatch):
+        # above order 512 a decoded document is still checked; the triple named
+        # is Light's failing y with its least failing (x, z), whatever the block
+        table = _intercalate_swap(parse_group_spec("product:sym:4,sym:4").table,
+                                  random.Random(576))
+        messages = []
+        for block in (groups._ASSOC_BLOCK, 1, 3 * 576, 100 * 576):
+            monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+            with pytest.raises(CayleyTableError) as exc:
+                from_cayley_table(self._document(table))
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        found = re.fullmatch(r"associativity fails at triple \((\d+), (\d+), (\d+)\)", messages[0])
+        x, y, z = map(int, found.groups())
+        fails = table[table[:, y]] != table[:, table[y]]  # [x, z]: (xy)z != x(yz)
+        assert fails[x, z] and (x, z) == divmod(int(fails.argmax()), len(table))
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_light_blocks_keep_verdicts(self, block, monkeypatch):
+        monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+        for seed in range(8):
+            rng = random.Random(seed)
+            table = _intercalate_swap(parse_group_spec("product:cyclic:2,sym:4").table, rng)
+            assert _assoc_outcome(groups.make_group, table) == _assoc_outcome(ref_check_assoc, table)
+        for loop in _order_5_loops():
+            table = _loop_times_group(loop, parse_group_spec("dihedral:3").table)
+            assert _assoc_outcome(groups.make_group, table) == _assoc_outcome(ref_check_assoc, table)
+        assert groups.make_group(parse_group_spec("sym:4").table).assoc_verified
+
+    def test_decoded_order_576_loop_exits_2(self, capsys, tmp_path):
+        from tsslab.cli import main
+
+        table = _intercalate_swap(parse_group_spec("product:sym:4,sym:4").table,
+                                  random.Random(576))
+        path = tmp_path / "loop576.cayley"
+        path.write_text(self._document(table))
+        assert main(["group", "info", "--spec", f"file:{path}"]) == 2
+        assert "associativity fails at triple (" in capsys.readouterr().err
+
+    def test_decoded_groups_above_512_are_verified(self):
+        for spec in ("product:sym:4,sym:4", "sym:6"):
+            g = parse_group_spec(spec)
+            assert g.order > groups.DEFAULT_ASSOC_CAP and not g.assoc_verified
+            assert from_cayley_table(to_cayley_table(g)).assoc_verified
 
 
-DENSE_CORPUS = _dense_corpus()
+DENSE_CORPUS = dense_corpus()
 
 
 class TestDenseCore:

@@ -28,7 +28,13 @@ from tsslab.tss import (
     realized_permutations,
 )
 
-from helpers import ref_dedup, ref_realized_permutations, ref_transposition_witnesses
+from helpers import (
+    dense_corpus,
+    ref_dedup,
+    ref_realized_permutations,
+    ref_transposition_witnesses,
+    ref_tss_by_size,
+)
 
 
 class TestRealizedPermutations:
@@ -292,3 +298,71 @@ class TestConjugationTableSearches:
         sets = _search_sets(g)
         kept = dedup_up_to_conjugacy(g, [TssCertificate(g, s) for s in sets])
         assert [c.elements for c in kept] == ref_dedup(g, sets)
+
+
+# the dense constructor corpus (orders 1 to 144) and three groups of order 576-1000
+LEVEL_GROUPS = [g for g, _ in dense_corpus()] + [
+    parse_group_spec(spec) for spec in ("product:sym:4,sym:4", "sym:6", "dihedral:500")]
+
+
+def _levels(g):
+    return [[(c.elements, c.witnesses) for c in level] for level in tss.tss_by_size(g)]
+
+
+def _non_tss_sets(g):
+    """Seeded sets of sizes 1-4, most of them not TSS."""
+    rng = random.Random(g.order + 1)
+    return [tuple(sorted(rng.sample(range(g.order), size)))
+            for size in (1, 2, 3, 4) if size <= g.order for _ in range(12)]
+
+
+class TestLevelSearch:
+    """The level-at-once search and batched dedup against the per-candidate loop."""
+
+    @pytest.mark.parametrize("g", LEVEL_GROUPS, ids=lambda g: g.name)
+    def test_levels_match_per_candidate_search(self, g):
+        levels = _levels(g)
+        assert levels == list(ref_tss_by_size(g))
+        for level in levels:
+            for elems, witnesses in level:
+                assert all(type(x) is int for x in elems)
+                assert all(type(q) is int for q in witnesses.values())
+
+    @pytest.mark.parametrize("g", LEVEL_GROUPS, ids=lambda g: g.name)
+    def test_dedup_matches_reference(self, g):
+        for level in tss.tss_by_size(g):
+            kept = dedup_up_to_conjugacy(g, level)
+            assert [c.elements for c in kept] == ref_dedup(g, [c.elements for c in level])
+            assert all(c in level for c in kept)
+        sets = _non_tss_sets(g)
+        kept = dedup_up_to_conjugacy(g, [TssCertificate(g, s) for s in sets])
+        assert [c.elements for c in kept] == ref_dedup(g, sets)
+
+    @pytest.mark.parametrize("block", ["one entry", "below one row"])
+    @pytest.mark.parametrize("spec", ["sym:4", "dihedral:24", "product:sym:4,sym:3",
+                                      "product:dihedral:4,dihedral:4"])
+    def test_block_seams(self, spec, block, monkeypatch):
+        g = parse_group_spec(spec)
+        levels = _levels(g)
+        dedups = [dedup_up_to_conjugacy(g, level) for level in tss.tss_by_size(g)]
+        sets = _non_tss_sets(g)
+        certs = [certify_tss(g, s) for s in sets]
+        # below one row: a block holds less than one set's gathered images
+        monkeypatch.setattr(tss, "_BLOCK", 1 if block == "one entry" else g.order - 1)
+        assert _levels(g) == levels
+        assert [dedup_up_to_conjugacy(g, level) for level in tss.tss_by_size(g)] == dedups
+        assert [certify_tss(g, s) for s in sets] == certs
+
+    def test_block_seams_split_a_level(self, monkeypatch):
+        # S4 x S3 level 2 spans many parent blocks and witness blocks at 64 entries
+        g = parse_group_spec("product:sym:4,sym:3")
+        monkeypatch.setattr(tss, "_BLOCK", 64)
+        assert _levels(g) == list(ref_tss_by_size(g))
+
+    def test_empty_level_and_prune(self):
+        # Z7: every class has one member, so level 2 is empty
+        assert [len(level) for level in tss.tss_by_size(make_cyclic(7))] == [7]
+        # S3 x Z7: level 3 is searched and empty; D8: 3! does not divide 8
+        assert [len(level) for level in tss.tss_by_size(
+            parse_group_spec("product:sym:3,cyclic:7"))] == [42, 7]
+        assert [len(level) for level in tss.tss_by_size(make_dihedral(4))] == [8, 3]
