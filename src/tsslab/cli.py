@@ -441,18 +441,9 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     options: dict[str, Any] = {"seed": args.seed}
-    if args.max_order is not None:
-        options["max_order"] = args.max_order
-    if args.max_len is not None:
-        options["max_len"] = args.max_len
-    if args.max_syllables is not None:
-        options["max_syllables"] = args.max_syllables
-    if args.radius is not None:
-        options["radius"] = args.radius
-    if args.bound is not None:
-        options["bound"] = args.bound
-    if args.samples is not None:
-        options["samples"] = args.samples
+    for name in ("max_order", "max_len", "max_syllables", "radius", "bound", "samples"):
+        if getattr(args, name) is not None:
+            options[name] = getattr(args, name)
     if args.budget != homs.DEFAULT_HOM_BUDGET:
         options["budget"] = args.budget
     grid = verify.THEOREMS[args.theorem].grid(options, args.grid) if args.grid else None

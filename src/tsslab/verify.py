@@ -14,9 +14,9 @@ import random
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from . import homs, tss
 from .groups import (
@@ -56,33 +56,35 @@ class SuiteResult:
     artifacts: tuple[str, ...] = ()
 
 
-def _instance(params: dict, verdict: str, detail: str, start: float,
-              counterexample: Optional[dict] = None, repro: Optional[str] = None) -> SuiteInstance:
-    return SuiteInstance(
-        params=params,
-        verdict=verdict,
-        detail=detail,
-        counterexample=counterexample,
-        repro=repro,
-        elapsed_s=time.perf_counter() - start,
-    )
+def _s_claim(params: dict, spec: str, g: FiniteGroup, holds: Callable[[int], bool],
+             note: Callable[[int], str] = lambda s: "", fail_note: str = "",
+             counterexample: Callable[[tss.TssReport], dict] = (
+                 lambda report: certificate_to_json(report.maximal_sets[0]))) -> SuiteInstance:
+    """The instance for a claim ``holds`` on S(g): pass with ``S(g) = s`` and
+    ``note(s)``, or fail with ``fail_note``, ``counterexample(report)`` (a
+    maximal set) and the ``tss max`` command for ``spec``."""
+    report = tss.max_tss_size(g)
+    s = report.s_of_g
+    if holds(s):
+        return SuiteInstance(params, "pass", f"S({g.name}) = {s}{note(s)}")
+    return _tss_max_failure(params, f"S({g.name}) = {s}{fail_note}", counterexample(report), spec)
+
+
+def _tss_max_failure(params: dict, detail: str, counterexample: dict, spec: str) -> SuiteInstance:
+    """A failing instance re-run by ``tsslab tss max`` on ``spec``."""
+    return SuiteInstance(params, "fail", detail, counterexample, f"tsslab tss max --group {spec}")
+
+
+def _cert_failure(params: dict, detail: str, cert: tss.TssCertificate, repro: str) -> SuiteInstance:
+    """A failing instance whose counterexample is a certified TSS."""
+    return SuiteInstance(params, "fail", detail, certificate_to_json(cert), repro)
 
 
 # --- abelian -----------------------------------------------------------------
 
 def _run_abelian(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
-    n = params["n"]
-    g = parse_group_spec(f"cyclic:{n}")
-    report = tss.max_tss_size(g)
-    if report.s_of_g == 1:
-        return _instance(params, "pass", f"S({g.name}) = 1", start)
-    bad = report.maximal_sets[0]
-    return _instance(
-        params, "fail", f"S({g.name}) = {report.s_of_g}", start,
-        counterexample=certificate_to_json(bad),
-        repro=f"tsslab tss max --group cyclic:{n}",
-    )
+    spec = f"cyclic:{params['n']}"
+    return _s_claim(params, spec, parse_group_spec(spec), lambda s: s == 1)
 
 
 # --- dihedral ----------------------------------------------------------------
@@ -100,7 +102,6 @@ def predicted_dihedral_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _run_dihedral(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     n = params["n"]
     g = parse_group_spec(f"dihedral:{n}")
     levels = list(tss.tss_by_size(g))
@@ -108,10 +109,9 @@ def _run_dihedral(params: dict) -> SuiteInstance:
     expected = [tuple(p) for p in predicted_dihedral_pairs(n)]
     if len(levels) == 2 and found == expected:
         note = " (reflection family present)" if n % 4 == 0 else ""
-        return _instance(params, "pass", f"S(D{2*n}) = 2, {len(found)} literal sets{note}", start)
-    return _instance(
-        params, "fail",
-        f"S = {len(levels)}; found {found}, expected {expected}", start,
+        return SuiteInstance(params, "pass", f"S(D{2*n}) = 2, {len(found)} literal sets{note}")
+    return SuiteInstance(
+        params, "fail", f"S = {len(levels)}; found {found}, expected {expected}",
         counterexample={"found": [list(t) for t in found],
                         "expected": [list(t) for t in expected]},
         repro=f"tsslab tss list --group dihedral:{n} --size 2",
@@ -129,17 +129,15 @@ def _multiplicative_order(k: int, p: int) -> int:
 
 
 def _run_semidirect(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     p, m, k = params["p"], params["m"], params["k"]
     spec = f"semidirect:{p},{m},{k}"
     if pow(k, m, p) != 1:
         # ord_p(k) does not divide m: the action is ill-defined, no group of
         # order p*m exists with this presentation data.
-        return _instance(
+        return SuiteInstance(
             params, "not-applicable",
             f"k^m = {k}^{m} is {pow(k, m, p)} mod {p}, not 1: "
             f"no semidirect product exists for these parameters",
-            start,
         )
     g = parse_group_spec(spec)
     # The proof constructs the swap only when -1 is a power of k mod p
@@ -147,36 +145,18 @@ def _run_semidirect(params: dict) -> SuiteInstance:
     order_k = _multiplicative_order(k, p)
     minus_one_reachable = any(pow(k, f, p) == p - 1 for f in range(order_k))
     if m % p != 0 or not minus_one_reachable:
-        report = tss.max_tss_size(g)
-        return _instance(
+        return SuiteInstance(
             params, "not-applicable",
             f"proof construction unavailable (p|m: {m % p == 0}, "
-            f"-1 in <k>: {minus_one_reachable}); observed S = {report.s_of_g}",
-            start,
+            f"-1 in <k>: {minus_one_reachable}); observed S = {tss.max_tss_size(g).s_of_g}",
         )
-    report = tss.max_tss_size(g)
-    if report.s_of_g == 2:
-        return _instance(params, "pass", f"S({g.name}) = 2", start)
-    return _instance(
-        params, "fail", f"S({g.name}) = {report.s_of_g}", start,
-        counterexample={"counts": {str(a): b for a, b in report.counts.items()}},
-        repro=f"tsslab tss max --group {spec}",
-    )
+    return _s_claim(params, spec, g, lambda s: s == 2, counterexample=lambda report: {
+        "counts": {str(a): b for a, b in report.counts.items()}})
 
 
 # --- direct product ----------------------------------------------------------
 
-def _coordinate_structure_ok(elements: Sequence[int], h_order: int) -> bool:
-    firsts = [split_product_index(x, h_order)[0] for x in elements]
-    seconds = [split_product_index(x, h_order)[1] for x in elements]
-    for coords in (firsts, seconds):
-        if len(set(coords)) not in (1, len(coords)):
-            return False
-    return True
-
-
 def _run_direct_product(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     left_spec, right_spec = params["left"], params["right"]
     g = parse_group_spec(left_spec)
     h = parse_group_spec(right_spec)
@@ -187,47 +167,35 @@ def _run_direct_product(params: dict) -> SuiteInstance:
     levels = list(tss.tss_by_size(prod))
     expected = max(s_g, s_h)
     if len(levels) != expected:
-        return _instance(
-            params, "fail",
-            f"S({prod.name}) = {len(levels)}, expected max({s_g},{s_h}) = {expected}",
-            start,
-            counterexample={"s_product": len(levels), "s_left": s_g, "s_right": s_h},
-            repro=f"tsslab tss max --group {product_spec}",
+        return _tss_max_failure(
+            params, f"S({prod.name}) = {len(levels)}, expected max({s_g},{s_h}) = {expected}",
+            {"s_product": len(levels), "s_left": s_g, "s_right": s_h}, product_spec,
         )
     min_attained = False
     for size, level in enumerate(levels[1:], start=2):
         for cert in level:
-            if not _coordinate_structure_ok(cert.elements, h.order):
-                return _instance(
-                    params, "fail",
-                    "coordinate-structure corollary violated", start,
-                    counterexample=certificate_to_json(cert),
-                    repro=f"tsslab tss list --group {product_spec} --size {size}",
-                )
-            firsts = {split_product_index(x, h.order)[0] for x in cert.elements}
-            seconds = {split_product_index(x, h.order)[1] for x in cert.elements}
-            if len(firsts) == size and len(seconds) == size:
+            # the number of distinct first and of distinct second coordinates
+            distinct = [len(set(coords)) for coords in
+                        zip(*(split_product_index(x, h.order) for x in cert.elements))]
+            if any(d not in (1, size) for d in distinct):
+                bad = "coordinate-structure corollary violated"
+            elif distinct == [size, size] and size > min(s_g, s_h):
                 # distinct in both coordinates: the projection argument gives
                 # size <= min; equality is reported, never asserted.
-                if size > min(s_g, s_h):
-                    return _instance(
-                        params, "fail",
-                        f"doubly-distinct TSS of size {size} > min({s_g},{s_h})",
-                        start,
-                        counterexample=certificate_to_json(cert),
-                        repro=f"tsslab tss list --group {product_spec} --size {size}",
-                    )
-                if size == min(s_g, s_h):
-                    min_attained = True
+                bad = f"doubly-distinct TSS of size {size} > min({s_g},{s_h})"
+            else:
+                min_attained |= distinct == [size, size] and size == min(s_g, s_h)
+                continue
+            return _cert_failure(params, bad, cert,
+                                 f"tsslab tss list --group {product_spec} --size {size}")
     detail = f"S({prod.name}) = {expected} = max(S)"
     detail += f"; doubly-distinct sets attain min({s_g},{s_h}): {'yes' if min_attained else 'no'}"
-    return _instance(params, "pass", detail, start)
+    return SuiteInstance(params, "pass", detail)
 
 
 # --- free product ------------------------------------------------------------
 
 def _run_free_product(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     left_spec, right_spec = params["left"], params["right"]
     max_syllables = params["max_syllables"]
     g = parse_group_spec(left_spec)
@@ -242,34 +210,27 @@ def _run_free_product(params: dict) -> SuiteInstance:
         certified += 1
         biggest = max(biggest, verdict.size)
         if verdict.size > bound:
-            return _instance(
-                params, "fail",
-                f"TSS of size {verdict.size} > max factor bound {bound}", start,
-                counterexample={"words": [fp.format_fp(w) for w in clique]},
-                repro=f"tsslab word fp --factors '{left_spec},{right_spec}' analyze "
-                      + " ".join(f"'{fp.format_fp(w)}'" for w in clique),
-            )
-        if verdict.classification != "factor_conjugate":
-            return _instance(
-                params, "fail",
-                f"certified TSS does not reduce to a factor: {verdict.classification}",
-                start,
-                counterexample={"words": [fp.format_fp(w) for w in clique]},
-                repro=f"tsslab word fp --factors '{left_spec},{right_spec}' analyze "
-                      + " ".join(f"'{fp.format_fp(w)}'" for w in clique),
-            )
-    return _instance(
+            bad = f"TSS of size {verdict.size} > max factor bound {bound}"
+        elif verdict.classification != "factor_conjugate":
+            bad = f"certified TSS does not reduce to a factor: {verdict.classification}"
+        else:
+            continue
+        words = [fp.format_fp(w) for w in clique]
+        return SuiteInstance(
+            params, "fail", bad, counterexample={"words": words},
+            repro=f"tsslab word fp --factors '{left_spec},{right_spec}' analyze "
+                  + " ".join(f"'{w}'" for w in words),
+        )
+    return SuiteInstance(
         params, "pass",
         f"ball {max_syllables}: {certified} multi-element TSS, "
         f"largest {biggest} <= max factor bound {bound}",
-        start,
     )
 
 
 # --- inverse pair lemma ------------------------------------------------------
 
 def _run_inverse_pair(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     spec = params["group"]
     g = parse_group_spec(spec)
     checked = 0
@@ -279,13 +240,9 @@ def _run_inverse_pair(params: dict) -> SuiteInstance:
             if any(g.inv[x] in elems and g.inv[x] != x for x in elems):
                 checked += 1
                 if len(elems) != 2:
-                    return _instance(
-                        params, "fail",
-                        f"TSS with an inverse pair has size {len(elems)}", start,
-                        counterexample=certificate_to_json(cert),
-                        repro=f"tsslab tss list --group {spec} --size {size}",
-                    )
-    return _instance(params, "pass", f"{checked} inverse-pair TSS, all of size 2", start)
+                    return _cert_failure(params, f"TSS with an inverse pair has size {len(elems)}",
+                                         cert, f"tsslab tss list --group {spec} --size {size}")
+    return SuiteInstance(params, "pass", f"{checked} inverse-pair TSS, all of size 2")
 
 
 # --- odd order ---------------------------------------------------------------
@@ -311,96 +268,69 @@ def odd_order_corpus(max_order: int) -> list[str]:
 
 
 def _run_odd_order(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     spec = params["group"]
     g = parse_group_spec(spec)
-    if g.order % 2 == 0:  # pragma: no cover - corpus is odd by construction
-        return _instance(params, "not-applicable", f"{g.name} has even order", start)
-    report = tss.max_tss_size(g)
-    if report.s_of_g == 1:
-        return _instance(params, "pass", f"S({g.name}) = 1 (order {g.order})", start)
-    return _instance(
-        params, "fail", f"S({g.name}) = {report.s_of_g}", start,
-        counterexample=certificate_to_json(report.maximal_sets[0]),
-        repro=f"tsslab tss max --group {spec}",
-    )
+    if g.order % 2 == 0:
+        return SuiteInstance(params, "not-applicable", f"{g.name} has even order")
+    return _s_claim(params, spec, g, lambda s: s == 1, lambda s: f" (order {g.order})")
 
 
 # --- solvable ----------------------------------------------------------------
 
 def _run_solvable(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     spec = params["group"]
     g = parse_group_spec(spec)
     series = derived_series(g)
     if not series.solvable:
-        return _instance(
+        return SuiteInstance(
             params, "not-applicable",
             f"{g.name} is not solvable (terminal term {len(series.terms[-1])})",
-            start,
         )
-    report = tss.max_tss_size(g)
-    if report.s_of_g <= 4:
-        note = ""
-        if report.s_of_g >= 3:
-            note = f"; size-{report.s_of_g} TSS exists in a solvable group"
-        return _instance(
-            params, "pass",
-            f"S({g.name}) = {report.s_of_g} <= 4 "
-            f"(derived length {len(series.terms) - 1}){note}",
-            start,
-        )
-    return _instance(
-        params, "fail", f"S({g.name}) = {report.s_of_g} > 4", start,
-        counterexample=certificate_to_json(report.maximal_sets[0]),
-        repro=f"tsslab tss max --group {spec}",
-    )
+
+    def note(s: int) -> str:
+        size_note = f"; size-{s} TSS exists in a solvable group" if s >= 3 else ""
+        return f" <= 4 (derived length {len(series.terms) - 1}){size_note}"
+
+    return _s_claim(params, spec, g, lambda s: s <= 4, note, " > 4")
 
 
 # --- stabilizer SES ----------------------------------------------------------
 
 def _run_stabilizer_ses(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     spec = params["group"]
     samples = params["samples"]
     seed = params["seed"]
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     g = parse_group_spec(spec)
+
+    def repro(elements: Iterable[int]) -> str:
+        return f"tsslab stab decompose --group {spec} --elements {','.join(map(str, elements))}"
+
     checked = 0
     for size, level in enumerate(tss.tss_by_size(g), start=1):
         for cert in level:
             dec = tss.realized_permutations(g, cert.elements)
             if len(dec.stabilizer) != len(dec.kernel) * len(dec.realized):
-                return _instance(
-                    params, "fail", "|Stab| != |kernel| * |realized| on a TSS", start,
-                    counterexample=certificate_to_json(cert),
-                    repro=f"tsslab stab decompose --group {spec} "
-                          f"--elements {','.join(map(str, cert.elements))}",
-                )
-            if len(dec.stabilizer) % math.factorial(size) != 0:
-                return _instance(
-                    params, "fail", f"{size}! does not divide |Stab|", start,
-                    counterexample=certificate_to_json(cert),
-                    repro=f"tsslab stab decompose --group {spec} "
-                          f"--elements {','.join(map(str, cert.elements))}",
-                )
-            checked += 1
+                bad = "|Stab| != |kernel| * |realized| on a TSS"
+            elif len(dec.stabilizer) % math.factorial(size) != 0:
+                bad = f"{size}! does not divide |Stab|"
+            else:
+                checked += 1
+                continue
+            return _cert_failure(params, bad, cert, repro(cert.elements))
     rng = random.Random(seed)
     for _ in range(samples):
         size = rng.randint(1, min(4, g.order))
         s = tuple(sorted(rng.sample(range(g.order), size)))
         dec = tss.realized_permutations(g, s)
         if len(dec.stabilizer) != len(dec.kernel) * len(dec.realized):
-            return _instance(
-                params, "fail",
-                "|Stab| != |kernel| * |realized| on a sampled set", start,
-                counterexample={"elements": list(s)},
-                repro=f"tsslab stab decompose --group {spec} "
-                      f"--elements {','.join(map(str, s))}",
+            return SuiteInstance(
+                params, "fail", "|Stab| != |kernel| * |realized| on a sampled set",
+                counterexample={"elements": list(s)}, repro=repro(s),
             )
         checked += 1
-    return _instance(params, "pass", f"SES identity held on {checked} sets", start)
+    return SuiteInstance(params, "pass", f"SES identity held on {checked} sets")
 
 
 # --- fundamental lemma -------------------------------------------------------
@@ -410,14 +340,30 @@ def _budget_param(opts: dict) -> dict:
     return {"budget": opts["budget"]} if "budget" in opts else {}
 
 
-# fixture name -> the branch the lemma should take on it
-_LEMMA_FIXTURES = {
-    "identity-d8": "same_size",
-    "identity-s4": "same_size",
-    "quotient-d8-r2": "collapsed",
-    "quotient-s4-v": "collapsed",
-    "braid-b4-s4": "same_size",
-    "sweep-s4-s3": "sweep",
+def _s4_klein(s4: FiniteGroup) -> list[int]:
+    labels = ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")
+    return [i for i, lab in enumerate(s4.labels) if lab in labels]
+
+
+def _s4_indices(s4: FiniteGroup, *labels: str) -> list[int]:
+    return [s4.labels.index(lab) for lab in labels]
+
+
+# fixture name -> the branch the lemma should take on it, the group, and the
+# hom and set checked on that group (none for the sweep over all of them)
+_LEMMA_FIXTURES: dict[str, tuple[str, str, Optional[Callable[[FiniteGroup], tuple]]]] = {
+    "identity-d8": ("same_size", "dihedral:4", lambda d8: (homs.identity_hom(d8), [1, 3])),
+    "identity-s4": ("same_size", "sym:4", lambda s4: (homs.identity_hom(s4), _s4_klein(s4))),
+    "quotient-d8-r2": ("collapsed", "dihedral:4",
+                       lambda d8: (homs.quotient_hom(d8, [0, 2]), [1, 3])),
+    "quotient-s4-v": ("collapsed", "sym:4", lambda s4: (
+        homs.quotient_hom(s4, [s4.identity, *_s4_klein(s4)]),
+        _s4_indices(s4, "(1 2)", "(3 4)"))),
+    "braid-b4-s4": ("same_size", "sym:4", lambda s4: (
+        homs.GeneratorImageMap(homs.braid_presentation(4), s4,
+                               tuple(_s4_indices(s4, "(1 2)", "(2 3)", "(3 4)"))),
+        homs.odd_artin_generators(4))),
+    "sweep-s4-s3": ("sweep", "sym:4", None),
 }
 
 
@@ -425,61 +371,34 @@ def _lemma_instance(name: str, opts: dict) -> dict:
     if name not in _LEMMA_FIXTURES:
         raise GroupError(f"unknown fundamental-lemma fixture {name!r}; "
                          f"known fixtures: {', '.join(_LEMMA_FIXTURES)}")
-    expect = _LEMMA_FIXTURES[name]
+    expect = _LEMMA_FIXTURES[name][0]
     return {"fixture": name, "expect": expect,
             **(_budget_param(opts) if expect == "sweep" else {})}
 
 
-def _s4_klein(s4: FiniteGroup) -> list[int]:
-    labels = ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")
-    return [i for i, lab in enumerate(s4.labels) if lab in labels]
-
-
 def _run_fundamental_lemma(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     fixture = params["fixture"]
     expect = params["expect"]
-    d8 = parse_group_spec("dihedral:4")
-    s4 = parse_group_spec("sym:4")
-    if fixture == "identity-d8":
-        verdict = homs.fundamental_lemma_check(homs.identity_hom(d8), [1, 3])
-    elif fixture == "identity-s4":
-        verdict = homs.fundamental_lemma_check(homs.identity_hom(s4), _s4_klein(s4))
-    elif fixture == "quotient-d8-r2":
-        verdict = homs.fundamental_lemma_check(homs.quotient_hom(d8, [0, 2]), [1, 3])
-    elif fixture == "quotient-s4-v":
-        i12 = s4.labels.index("(1 2)")
-        i34 = s4.labels.index("(3 4)")
-        normal = [s4.identity] + _s4_klein(s4)
-        verdict = homs.fundamental_lemma_check(homs.quotient_hom(s4, normal), [i12, i34])
-    elif fixture == "braid-b4-s4":
-        pres = homs.braid_presentation(4)
-        images = (s4.labels.index("(1 2)"), s4.labels.index("(2 3)"), s4.labels.index("(3 4)"))
-        verdict = homs.fundamental_lemma_check(
-            homs.GeneratorImageMap(pres, s4, images), homs.odd_artin_generators(4)
-        )
-    elif fixture == "sweep-s4-s3":
+    if fixture not in _LEMMA_FIXTURES:
+        raise ValueError(f"unknown fixture {fixture!r}")
+    _, spec, build = _LEMMA_FIXTURES[fixture]
+    g = parse_group_spec(spec)
+    if build is None:
         s3 = parse_group_spec("sym:3")
-        all_tss = [c for level in list(tss.tss_by_size(s4))[1:] for c in level]
+        all_tss = [c for level in list(tss.tss_by_size(g))[1:] for c in level]
         pairs = 0
         budget = params.get("budget", homs.DEFAULT_HOM_BUDGET)
-        for hom in homs.enumerate_table_homs(s4, s3, budget=budget):
+        for hom in homs.enumerate_table_homs(g, s3, budget=budget):
             for cert in all_tss:
                 homs.fundamental_lemma_check(hom, cert.elements)  # raises on violation
                 pairs += 1
-        return _instance(
-            params, "pass", f"lemma held on {pairs} (hom, TSS) pairs S4 -> S3", start
-        )
-    else:
-        raise ValueError(f"unknown fixture {fixture!r}")
+        return SuiteInstance(params, "pass", f"lemma held on {pairs} (hom, TSS) pairs S4 -> S3")
+    verdict = homs.fundamental_lemma_check(*build(g))
     if verdict.branch == expect:
-        return _instance(
-            params, "pass",
-            f"{fixture}: image {verdict.image} branch {verdict.branch}", start,
-        )
-    return _instance(
-        params, "fail",
-        f"{fixture}: branch {verdict.branch}, expected {expect}", start,
+        return SuiteInstance(params, "pass",
+                             f"{fixture}: image {verdict.image} branch {verdict.branch}")
+    return SuiteInstance(
+        params, "fail", f"{fixture}: branch {verdict.branch}, expected {expect}",
         counterexample={"image": list(verdict.image)},
         repro="tsslab verify fundamental-lemma",
     )
@@ -488,59 +407,51 @@ def _run_fundamental_lemma(params: dict) -> SuiteInstance:
 # --- no injection ------------------------------------------------------------
 
 def _run_no_injection(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     source_spec, target_spec = params["source"], params["target"]
     source = parse_group_spec(source_spec)
     target = parse_group_spec(target_spec)
     s_source = tss.max_tss_size(source).s_of_g
     s_target = tss.max_tss_size(target).s_of_g
     if s_source <= s_target:
-        return _instance(
+        return SuiteInstance(
             params, "not-applicable",
-            f"S({source.name}) = {s_source} <= S({target.name}) = {s_target}", start,
+            f"S({source.name}) = {s_source} <= S({target.name}) = {s_target}",
         )
     budget = params.get("budget", homs.DEFAULT_HOM_BUDGET)
     count = 0
     for hom in homs.enumerate_table_homs(source, target, budget=budget):
         count += 1
         if len(set(hom.mapping)) == source.order:
-            return _instance(
-                params, "fail", "found an injective homomorphism", start,
-                counterexample={"mapping": list(hom.mapping)},
-                repro=f"tsslab tss max --group {source_spec}",
-            )
-    return _instance(
+            return _tss_max_failure(params, "found an injective homomorphism",
+                                    {"mapping": list(hom.mapping)}, source_spec)
+    return SuiteInstance(
         params, "pass",
         f"none of {count} homomorphisms {source.name} -> {target.name} injective "
         f"(S: {s_source} > {s_target})",
-        start,
     )
 
 
 # --- braid corollary ---------------------------------------------------------
 
 def _run_braid_corollary(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     n = params["strands"]
     target_spec = params["target"]
     budget = params.get("budget", homs.DEFAULT_HOM_BUDGET)
     target = parse_group_spec(target_spec)
     report = homs.braid_cyclic_corollary_check(n, target, budget=budget)
     if not report.applicable:
-        return _instance(
+        return SuiteInstance(
             params, "not-applicable",
             f"S({target.name}) = {report.s_target} >= floor({n}/2) = {report.threshold}",
-            start,
         )
     if report.all_cyclic:
-        return _instance(
+        return SuiteInstance(
             params, "pass",
             f"{report.hom_count} homomorphisms B_{n} -> {target.name}, all cyclic; "
             f"image orders {report.image_order_histogram}",
-            start,
         )
-    return _instance(
-        params, "fail", "non-cyclic image found", start,
+    return SuiteInstance(
+        params, "fail", "non-cyclic image found",
         counterexample={"images": list(report.noncyclic_images[0])},
         repro=f"tsslab hom braid-check --strands {n} --target {target_spec}",
     )
@@ -567,74 +478,69 @@ def _all_reduced_words(length: int) -> list[f2.FreeWord]:
 
 
 def _run_free_group(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     length = params["length"]
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     words = _all_reduced_words(length)
     for w in words:
         # the evidence tests w against root^-n, which is w^-1: one conjugacy
         # test per word decides both failures
         evidence = f2.f2_tss_obstruction(w)
         if evidence.conjugate_to_inverse:
-            return _instance(
-                params, "fail",
-                f"{f2.format_f2(w)} is conjugate to its inverse", start,
+            return SuiteInstance(
+                params, "fail", f"{f2.format_f2(w)} is conjugate to its inverse",
                 counterexample={"word": f2.format_f2(w)},
                 repro=f"tsslab word f2 conjugate {f2.format_f2(w)} "
                       f"{f2.format_f2(f2.f2_inverse(w))}",
             )
         if not evidence.certified:
-            return _instance(
-                params, "fail",
-                f"obstruction chain failed for {f2.format_f2(w)}", start,
+            return SuiteInstance(
+                params, "fail", f"obstruction chain failed for {f2.format_f2(w)}",
                 counterexample={"word": f2.format_f2(w)},
                 repro=f"tsslab word f2 obstruction {f2.format_f2(w)}",
             )
-    return _instance(
+    return SuiteInstance(
         params, "pass",
         f"all {len(words)} reduced words of length {length}: "
         f"never conjugate to the inverse, obstruction certified",
-        start,
     )
 
 
 # --- Baumslag-Solitar ---------------------------------------------------------
 
 def _run_baumslag(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     n = params["n"]
     radius = params["radius"]
     bound = params["bound"]
     report = bs.bs_classification_check(n, radius, bound=bound)
     if not report.all_ok:
         bad = next(i for i in report.instances if i.verdict == "fail")
-        return _instance(
-            params, "fail", f"BS(1,{n}): {bad.detail}", start,
+        return SuiteInstance(
+            params, "fail", f"BS(1,{n}): {bad.detail}",
             counterexample={"u": str(bad.u), "v": str(bad.v)},
             repro=f"tsslab word bs --n {n} classify --radius {radius} --bound {bound}",
         )
     if report.branch == "rigid":
-        return _instance(
+        return SuiteInstance(
             params, f"exhausted({bound})",
             f"BS(1,{n}): {len(report.instances)} commuting pairs, no swap witness; "
             f"exact unique-solution conditions verified",
-            start,
         )
     detail = (
         f"BS(1,{n}) abelian: only singletons"
         if report.branch == "abelian"
         else f"BS(1,{n}): {len(report.instances)} certified size-2 TSS, no size-3 extension"
     )
-    return _instance(params, "pass", detail, start)
+    return SuiteInstance(params, "pass", detail)
 
 
 # --- oracle equivalence ------------------------------------------------------
 
 def _run_oracle(params: dict) -> SuiteInstance:
-    start = time.perf_counter()
     spec = params["group"]
     g = parse_group_spec(spec)
     if g.order > 24:
-        return _instance(params, "not-applicable", f"order {g.order} > 24", start)
+        return SuiteInstance(params, "not-applicable", f"order {g.order} > 24")
     levels = [*tss.tss_by_size(g), []]  # one size past S(G), which must be empty
     s_val = len(levels) - 1
     for size, level in enumerate(levels, start=1):
@@ -642,15 +548,12 @@ def _run_oracle(params: dict) -> SuiteInstance:
         brute = tss.brute_force_tss(g, size)
         if pruned != brute:
             diff = sorted(set(pruned) ^ set(brute))[0]
-            return _instance(
-                params, "fail",
-                f"size {size}: pruned and brute-force lists differ", start,
+            return SuiteInstance(
+                params, "fail", f"size {size}: pruned and brute-force lists differ",
                 counterexample={"size": size, "first_difference": list(diff)},
                 repro=f"tsslab tss list --group {spec} --size {size}",
             )
-    return _instance(
-        params, "pass", f"identical TSS lists for sizes 1..{s_val + 1}", start
-    )
+    return SuiteInstance(params, "pass", f"identical TSS lists for sizes 1..{s_val + 1}")
 
 
 # --- registry ----------------------------------------------------------------
@@ -844,7 +747,9 @@ THEOREMS: dict[str, TheoremSpec] = {
 
 def _run_instance(arg: tuple[str, dict]) -> SuiteInstance:
     theorem, params = arg
-    return THEOREMS[theorem].runner(params)
+    start = time.perf_counter()
+    instance = THEOREMS[theorem].runner(params)
+    return replace(instance, elapsed_s=time.perf_counter() - start)
 
 
 def verify_suite(
@@ -888,13 +793,7 @@ def verify_suite(
         path.mkdir(parents=True, exist_ok=True)
         artifact = path / f"{theorem}.json"
         artifact.write_text(json.dumps(suite_result_to_json(result), indent=2, sort_keys=True) + "\n")
-        result = SuiteResult(
-            theorem=result.theorem,
-            instances=result.instances,
-            passed=result.passed,
-            elapsed_s=result.elapsed_s,
-            artifacts=(str(artifact),),
-        )
+        result = replace(result, artifacts=(str(artifact),))
     return result
 
 
@@ -923,30 +822,27 @@ def suite_result_to_json(result: SuiteResult) -> dict[str, Any]:
 
 def table_rows() -> list[tuple[str, str]]:
     """The classification summary: computed S values per family, deterministic."""
-    rows: list[tuple[str, str]] = []
-    rows.append((str(tss.max_tss_size(parse_group_spec("cyclic:12")).s_of_g), "Abelian (Z12)"))
-    ev_ok = all(
-        f2.f2_tss_obstruction(w).certified for w in _all_reduced_words(4)
-    )
-    rows.append(("1" if ev_ok else "?", "Free group F2 (words <= 4, bounded)"))
-    rows.append((str(tss.max_tss_size(parse_group_spec("semidirect:7,3,2")).s_of_g),
-                 "Odd order (Z7 x| Z3)"))
+    def s_of(spec: str) -> int:
+        return tss.max_tss_size(parse_group_spec(spec)).s_of_g
+
+    ev_ok = all(f2.f2_tss_obstruction(w).certified for w in _all_reduced_words(4))
     bs_rigid = bs.bs_classification_check(2, 3, bound=4)
-    rows.append(("1" if bs_rigid.all_ok else "?", "BS(1,2) (radius 3, bounded)"))
-    rows.append((str(tss.max_tss_size(parse_group_spec("dihedral:5")).s_of_g), "Dihedral (D10)"))
-    rows.append((str(tss.max_tss_size(parse_group_spec("semidirect:3,6,2")).s_of_g),
-                 "Z3 x| Z6 (k=2)"))
     bs_minus = bs.bs_classification_check(-1, 3, bound=4)
-    rows.append(("2" if bs_minus.all_ok else "?", "BS(1,-1) (radius 3)"))
-    s4_val = tss.max_tss_size(parse_group_spec("sym:4")).s_of_g
-    rows.append((f"{s4_val} (<= 4)", "Solvable (S4; bound from the SES)"))
-    prod = tss.max_tss_size(parse_group_spec("product:dihedral:3,sym:4")).s_of_g
-    rows.append((f"max = {prod}", "Direct product (D6 x S4)"))
-    g3 = parse_group_spec("cyclic:3")
     biggest = 1
-    for clique in fp.fp_commuting_cliques(g3, parse_group_spec("cyclic:3"), 3):
+    for clique in fp.fp_commuting_cliques(parse_group_spec("cyclic:3"),
+                                          parse_group_spec("cyclic:3"), 3):
         verdict = fp.fp_tss_analyze(clique)
         if verdict.is_tss:
             biggest = max(biggest, verdict.size)
-    rows.append((f"max = {biggest}", "Free product (Z3 * Z3, ball 3)"))
-    return rows
+    return [
+        (str(s_of("cyclic:12")), "Abelian (Z12)"),
+        ("1" if ev_ok else "?", "Free group F2 (words <= 4, bounded)"),
+        (str(s_of("semidirect:7,3,2")), "Odd order (Z7 x| Z3)"),
+        ("1" if bs_rigid.all_ok else "?", "BS(1,2) (radius 3, bounded)"),
+        (str(s_of("dihedral:5")), "Dihedral (D10)"),
+        (str(s_of("semidirect:3,6,2")), "Z3 x| Z6 (k=2)"),
+        ("2" if bs_minus.all_ok else "?", "BS(1,-1) (radius 3)"),
+        (f"{s_of('sym:4')} (<= 4)", "Solvable (S4; bound from the SES)"),
+        (f"max = {s_of('product:dihedral:3,sym:4')}", "Direct product (D6 x S4)"),
+        (f"max = {biggest}", "Free product (Z3 * Z3, ball 3)"),
+    ]

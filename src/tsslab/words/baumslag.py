@@ -81,7 +81,6 @@ def bs_commutes(u: BsElement, v: BsElement, n: int) -> bool:
 class SwapSearchResult:
     witness: Optional[BsElement]
     bound: int
-    depth: int
 
     @property
     def exhausted(self) -> bool:
@@ -122,8 +121,8 @@ def bs_swap_search(
                 s = Fraction(num) / _npow(n, d)
                 h = BsElement(s, f)
                 if bs_conjugate(h, u, n) == v and bs_conjugate(h, v, n) == u:
-                    return SwapSearchResult(h, bound, depth)
-    return SwapSearchResult(None, bound, depth)
+                    return SwapSearchResult(h, bound)
+    return SwapSearchResult(None, bound)
 
 
 def bs_swap_decide(u: BsElement, v: BsElement, n: int, bound: int) -> SwapSearchResult:
@@ -150,8 +149,7 @@ def bs_swap_decide(u: BsElement, v: BsElement, n: int, bound: int) -> SwapSearch
         witness = BS_B
     else:
         witness = None
-    # the witness is the same at every search depth; 2 is the search's default
-    return SwapSearchResult(witness, bound, 2)
+    return SwapSearchResult(witness, bound)
 
 
 @dataclass(frozen=True)

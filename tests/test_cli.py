@@ -380,6 +380,8 @@ class TestNoVacuousPass:
         (["stabilizer-ses", "--samples", "-3"], "samples must be >= 0, got -3"),
         (["stabilizer-ses", "--grid", "cyclic:4", "--samples", "-1"],
          "samples must be >= 0, got -1"),
+        (["free-group", "--grid", "-1"], "length must be >= 1, got -1"),
+        (["free-group", "--grid", "0"], "length must be >= 1, got 0"),
     ])
     def test_cli_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
@@ -395,6 +397,8 @@ class TestNoVacuousPass:
          "max_syllables must be >= 1, got -1"),
         ("stabilizer-ses", {"group": "cyclic:6", "samples": -3, "seed": 0},
          "samples must be >= 0, got -3"),
+        ("free-group", {"length": -1}, "length must be >= 1, got -1"),
+        ("free-group", {"length": 0}, "length must be >= 1, got 0"),
     ])
     def test_library_raises(self, theorem, params, message):
         with pytest.raises(ValueError) as info:
