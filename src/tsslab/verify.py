@@ -340,28 +340,27 @@ def _budget_param(opts: dict) -> dict:
     return {"budget": opts["budget"]} if "budget" in opts else {}
 
 
-def _s4_klein(s4: FiniteGroup) -> list[int]:
-    labels = ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")
-    return [i for i, lab in enumerate(s4.labels) if lab in labels]
+_KLEIN = ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")  # the nonidentity elements of V4 < S4
 
 
-def _s4_indices(s4: FiniteGroup, *labels: str) -> list[int]:
-    return [s4.labels.index(lab) for lab in labels]
+def _indices(g: FiniteGroup, *labels: str) -> list[int]:
+    return [g.labels.index(lab) for lab in labels]
 
 
 # fixture name -> the branch the lemma should take on it, the group, and the
 # hom and set checked on that group (none for the sweep over all of them)
 _LEMMA_FIXTURES: dict[str, tuple[str, str, Optional[Callable[[FiniteGroup], tuple]]]] = {
     "identity-d8": ("same_size", "dihedral:4", lambda d8: (homs.identity_hom(d8), [1, 3])),
-    "identity-s4": ("same_size", "sym:4", lambda s4: (homs.identity_hom(s4), _s4_klein(s4))),
+    "identity-s4": ("same_size", "sym:4",
+                    lambda s4: (homs.identity_hom(s4), _indices(s4, *_KLEIN))),
     "quotient-d8-r2": ("collapsed", "dihedral:4",
                        lambda d8: (homs.quotient_hom(d8, [0, 2]), [1, 3])),
     "quotient-s4-v": ("collapsed", "sym:4", lambda s4: (
-        homs.quotient_hom(s4, [s4.identity, *_s4_klein(s4)]),
-        _s4_indices(s4, "(1 2)", "(3 4)"))),
+        homs.quotient_hom(s4, [s4.identity, *_indices(s4, *_KLEIN)]),
+        _indices(s4, "(1 2)", "(3 4)"))),
     "braid-b4-s4": ("same_size", "sym:4", lambda s4: (
         homs.GeneratorImageMap(homs.braid_presentation(4), s4,
-                               tuple(_s4_indices(s4, "(1 2)", "(2 3)", "(3 4)"))),
+                               tuple(_indices(s4, "(1 2)", "(2 3)", "(3 4)"))),
         homs.odd_artin_generators(4))),
     "sweep-s4-s3": ("sweep", "sym:4", None),
 }
