@@ -442,8 +442,8 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     options: dict[str, Any] = {"seed": args.seed}
     for name in ("max_order", "max_len", "max_syllables", "radius", "bound", "samples"):
-        if getattr(args, name) is not None:
-            options[name] = getattr(args, name)
+        if (value := getattr(args, name)) is not None:
+            options[name] = value
     if args.budget != homs.DEFAULT_HOM_BUDGET:
         options["budget"] = args.budget
     grid = verify.THEOREMS[args.theorem].grid(options, args.grid) if args.grid else None

@@ -22,7 +22,6 @@ from . import homs, tss
 from .groups import (
     FiniteGroup,
     GroupError,
-    conjugacy_classes,
     derived_series,
     split_product_index,
 )

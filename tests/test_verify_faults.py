@@ -10,8 +10,6 @@ library's own searches stay correct.
 from dataclasses import replace
 from types import SimpleNamespace
 
-import pytest
-
 from tsslab import tss, verify
 from tsslab.specs import parse_group_spec
 from tsslab.tss import StabilizerDecomposition, TssCertificate
