@@ -5,7 +5,8 @@ numpy array (``FiniteGroup.table``); it is the only structure of order^2
 entries built with the group.  Searches over the whole group run as row and
 column filters on ``table`` and on the conjugation table ``conj_table``, which
 is built on first use.  ``inv`` is a tuple of inverses, and ``mul``, the rows
-of ``table`` as tuples for scalar lookups, is derived on first use too.
+of ``table`` as tuples for scalar lookups, and ``inv_array``, the inverses as
+an array for gathers, are derived on first use too.
 Labels are advisory display strings only.
 """
 
@@ -43,12 +44,12 @@ class FiniteGroup:
 
     ``table`` is the read-only order x order array, a Latin square over
     0..order-1 of dtype ``table_dtype(order)``, and ``inv`` holds the
-    inverses.  ``mul`` (the rows of ``table`` as tuples) and ``conj_table``
-    are derived from them on first use and kept.  ``assoc_verified`` records
-    whether associativity was verified for all triples, by Light's test in
-    ``make_group`` (skipped for constructor-built tables above order 512,
-    where constructor correctness is relied on; decoded Cayley documents are
-    checked up to the order cap).
+    inverses.  ``mul`` (the rows of ``table`` as tuples), ``inv_array`` and
+    ``conj_table`` are derived from them on first use and kept.
+    ``assoc_verified`` records whether associativity was verified for all
+    triples, by Light's test in ``make_group`` (skipped for constructor-built
+    tables above order 512, where constructor correctness is relied on;
+    decoded Cayley documents are checked up to the order cap).
     """
 
     order: int
@@ -99,6 +100,13 @@ class FiniteGroup:
         for x in self.inv:
             ints[x] = x
         return tuple(tuple(ints[row].tolist()) for row in self.table)
+
+    @cached_property
+    def inv_array(self) -> np.ndarray:
+        """``inv`` as a read-only array in the dtype of ``table``."""
+        inverses = np.array(self.inv, dtype=self.table.dtype)
+        inverses.flags.writeable = False
+        return inverses
 
     @cached_property
     def is_abelian(self) -> bool:

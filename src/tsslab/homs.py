@@ -17,11 +17,22 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     GroupError,
-    conjugacy_classes,
     generated_subgroup,
     make_group,
 )
-from .tss import TssCertificate, TssError, certify_tss, max_tss_size
+from .tss import (
+    TssCertificate,
+    TssError,
+    _candidate_blocks,
+    _class_layout,
+    certify_tss,
+    max_tss_size,
+)
+
+# Candidates per block of the homomorphism search: half the TSS search's
+# block, because this search holds one block's children at every generator
+# level while the later generators are assigned.
+_BLOCK = 1 << 14
 
 
 class HomError(ValueError):
@@ -117,21 +128,27 @@ def odd_artin_generators(n: int) -> tuple[int, ...]:
     return tuple(range(0, n - 1, 2))
 
 
-def evaluate_word(target: FiniteGroup, images: Sequence[int], word: Sequence[int]) -> int:
-    acc = target.identity
-    mul = target.mul
-    inv = target.inv
+def evaluate_word(target: FiniteGroup, images: np.ndarray, word: Sequence[int]) -> np.ndarray:
+    """The value of ``word`` under each row of ``images``, an (m, k) array of
+    generator images: m elements, in the dtype of ``target.table``.
+
+    Each letter is one gather into ``target.table`` for all rows at once;
+    inverse letters read their images through ``target.inv_array``.
+    """
+    table = target.table
+    acc = np.full(len(images), target.identity, dtype=table.dtype)
     for letter in word:
-        x = images[abs(letter) - 1]
+        x = images[:, abs(letter) - 1]
         if letter < 0:
-            x = inv[x]
-        acc = mul[acc][x]
+            x = target.inv_array[x]
+        acc = table[acc, x]
     return acc
 
 
 def is_homomorphism(m: GeneratorImageMap) -> bool:
+    row = np.array([m.images], dtype=np.intp)
     return all(
-        evaluate_word(m.target, m.images, rel) == m.target.identity
+        evaluate_word(m.target, row, rel)[0] == m.target.identity
         for rel in m.presentation.relators
     )
 
@@ -160,17 +177,28 @@ def enumerate_homs(
     budget: int = DEFAULT_HOM_BUDGET,
     first_image_up_to_conjugacy: bool = False,
 ) -> Iterator[GeneratorImageMap]:
-    """All homomorphisms by depth-first image assignment, in lexicographic
-    order of the image tuples.
+    """All homomorphisms, in lexicographic order of the image tuples.
 
-    Candidates for a generator come from what the relators already imply.
-    Braid relators (xyx = yxy) make their two generators conjugate, so a
-    generator tied by them to an earlier one draws its image from the
-    conjugacy class of the earliest tied generator's image.  A commutator
+    Images are assigned one generator at a time, to a whole level of partial
+    image tuples at once: level j is an array of rows of the first j images,
+    in lexicographic order.  Candidates for a generator come from what the
+    relators already imply.  Braid relators (xyx = yxy) make their two
+    generators conjugate, so a generator tied by them to an earlier one draws
+    its image from the conjugacy class of the earliest tied generator's image,
+    ascending; an untied generator draws from every element.  A commutator
     relator keeps only the candidates that commute with the earlier
-    generator's image, read off the table.  Every other relator is evaluated
-    as soon as all its generators are assigned.  A search node, counted
-    against the budget, is a candidate that passes both filters.
+    generator's image, compared by two table gathers for all rows.  Every other
+    relator is evaluated by ``evaluate_word`` on all rows as soon as all its
+    generators are assigned.  A search node, counted against the budget, is a
+    candidate that passes the class and commutator filters.
+
+    The parents of a level are extended in blocks of about ``_BLOCK``
+    candidates, and each block's children are carried down to the last
+    generator before the next block starts, so the stream is lazy and at most
+    one block per generator is held at a time.  Nodes are counted a block at
+    a time: ``BudgetExceeded`` is raised as soon as the count passes
+    ``budget``, so its ``nodes`` can exceed ``budget + 1``, and its ``found``
+    counts the maps already yielded.
 
     The optional symmetry reduction restricts the first generator image to one
     representative per conjugacy class (off by default; the stream then
@@ -198,45 +226,57 @@ def enumerate_homs(
         by_level[max(abs(letter) for letter in rel) - 1].append(rel)
     earliest = [root(i) for i in range(k)]
 
-    partition = conjugacy_classes(target)
-    all_elements: Sequence[int] = range(target.order)
-    first_choices = partition.representatives if first_image_up_to_conjugacy else all_elements
-    mul = target.mul
+    table = target.table
+    members, _, class_end = _class_layout(target)
+    members = members.astype(table.dtype)  # images are held in the table's dtype
+    class_size = np.bincount(class_end)[class_end]
+    class_start = class_end - class_size
+    everything = np.arange(target.order, dtype=table.dtype)
+    # each class's first member in the layout is its least, its representative
+    first_pool = members[np.unique(class_start)] if first_image_up_to_conjugacy else everything
+    nodes = found = 0
 
-    def candidates(level: int) -> Sequence[int]:
-        if level == 0:
-            choices = first_choices
-        elif earliest[level] < level:
-            choices = partition.classes[partition.class_of[images[earliest[level]]]]
-        else:
-            choices = all_elements
+    def candidates(rows: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pool, and each row's first candidate and candidate count in it."""
+        if level == 0:  # one empty row
+            return first_pool, np.zeros(1, dtype=np.intp), np.array([len(first_pool)])
+        if earliest[level] < level:
+            x = rows[:, earliest[level]]
+            return members, class_start[x], class_size[x]
+        return (everything, np.zeros(len(rows), dtype=np.intp),
+                np.full(len(rows), target.order))
+
+    def grow(rows: np.ndarray, level: int, parent: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """The rows one image longer made from a block of candidates: those
+        that pass the commutator filters, counted as nodes, and then every
+        relator of this level."""
+        nonlocal nodes
         for other in commutes_with[level]:
-            x = images[other]
-            row = mul[x]
-            choices = [y for y in choices if row[y] == mul[y][x]]
-        return choices
+            x = rows[parent, other]
+            commuting = table[x, cand] == table[cand, x]
+            parent, cand = parent[commuting], cand[commuting]
+        nodes += len(cand)
+        if nodes > budget:
+            raise BudgetExceeded(nodes, budget, found)
+        children = np.concatenate([rows[parent], cand[:, None]], axis=1)
+        for rel in by_level[level]:
+            children = children[evaluate_word(target, children, rel) == target.identity]
+        return children
 
-    images: list[int] = []
-    state = {"nodes": 0, "found": 0}
+    def extend(rows: np.ndarray, level: int) -> Iterator[GeneratorImageMap]:
+        nonlocal found
+        blocks = _candidate_blocks(*candidates(rows, level), _BLOCK)
+        # map lets go of each block once its children exist, so that while the
+        # later generators are assigned a level holds only its children
+        for children in map(lambda block: grow(rows, level, *block), blocks):
+            if level + 1 < k:
+                yield from extend(children, level + 1)
+                continue
+            for images in children.tolist():
+                found += 1
+                yield GeneratorImageMap(pres, target, tuple(images))
 
-    def rec(level: int) -> Iterator[GeneratorImageMap]:
-        if level == k:
-            state["found"] += 1
-            yield GeneratorImageMap(pres, target, tuple(images))
-            return
-        for img in candidates(level):
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise BudgetExceeded(state["nodes"], budget, state["found"])
-            images.append(img)
-            if all(
-                evaluate_word(target, images, rel) == target.identity
-                for rel in by_level[level]
-            ):
-                yield from rec(level + 1)
-            images.pop()
-
-    yield from rec(0)
+    yield from extend(np.empty((1, 0), dtype=table.dtype), 0)
 
 
 def image_subgroup(m: GeneratorImageMap) -> tuple[int, ...]:

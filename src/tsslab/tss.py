@@ -228,21 +228,11 @@ def _extend(g: FiniteGroup, level: np.ndarray, members: np.ndarray, position: np
     extensions come out lexicographically sorted.
     """
     t = g.table
-    m, k = level.shape
+    k = level.shape[1]
     first = position[level[:, -1]] + 1
     count = class_end[level[:, -1]] - first
-    total = np.cumsum(count)
     rows, wits = [], []
-    lo = 0
-    while lo < m:
-        done = total[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(total, done + _BLOCK, side="right")))
-        # parent p's candidates are members[first[p]:first[p] + count[p]], and
-        # they start at total[p - 1] - done in this block's flat arrays
-        n_cand = count[lo:hi]
-        parent = np.repeat(np.arange(lo, hi), n_cand)
-        shift = np.repeat(first[lo:hi] - (total[lo:hi] - n_cand - done), n_cand)
-        cand = members[np.arange(len(parent)) + shift]
+    for parent, cand in _candidate_blocks(members, first, count, _BLOCK):
         for j in range(k):
             y = level[parent, j]
             commuting = t[y, cand] == t[cand, y]
@@ -252,8 +242,31 @@ def _extend(g: FiniteGroup, level: np.ndarray, members: np.ndarray, position: np
         certified = (found >= 0).all(axis=1)
         rows.append(ext[certified])
         wits.append(found[certified])
-        lo = hi
     return np.concatenate(rows), np.concatenate(wits)
+
+
+def _candidate_blocks(pool: np.ndarray, first: np.ndarray, count: np.ndarray,
+                      block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The candidates of a level's parents, block by block.
+
+    Parent p's candidates are ``pool[first[p]:first[p] + count[p]]``.  A block
+    holds the candidates of consecutive parents, about ``block`` of them and
+    those of at least one parent, as two flat arrays: each candidate's parent
+    and the candidate itself, parents ascending and each parent's candidates
+    in pool order.
+    """
+    total = np.cumsum(count)
+    lo = 0
+    while lo < len(count):
+        done = total[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(total, done + block, side="right")))
+        # parent p's candidates start at total[p - 1] - done in the flat arrays;
+        # the frame keeps no reference to the block while it is out
+        n_cand = count[lo:hi]
+        shift = first[lo:hi] - (total[lo:hi] - n_cand - done)
+        yield (np.repeat(np.arange(lo, hi, dtype=np.int32), n_cand),
+               pool[np.arange(total[hi - 1] - done) + np.repeat(shift, n_cand)])
+        lo = hi
 
 
 def enumerate_tss(g: FiniteGroup, size: int) -> list[TssCertificate]:

@@ -376,10 +376,13 @@ def _lemma_instance(name: str, opts: dict) -> dict:
 
 def _run_fundamental_lemma(params: dict) -> SuiteInstance:
     fixture = params["fixture"]
-    expect = params["expect"]
     if fixture not in _LEMMA_FIXTURES:
         raise ValueError(f"unknown fixture {fixture!r}")
-    _, spec, build = _LEMMA_FIXTURES[fixture]
+    expect, spec, build = _LEMMA_FIXTURES[fixture]
+    if params.get("expect", expect) != expect:
+        raise ValueError(f"expect {params['expect']!r} does not match fixture {fixture!r}, "
+                         f"whose branch is {expect!r}")
+    params = {"fixture": fixture, "expect": expect, **params}  # the CLI's params, in its order
     g = parse_group_spec(spec)
     if build is None:
         s3 = parse_group_spec("sym:3")

@@ -24,6 +24,7 @@ from tsslab.groups import (
     make_symmetric,
     table_dtype,
 )
+from tsslab.homs import Presentation, _two_generator_relation
 from tsslab.words.freegroup import FreeWord, f2_reduce
 from tsslab.words.freeproduct import FpWord
 
@@ -363,3 +364,73 @@ def ref_tss_by_size(g: FiniteGroup):
                     if None not in witnesses.values():
                         nxt.append((elems + (x,), witnesses))
         level = nxt
+
+
+# --- the depth-first homomorphism search ------------------------------------
+
+def ref_evaluate_word(g: FiniteGroup, images, word) -> int:
+    """The value of a word (signed 1-based generator numbers) under one tuple
+    of generator images, one scalar product per letter."""
+    acc = g.identity
+    for letter in word:
+        x = images[abs(letter) - 1]
+        acc = g.mul[acc][x if letter > 0 else g.inv[x]]
+    return acc
+
+
+def ref_enumerate_homs(pres: Presentation, target: FiniteGroup,
+                       first_image_up_to_conjugacy: bool = False):
+    """The image tuples of ``enumerate_homs`` and its node total, one node at a
+    time: a depth-first search that draws each generator's candidates from the
+    class of its earliest braid-tied generator's image (every element when
+    untied), keeps those commuting with the images of earlier commutator
+    partners, counts each of them as a node, and checks every other relator
+    as soon as its generators are assigned."""
+    k = pres.generator_count
+    tied = list(range(k))
+
+    def root(i):
+        while tied[i] != i:
+            i = tied[i]
+        return i
+
+    commutes_with = [[] for _ in range(k)]
+    by_level = [[] for _ in range(k)]
+    for rel in pres.relators:
+        shape = _two_generator_relation(rel)
+        if shape is not None:
+            kind, i, j = shape
+            if kind == "commute":
+                commutes_with[j].append(i)
+                continue
+            lo, hi = sorted((root(i), root(j)))
+            tied[hi] = lo
+        by_level[max(abs(letter) for letter in rel) - 1].append(rel)
+    earliest = [root(i) for i in range(k)]
+    part = conjugacy_classes(target)
+    everything = range(target.order)
+    found, images, nodes = [], [], 0
+
+    def rec(level):
+        nonlocal nodes
+        if level == k:
+            found.append(tuple(images))
+            return
+        if level == 0 and first_image_up_to_conjugacy:
+            choices = part.representatives
+        elif earliest[level] < level:
+            choices = part.classes[part.class_of[images[earliest[level]]]]
+        else:
+            choices = everything
+        for other in commutes_with[level]:
+            choices = [y for y in choices if target.commutes(images[other], y)]
+        for img in choices:
+            nodes += 1
+            images.append(img)
+            if all(ref_evaluate_word(target, images, rel) == target.identity
+                   for rel in by_level[level]):
+                rec(level + 1)
+            images.pop()
+
+    rec(0)
+    return found, nodes

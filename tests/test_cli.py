@@ -256,6 +256,10 @@ class TestVerify:
          {"left": "cyclic:2", "right": "cyclic:2", "max_syllables": 4}),
         ("stabilizer-ses", {"group": "cyclic:6"}, {"seed": 3},
          {"group": "cyclic:6", "samples": 20, "seed": 3}),
+        ("fundamental-lemma", {"fixture": "identity-d8"}, {},
+         {"fixture": "identity-d8", "expect": "same_size"}),
+        ("fundamental-lemma", {"fixture": "sweep-s4-s3", "budget": 10**6}, {},
+         {"fixture": "sweep-s4-s3", "expect": "sweep", "budget": 10**6}),
     ])
     def test_library_grid_takes_defaults(self, theorem, given, options, params):
         # grid params a caller leaves out come from the options or the defaults
@@ -399,6 +403,11 @@ class TestNoVacuousPass:
          "samples must be >= 0, got -3"),
         ("free-group", {"length": -1}, "length must be >= 1, got -1"),
         ("free-group", {"length": 0}, "length must be >= 1, got 0"),
+        ("fundamental-lemma", {"fixture": "sweep-s4-s3", "expect": "collapsed"},
+         "expect 'collapsed' does not match fixture 'sweep-s4-s3', whose branch is 'sweep'"),
+        ("fundamental-lemma", {"fixture": "identity-d8", "expect": "collapsed"},
+         "expect 'collapsed' does not match fixture 'identity-d8', whose branch is "
+         "'same_size'"),
     ])
     def test_library_raises(self, theorem, params, message):
         with pytest.raises(ValueError) as info:

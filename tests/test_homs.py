@@ -1,10 +1,17 @@
 import itertools
 
 import jsonschema
+import numpy as np
 import pytest
 
 from tsslab import homs
-from tsslab.groups import conjugacy_classes, make_cyclic, make_dihedral, make_symmetric
+from tsslab.groups import (
+    conjugacy_classes,
+    make_cyclic,
+    make_dihedral,
+    make_group,
+    make_symmetric,
+)
 from tsslab.specs import parse_group_spec
 from tsslab.homs import (
     BudgetExceeded,
@@ -28,6 +35,8 @@ from tsslab.homs import (
 )
 from tsslab.schemas import HOM_REPORT_SCHEMA, braid_report_to_json
 from tsslab.tss import TssError
+
+from helpers import ref_enumerate_homs, ref_evaluate_word
 
 
 def _std_b3_s3(s3):
@@ -83,6 +92,24 @@ class TestIsHomomorphism:
         assert lhs != rhs
         pres = braid_presentation(3)
         assert not is_homomorphism(GeneratorImageMap(pres, s3, (i12, i123)))
+
+
+    @pytest.mark.parametrize("spec", ["sym:4", "semidirect:7,3,2", "relabeled"])
+    def test_evaluate_word_on_rows_matches_scalar_reference(self, spec, s3):
+        if spec == "relabeled":  # S3 with element x renamed move[x], identity 0 to 2
+            move = [2, 0, 1, 3, 4, 5]
+            table = [[0] * 6 for _ in range(6)]
+            for a, b in itertools.product(range(6), repeat=2):
+                table[move[a]][move[b]] = move[s3.mul[a][b]]
+            g = make_group(table)
+            assert g.identity == 2
+        else:
+            g = parse_group_spec(spec)
+        rows = np.array(list(itertools.product(range(g.order), repeat=3))[::7], dtype=np.intp)
+        for word in [(1,), (-2,), (1, 2, -1, -2), (3, -1, 3, 3, -2), (1, 2, 1, -2, -1, -2)]:
+            values = homs.evaluate_word(g, rows, word)
+            assert values.dtype == g.table.dtype
+            assert values.tolist() == [ref_evaluate_word(g, row, word) for row in rows.tolist()]
 
 
 class TestEnumerate:
@@ -290,7 +317,8 @@ def _brute_force_homs(pres, target):
     return [
         images
         for images in itertools.product(range(target.order), repeat=pres.generator_count)
-        if is_homomorphism(GeneratorImageMap(pres, target, images))
+        if all(ref_evaluate_word(target, images, rel) == target.identity
+               for rel in pres.relators)
     ]
 
 
@@ -302,33 +330,38 @@ def _assert_matches_oracle(pres, target):
     assert [h.images for h in reduced] == [im for im in expected if im[0] in reps]
 
 
+# <x, y | x^3, y^2, (xy)^2>, the dihedral group of order 6; the Coxeter
+# presentation of S4, where no relator has the braid or commutator shape; and
+# <x, y | x y x^-1 = y^-1>
+_UNFILTERED = [
+    Presentation(2, ((1, 1, 1), (2, 2), (1, 2, 1, 2))),
+    Presentation(3, ((1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2)),
+    Presentation(2, ((1, 2, -1, 2),)),
+]
+
+_SHAPES = [
+    # relators written with the newer generator first
+    Presentation(2, ((2, 1, -2, -1),)),
+    Presentation(2, ((2, 1, 2, -1, -2, -1),)),
+    # generators 1 and 3 tied only through generator 2
+    Presentation(3, ((2, 3, 2, -3, -2, -3), (1, 2, 1, -2, -1, -2), (3, 1, -3, -1))),
+    # a braid-shaped relator on generator 2 alone is an ordinary relator
+    Presentation(2, ((2, 2, 2, -2, -2, -2), (1, 2, -1, -2))),
+]
+
+
 class TestEnumerateOracle:
     @pytest.mark.parametrize("strands", [3, 4, 5])
     @pytest.mark.parametrize("spec", _ORACLE_TARGETS)
     def test_braid_stream_matches_brute_force(self, strands, spec):
         _assert_matches_oracle(braid_presentation(strands), parse_group_spec(spec))
 
-    @pytest.mark.parametrize("pres", [
-        # <x, y | x^3, y^2, (xy)^2>, the dihedral group of order 6
-        Presentation(2, ((1, 1, 1), (2, 2), (1, 2, 1, 2))),
-        # Coxeter presentation of S4: no relator has the braid or commutator shape
-        Presentation(3, ((1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2)),
-        # <x, y | x y x^-1 = y^-1>
-        Presentation(2, ((1, 2, -1, 2),)),
-    ])
+    @pytest.mark.parametrize("pres", _UNFILTERED)
     @pytest.mark.parametrize("spec", _ORACLE_TARGETS[:4])
     def test_unfiltered_relators_match_brute_force(self, pres, spec):
         _assert_matches_oracle(pres, parse_group_spec(spec))
 
-    @pytest.mark.parametrize("pres", [
-        # relators written with the newer generator first
-        Presentation(2, ((2, 1, -2, -1),)),
-        Presentation(2, ((2, 1, 2, -1, -2, -1),)),
-        # generators 1 and 3 tied only through generator 2
-        Presentation(3, ((2, 3, 2, -3, -2, -3), (1, 2, 1, -2, -1, -2), (3, 1, -3, -1))),
-        # a braid-shaped relator on generator 2 alone is an ordinary relator
-        Presentation(2, ((2, 2, 2, -2, -2, -2), (1, 2, -1, -2))),
-    ])
+    @pytest.mark.parametrize("pres", _SHAPES)
     @pytest.mark.parametrize("spec", ["sym:3", "sym:4", "dihedral:4"])
     def test_relator_shapes_match_brute_force(self, pres, spec):
         _assert_matches_oracle(pres, parse_group_spec(spec))
@@ -340,6 +373,31 @@ class TestEnumerateOracle:
         assert len(list(enumerate_homs(pres, s4, budget=24 * 24))) == len(
             _brute_force_homs(pres, s4)
         )
+
+
+def _assert_matches_reference(pres, target, reduced):
+    """The stream equals the depth-first reference's, and so does the node
+    total: the run completes at a budget of that total and stops one below."""
+    expected, total = ref_enumerate_homs(pres, target, reduced)
+    found = enumerate_homs(pres, target, budget=total, first_image_up_to_conjugacy=reduced)
+    assert [h.images for h in found] == expected
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_homs(pres, target, budget=total - 1,
+                            first_image_up_to_conjugacy=reduced))
+    assert info.value.budget == total - 1 and info.value.nodes >= total
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["all", "up-to-conjugacy"])
+class TestEnumerateReference:
+    @pytest.mark.parametrize("strands", [3, 4, 5, 6])
+    @pytest.mark.parametrize("spec", _ORACLE_TARGETS)
+    def test_braid_stream_and_nodes(self, strands, spec, reduced):
+        _assert_matches_reference(braid_presentation(strands), parse_group_spec(spec), reduced)
+
+    @pytest.mark.parametrize("pres", _UNFILTERED + _SHAPES)
+    @pytest.mark.parametrize("spec", ["sym:3", "sym:4", "dihedral:4", "cyclic:6"])
+    def test_presentation_stream_and_nodes(self, pres, spec, reduced):
+        _assert_matches_reference(pres, parse_group_spec(spec), reduced)
 
 
 def _brute_force_table_homs(source, target):
@@ -384,3 +442,54 @@ class TestTableHomOracle:
     def test_budget(self, s4, d8):
         with pytest.raises(BudgetExceeded):
             list(enumerate_table_homs(s4, d8, budget=10))
+
+    @pytest.mark.parametrize("source,target", [("sym:4", "sym:3"), ("sym:4", "dihedral:4"),
+                                               ("semidirect:7,3,2", "sym:3")])
+    def test_budget_boundary(self, source, target, monkeypatch):
+        # the node total is the depth-first reference's on the Schreier presentation
+        g, h = parse_group_spec(source), parse_group_spec(target)
+        presentations = []
+        search = homs.enumerate_homs
+
+        def recording(pres, *args, **kwargs):
+            presentations.append(pres)
+            return search(pres, *args, **kwargs)
+
+        monkeypatch.setattr(homs, "enumerate_homs", recording)
+        expected = [hom.mapping for hom in enumerate_table_homs(g, h)]
+        _, total = ref_enumerate_homs(presentations[0], h)
+        assert [hom.mapping for hom in enumerate_table_homs(g, h, budget=total)] == expected
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_table_homs(g, h, budget=total - 1))
+
+
+class TestBlockSeams:
+    @pytest.mark.parametrize("block", [1, 30])
+    @pytest.mark.parametrize("strands", [4, 5])
+    def test_braid_stream(self, strands, block, s4, monkeypatch):
+        # at 30 a level's blocks end inside the candidates of a parent, which
+        # are a class of S4 (1, 3, 6 or 8 members)
+        pres = braid_presentation(strands)
+        streams = [[h.images for h in enumerate_homs(pres, s4, first_image_up_to_conjugacy=r)]
+                   for r in (False, True)]
+        monkeypatch.setattr(homs, "_BLOCK", block)
+        assert [[h.images for h in enumerate_homs(pres, s4, first_image_up_to_conjugacy=r)]
+                for r in (False, True)] == streams
+
+    @pytest.mark.parametrize("block", [1, 30])
+    def test_schreier_stream(self, block, s4, d8, monkeypatch):
+        stream = [hom.mapping for hom in enumerate_table_homs(s4, d8)]
+        monkeypatch.setattr(homs, "_BLOCK", block)
+        assert [hom.mapping for hom in enumerate_table_homs(s4, d8)] == stream
+
+    def test_budget_cut_counts_maps_yielded(self, s4, monkeypatch):
+        # one-candidate blocks: the cut comes after some maps were yielded
+        pres = braid_presentation(4)
+        _, total = ref_enumerate_homs(pres, s4)
+        monkeypatch.setattr(homs, "_BLOCK", 1)
+        yielded = []
+        with pytest.raises(BudgetExceeded) as info:
+            for hom in enumerate_homs(pres, s4, budget=total - 1):
+                yielded.append(hom)
+        assert yielded and info.value.found == len(yielded)
+        assert info.value.nodes == total
