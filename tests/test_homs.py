@@ -93,7 +93,6 @@ class TestIsHomomorphism:
         pres = braid_presentation(3)
         assert not is_homomorphism(GeneratorImageMap(pres, s3, (i12, i123)))
 
-
     @pytest.mark.parametrize("spec", ["sym:4", "semidirect:7,3,2", "relabeled"])
     def test_evaluate_word_on_rows_matches_scalar_reference(self, spec, s3):
         if spec == "relabeled":  # S3 with element x renamed move[x], identity 0 to 2
@@ -483,7 +482,7 @@ class TestBlockSeams:
         assert [hom.mapping for hom in enumerate_table_homs(s4, d8)] == stream
 
     def test_budget_cut_counts_maps_yielded(self, s4, monkeypatch):
-        # one-candidate blocks: the cut comes after some maps were yielded
+        # one-parent blocks: the cut comes after some maps were yielded
         pres = braid_presentation(4)
         _, total = ref_enumerate_homs(pres, s4)
         monkeypatch.setattr(homs, "_BLOCK", 1)
