@@ -55,7 +55,6 @@ from .homs import (  # noqa: F401
     enumerate_table_homs,
     fundamental_lemma_check,
     identity_hom,
-    image_is_cyclic,
     is_homomorphism,
     is_table_homomorphism,
     odd_artin_generators,

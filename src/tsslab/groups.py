@@ -2,11 +2,11 @@
 
 Every group is a full order x order Cayley table, held once as a read-only
 numpy array (``FiniteGroup.table``); it is the only structure of order^2
-entries built with the group.  Searches over the whole group run as row and
-column filters on ``table`` and on the conjugation table ``conj_table``, which
-is built on first use.  ``inv`` is a tuple of inverses, and ``mul``, the rows
-of ``table`` as tuples for scalar lookups, and ``inv_array``, the inverses as
-an array for gathers, are derived on first use too.
+entries built with the group, and ``inv`` is the array of inverses.  Searches
+over the whole group, subgroup closure and commutators are gathers on them and
+on the conjugation table ``conj_table``, built on first use.  ``mul``, the rows
+of ``table`` as tuples, is derived on first use for the scalar walks over small
+groups: ``conj``, ``commutes``, ``tss.brute_force_tss`` and free-product words.
 Labels are advisory display strings only.
 """
 
@@ -16,15 +16,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_ASSOC_CAP = 512
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_SYMMETRIC_CAP = 8
-# Entries per block of the gathers in Light's test: a single block up to
-# order 512, so that validation above it peaks no higher than the Latin check.
+# Entries per block of the gathers in Light's test, in subgroup closure and in
+# the commutators of the derived series: a single block up to order 512, so
+# that validation above it peaks no higher than the Latin check.
 _ASSOC_BLOCK = 1 << 18
 
 
@@ -43,9 +44,10 @@ class FiniteGroup:
     """An order-n group: identity, multiplication and inverse tables.
 
     ``table`` is the read-only order x order array, a Latin square over
-    0..order-1 of dtype ``table_dtype(order)``, and ``inv`` holds the
-    inverses.  ``mul`` (the rows of ``table`` as tuples), ``inv_array`` and
-    ``conj_table`` are derived from them on first use and kept.
+    0..order-1 of dtype ``table_dtype(order)``, and ``inv`` the read-only
+    array of inverses in the same dtype.  ``mul`` (the rows of ``table`` as
+    tuples), ``element_orders`` and ``conj_table`` are derived from them on
+    first use and kept.
     ``assoc_verified`` records whether associativity was verified for all
     triples, by Light's test in ``make_group`` (skipped for constructor-built
     tables above order 512, where constructor correctness is relied on;
@@ -54,7 +56,7 @@ class FiniteGroup:
 
     order: int
     identity: int
-    inv: tuple[int, ...]
+    inv: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
     labels: Optional[tuple[str, ...]] = None
     generators: Optional[tuple[int, ...]] = None
@@ -82,39 +84,39 @@ class FiniteGroup:
 
     def element_order(self, x: int) -> int:
         self.check_index(x)
-        m = self.mul
-        acc, k = x, 1
-        while acc != self.identity:
-            acc = m[acc][x]
-            k += 1
-        return k
+        return int(self.element_orders[x])
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
         """The rows of ``table`` as tuples, for scalar lookups.
 
-        All rows share the int objects of ``inv``: each row is gathered from
-        an object array of them, so the rows hold references, not fresh ints.
+        All rows share one int object per element: each row is gathered from
+        an object array of the ints 0..order-1, so the rows hold references,
+        not fresh ints.
         """
-        ints = np.empty(self.order, dtype=object)
-        for x in self.inv:
-            ints[x] = x
+        ints = np.array(range(self.order), dtype=object)
         return tuple(tuple(ints[row].tolist()) for row in self.table)
-
-    @cached_property
-    def inv_array(self) -> np.ndarray:
-        """``inv`` as a read-only array in the dtype of ``table``."""
-        inverses = np.array(self.inv, dtype=self.table.dtype)
-        inverses.flags.writeable = False
-        return inverses
 
     @cached_property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
     @cached_property
-    def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(x) for x in range(self.order))
+    def element_orders(self) -> np.ndarray:
+        """Read-only array of element orders, in the dtype of ``table``: step
+        k of one power loop takes the k-th powers of the elements whose powers
+        have not yet reached the identity."""
+        orders = np.empty(self.order, dtype=self.table.dtype)
+        pending = np.arange(self.order, dtype=self.table.dtype)
+        power, k = pending, 1
+        while pending.size:
+            done = power == self.identity
+            orders[pending[done]] = k
+            pending, power = pending[~done], power[~done]
+            power = self.table[power, pending]
+            k += 1
+        orders.flags.writeable = False
+        return orders
 
     @cached_property
     def conj_table(self) -> np.ndarray:
@@ -125,7 +127,7 @@ class FiniteGroup:
         """
         m = self.table
         c = np.empty_like(m)
-        for q, q_inv in enumerate(self.inv):
+        for q, q_inv in enumerate(self.inv.tolist()):
             c[q] = m[m[q], q_inv]
         c.flags.writeable = False
         return c
@@ -247,48 +249,68 @@ def _check_assoc(mul: np.ndarray, identity: int) -> None:
     products, and A holds the identity.  So y is checked only while some
     element is not yet a product of checked elements: the least such element
     is checked with two order^2 gathers, made ``_ASSOC_BLOCK`` entries at a
-    time, then the reached set is closed under products.  In a group each
-    checked element at least doubles the reached subgroup, so at most
-    log2(order) elements are checked.  A failing y up to order
-    ``DEFAULT_ASSOC_CAP`` runs the full scan, which names the first failing
-    triple; above it, the scan's order^2 index copy and O(order^3) work are
-    too much, and the triple named is (x, y, z) for the least failing (x, z)
-    of that y.
+    time, then the reached set is closed under products
+    (``_greedy_generators``).  In a group each checked element at least
+    doubles the reached subgroup, so at most log2(order) elements are
+    checked.  A failing y up to order ``DEFAULT_ASSOC_CAP`` runs the full
+    scan, which names the first failing triple; above it, the scan's order^2
+    index copy and O(order^3) work are too much, and the triple named is
+    (x, y, z) for the least failing (x, z) of that y.
     """
-    n = mul.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
-    count = 1
-    while count < n:
-        y = int(reached.argmin())
+    for y in _greedy_generators(mul, identity):
         failure = _light_failure(mul, y)
         if failure is not None:
-            if n <= DEFAULT_ASSOC_CAP:
+            if mul.shape[0] <= DEFAULT_ASSOC_CAP:
                 _assoc_scan(mul)
             x, z = failure
             raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
+
+
+def _greedy_generators(mul: np.ndarray, identity: int) -> Iterator[int]:
+    """The least element outside the subgroup reached so far, until none is
+    left: each is yielded, then added, and the reached set closed."""
+    reached = np.zeros(mul.shape[0], dtype=bool)
+    reached[identity] = True
+    while not reached.all():
+        y = int(reached.argmin())
+        yield y
         reached[y] = True
-        count += 1
-        while count < n:
-            members = reached.nonzero()[0]
-            reached.put(mul.take(members, 0).take(members, 1), True)
-            grown = np.count_nonzero(reached)
-            if grown == count:
-                break
-            count = grown
+        _close(mul, reached)
+
+
+def _close(mul: np.ndarray, reached: np.ndarray) -> None:
+    """Close the boolean mask ``reached`` under products, in place: each
+    round marks every product of two reached elements, a block of rows at a
+    time, until the mask stops growing or is full."""
+    n = mul.shape[0]
+    count = np.count_nonzero(reached)
+    while count < n:
+        members = reached.nonzero()[0]
+        for rows in _row_blocks(len(members), n):
+            reached[mul.take(members[rows], 0).take(members, 1)] = True
+        grown = np.count_nonzero(reached)
+        if grown == count:
+            return
+        count = grown
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices cutting 0..rows-1 into blocks of about ``_ASSOC_BLOCK`` entries,
+    for rows of ``width`` entries each."""
+    step = max(1, _ASSOC_BLOCK // width)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def _light_failure(mul: np.ndarray, y: int) -> Optional[tuple[int, int]]:
     """The least (x, z), row-major, with (x*y)*z != x*(y*z), or None; the
     two gathers are made ``_ASSOC_BLOCK`` entries at a time."""
     n = mul.shape[0]
-    step = max(1, _ASSOC_BLOCK // n)
     xy, yz = mul[:, y], mul[y]
-    for lo in range(0, n, step):
-        fails = mul.take(xy[lo:lo + step], 0) != mul[lo:lo + step].take(yz, 1)
+    for rows in _row_blocks(n, n):
+        fails = mul.take(xy[rows], 0) != mul[rows].take(yz, 1)
         if fails.any():
             x, z = divmod(int(fails.argmax()), n)
-            return lo + x, z
+            return rows.start + x, z
     return None
 
 
@@ -341,7 +363,7 @@ def make_group(
     _check_latin(table)
     identity = _find_identity(table)
     # each row is a permutation, so it holds the identity exactly once
-    inv = np.argmax(table == identity, axis=1)
+    inv = np.argmax(table == identity, axis=1).astype(table.dtype)
     two_sided = table[inv, np.arange(n)] == identity
     if not two_sided.all():
         raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
@@ -351,10 +373,11 @@ def make_group(
     if labels is not None and len(labels) != n:
         raise GroupError("label count does not match group order")
     table.flags.writeable = False
+    inv.flags.writeable = False
     return FiniteGroup(
         order=n,
         identity=identity,
-        inv=tuple(inv.tolist()),
+        inv=inv,
         table=table,
         labels=tuple(labels) if labels is not None else None,
         generators=tuple(generators) if generators is not None else None,
@@ -536,39 +559,30 @@ def generated_subgroup(g: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
         raise GroupError("generator set must be nonempty")
     for x in gen_list:
         g.check_index(x)
-    m = g.mul
-    members = {g.identity}
-    members.update(gen_list)
-    frontier = list(members)
-    while frontier:
-        new: list[int] = []
-        for a in frontier:
-            row = m[a]
-            for b in gen_list:
-                p = row[b]
-                if p not in members:
-                    members.add(p)
-                    new.append(p)
-        frontier = new
-    return tuple(sorted(members))
+    reached = np.zeros(g.order, dtype=bool)
+    reached[g.identity] = True
+    reached[gen_list] = True
+    _close(g.table, reached)
+    return tuple(reached.nonzero()[0].tolist())
 
 
 def derived_series(g: FiniteGroup) -> DerivedSeries:
-    """G >= G' >= G'' >= ... by commutator closure until stabilization."""
-    n = g.order
-    m = g.mul
-    inv = g.inv
-    current = tuple(range(n))
-    terms = [current]
+    """G >= G' >= G'' >= ... by commutator closure until stabilization; the
+    commutators [a, b] = (ab)(ba)^-1 are gathered a block of rows a at a time."""
+    table, inv = g.table, g.inv
+    current = np.arange(g.order)
+    terms = [tuple(current.tolist())]
     while len(current) > 1:
-        comms = set()
-        for a in current:
-            rowa = m[a]
-            for b in current:
-                comms.add(m[rowa[b]][inv[m[b][a]]])  # [a,b] = (ab)(ba)^-1
-        nxt = generated_subgroup(g, comms)
-        if nxt == current:
+        reached = np.zeros(g.order, dtype=bool)
+        for rows in _row_blocks(len(current), g.order):
+            a = current[rows]
+            ab = table.take(a, 0).take(current, 1)
+            ba = table.take(a, 1).take(current, 0).T
+            reached[table[ab, inv[ba]]] = True
+        _close(table, reached)
+        nxt = reached.nonzero()[0]
+        if len(nxt) == len(current):
             break
-        terms.append(nxt)
+        terms.append(tuple(nxt.tolist()))
         current = nxt
     return DerivedSeries(terms=tuple(terms), solvable=terms[-1] == (g.identity,))

@@ -4,19 +4,26 @@ machine-verify the TSS homomorphism obstructions.
 Words over a presentation are sequences of signed 1-based generator numbers:
 +i is generator i-1, -i its inverse.  Table-to-table homomorphisms are full
 element maps verified on all pairs.
+
+Every check runs as gathers on the groups' ``table`` and ``inv`` arrays, never
+on the scalar rows ``mul``: relators, products, cosets and Schreier trees are
+handled a level or a block of rows at a time.  A braid image is cyclic exactly
+when all generator images are equal (``_braid_image_census``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .groups import (
     FiniteGroup,
     GroupError,
+    _greedy_generators,
+    _row_blocks,
     generated_subgroup,
     make_group,
 )
@@ -133,14 +140,14 @@ def evaluate_word(target: FiniteGroup, images: np.ndarray, word: Sequence[int]) 
     generator images: m elements, in the dtype of ``target.table``.
 
     Each letter is one gather into ``target.table`` for all rows at once;
-    inverse letters read their images through ``target.inv_array``.
+    inverse letters read their images through ``target.inv``.
     """
     table = target.table
     acc = np.full(len(images), target.identity, dtype=table.dtype)
     for letter in word:
         x = images[:, abs(letter) - 1]
         if letter < 0:
-            x = target.inv_array[x]
+            x = target.inv[x]
         acc = table[acc, x]
     return acc
 
@@ -283,28 +290,14 @@ def image_subgroup(m: GeneratorImageMap) -> tuple[int, ...]:
     return generated_subgroup(m.target, set(m.images))
 
 
-def _is_cyclic_subgroup(g: FiniteGroup, elems: Sequence[int]) -> bool:
-    size = len(elems)
-    return any(g.element_order(x) == size for x in elems)
-
-
-def image_is_cyclic(m: GeneratorImageMap) -> bool:
-    """Whether the image subgroup is generated by a single element."""
-    if not is_homomorphism(m):
-        raise HomError("generator images do not satisfy the relators")
-    return _is_cyclic_subgroup(m.target, image_subgroup(m))
-
-
 def is_table_homomorphism(h: TableHom) -> bool:
-    sm, tm = h.source.mul, h.target.mul
-    f = h.mapping
-    for a in range(h.source.order):
-        fa = f[a]
-        row = sm[a]
-        trow = tm[fa]
-        for b in range(h.source.order):
-            if f[row[b]] != trow[f[b]]:
-                return False
+    """Whether f(ab) = f(a) f(b) for all a, b: ``f[S] == T[f[:, None], f]``,
+    compared a block of rows a at a time."""
+    f = np.array(h.mapping, dtype=h.target.table.dtype)
+    s, t = h.source.table, h.target.table
+    for rows in _row_blocks(h.source.order, max(h.source.order, h.target.order)):
+        if not (f[s[rows]] == t.take(f[rows], 0).take(f, 1)).all():
+            return False
     return True
 
 
@@ -325,38 +318,18 @@ def quotient_hom(g: FiniteGroup, normal: Sequence[int]) -> TableHom:
     if outside.any():
         q, j = map(int, np.argwhere(outside)[0])
         raise HomError(f"subgroup is not normal: {q} conjugates {nset[j]} outside it")
-    coset_key: dict[int, int] = {}
-    reps: list[int] = []
-    coset_of = [-1] * g.order
-    for x in range(g.order):
-        if coset_of[x] >= 0:
-            continue
-        members = sorted(g.mul[x][u] for u in nset)
-        cid = len(reps)
-        reps.append(members[0])
-        for y in members:
-            coset_of[y] = cid
-    q_order = len(reps)
-    mul = [[coset_of[g.mul[reps[i]][reps[j]]] for j in range(q_order)] for i in range(q_order)]
-    labels = [f"[{g.label(r)}]" for r in reps]
+    # row x holds the coset xN; its least member names it
+    reps, coset_of = np.unique(g.table[:, nset].min(axis=1), return_inverse=True)
+    mul = coset_of[g.table[np.ix_(reps, reps)]]
+    labels = [f"[{g.label(r)}]" for r in reps.tolist()]
     quotient = make_group(mul, labels, name=f"{g.name}/N{len(nset)}")
-    return TableHom(g, quotient, tuple(coset_of))
+    return TableHom(g, quotient, tuple(coset_of.tolist()))
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """Greedy deterministic generating set (ascending element order)."""
-    if g.order == 1:
-        return (g.identity,)
-    gens: list[int] = []
-    closure: tuple[int, ...] = (g.identity,)
-    for x in range(g.order):
-        if x in closure:
-            continue
-        gens.append(x)
-        closure = generated_subgroup(g, gens)
-        if len(closure) == g.order:
-            return tuple(gens)
-    raise GroupError("closure never reached the full group")  # pragma: no cover
+    """Greedy deterministic generating set: each generator is the least
+    element outside the subgroup generated by the earlier ones."""
+    return tuple(_greedy_generators(g.table, g.identity)) or (g.identity,)
 
 
 def enumerate_table_homs(
@@ -373,35 +346,38 @@ def enumerate_table_homs(
     extends along the tree to a full element map, which is yielded only if it
     preserves all products.
     """
-    gens = generating_set(source)
-    parent: dict[int, tuple[int, int]] = {}
-    words: dict[int, tuple[int, ...]] = {source.identity: ()}
-    bfs_order = [source.identity]
+    gens = np.array(generating_set(source))
+    k = len(gens)
+    words: list[Optional[tuple[int, ...]]] = [None] * source.order
+    words[source.identity] = ()
+    frontier = np.array([source.identity])
+    tree = []  # per level: the new elements, their parents and generator positions
     relators: list[tuple[int, ...]] = []
-    head = 0
-    while head < len(bfs_order):
-        x = bfs_order[head]
-        head += 1
-        for gi, gen in enumerate(gens):
-            y = source.mul[x][gen]
-            if y in words:
-                back = tuple(-letter for letter in reversed(words[y]))
-                relators.append(words[x] + (gi + 1,) + back)
+    while frontier.size:
+        # the edges x -> x*gen of one level, x in breadth-first order, then gen
+        ends = source.table.take(frontier, 0).take(gens, 1).ravel()
+        edges = []
+        for pos, (x, y) in enumerate(zip(np.repeat(frontier, k).tolist(), ends.tolist())):
+            word = words[x] + (pos % k + 1,)
+            if words[y] is None:
+                words[y] = word
+                edges.append(pos)
             else:
-                parent[y] = (x, gi)
-                words[y] = words[x] + (gi + 1,)
-                bfs_order.append(y)
-    if len(bfs_order) != source.order:  # pragma: no cover
+                relators.append(word + tuple(-letter for letter in reversed(words[y])))
+        edges = np.array(edges, dtype=np.intp)
+        tree.append((ends[edges], frontier[edges // k], edges % k))
+        frontier = ends[edges]
+    if None in words:  # pragma: no cover
         raise GroupError("generating set does not reach the full group")
-    pres = Presentation(len(gens), tuple(relators), name=f"schreier:{source.name}")
+    pres = Presentation(k, tuple(relators), name=f"schreier:{source.name}")
 
+    t = target.table
     for assignment in enumerate_homs(pres, target, budget=budget):
-        f = [-1] * source.order
-        f[source.identity] = target.identity
-        for y in bfs_order[1:]:
-            x, gi = parent[y]
-            f[y] = target.mul[f[x]][assignment.images[gi]]
-        hom = TableHom(source, target, tuple(f))
+        images = np.array(assignment.images, dtype=t.dtype)
+        f = np.full(source.order, target.identity, dtype=t.dtype)
+        for children, parents, gen_pos in tree:
+            f[children] = t[f[parents], images[gen_pos]]
+        hom = TableHom(source, target, tuple(f.tolist()))
         if is_table_homomorphism(hom):
             yield hom
 
@@ -479,6 +455,35 @@ class BraidCorollaryReport:
     elapsed_s: float
 
 
+def _braid_image_census(
+    homs: Iterable[GeneratorImageMap],
+    on_noncyclic: Optional[Callable[[GeneratorImageMap], None]] = None,
+) -> tuple[int, dict[int, int], tuple[tuple[int, ...], ...]]:
+    """The count, the image-order histogram (sorted) and the non-cyclic
+    images of a stream of homomorphisms from a braid group.
+
+    Adjacent Artin generators satisfy xyx = yxy, so if their images commute
+    then x^2 y = x y^2, that is x = y.  So an image is cyclic iff it is
+    abelian iff all generator images are equal, and its order is then that
+    image's, from ``element_orders``.  Only non-cyclic images are closed.
+    """
+    histogram: dict[int, int] = {}
+    count = 0
+    noncyclic: list[tuple[int, ...]] = []
+    for hom in homs:
+        count += 1
+        first = hom.images[0]
+        if hom.images.count(first) == len(hom.images):
+            size = int(hom.target.element_orders[first])
+        else:
+            size = len(image_subgroup(hom))
+            noncyclic.append(hom.images)
+            if on_noncyclic is not None:
+                on_noncyclic(hom)
+        histogram[size] = histogram.get(size, 0) + 1
+    return count, dict(sorted(histogram.items())), tuple(noncyclic)
+
+
 def braid_cyclic_corollary_check(
     n: int,
     target: FiniteGroup,
@@ -489,46 +494,27 @@ def braid_cyclic_corollary_check(
     image, under the hypothesis S(target) < floor(n/2).
 
     A violated hypothesis is reported as not applicable, never as a failure.
+    Each image is classified by ``_braid_image_census``.
     """
     if n < 5:
         raise HomError(f"the cyclic-image corollary is stated for n >= 5, got {n}")
     start = time.perf_counter()
     threshold = n // 2
     s_target = max_tss_size(target).s_of_g
-    if s_target >= threshold:
-        return BraidCorollaryReport(
-            strands=n,
-            target_name=target.name,
-            threshold=threshold,
-            s_target=s_target,
-            applicable=False,
-            hom_count=0,
-            image_order_histogram={},
-            all_cyclic=True,
-            noncyclic_images=(),
-            elapsed_s=time.perf_counter() - start,
-        )
-    pres = braid_presentation(n)
-    histogram: dict[int, int] = {}
-    count = 0
-    noncyclic: list[tuple[int, ...]] = []
-    for hom in enumerate_homs(pres, target, budget=budget):
-        count += 1
-        sub = image_subgroup(hom)
-        histogram[len(sub)] = histogram.get(len(sub), 0) + 1
-        if not _is_cyclic_subgroup(target, sub):
-            noncyclic.append(hom.images)
-            if on_noncyclic is not None:
-                on_noncyclic(hom)
+    count, histogram, noncyclic = 0, {}, ()
+    if s_target < threshold:
+        homs = enumerate_homs(braid_presentation(n), target, budget=budget)
+        count, histogram, noncyclic = _braid_image_census(homs, on_noncyclic)
     return BraidCorollaryReport(
         strands=n,
         target_name=target.name,
         threshold=threshold,
         s_target=s_target,
-        applicable=True,
+        applicable=s_target < threshold,
         hom_count=count,
-        image_order_histogram=dict(sorted(histogram.items())),
+        image_order_histogram=histogram,
         all_cyclic=not noncyclic,
-        noncyclic_images=tuple(noncyclic),
+        noncyclic_images=noncyclic,
         elapsed_s=time.perf_counter() - start,
     )
+

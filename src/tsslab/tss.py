@@ -354,6 +354,7 @@ def brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
     if size < 1:
         raise TssError(f"size must be >= 1, got {size}")
     n = g.order
+    m, inv = g.mul, g.inv.tolist()
     out: list[tuple[int, ...]] = []
     for cand in itertools.combinations(range(n), size):
         if any(
@@ -366,7 +367,7 @@ def brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
         for sigma in itertools.permutations(range(size)):
             found = False
             for q in range(n):
-                if all(g.conj(q, cand[i]) == cand[sigma[i]] for i in range(size)):
+                if all(m[m[q][cand[i]]][inv[q]] == cand[sigma[i]] for i in range(size)):
                     found = True
                     break
             if not found:

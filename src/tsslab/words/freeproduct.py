@@ -100,7 +100,7 @@ def fp_identity(left: FiniteGroup, right: FiniteGroup) -> FpWord:
 def fp_from_syllables(
     left: FiniteGroup, right: FiniteGroup, raw: Iterable[Syllable]
 ) -> FpWord:
-    """Normalize a raw syllable sequence (the fp_normalize entry point)."""
+    """Normalize a raw syllable sequence (see the module docstring)."""
     stack: list[Syllable] = []
     for tag, elem in raw:
         if tag not in (0, 1):
@@ -120,10 +120,6 @@ def fp_from_syllables(
                 stack.append(cur)
                 cur = None
     return _fp_word(left, right, tuple(stack))
-
-
-def fp_normalize(left: FiniteGroup, right: FiniteGroup, raw: Iterable[Syllable]) -> FpWord:
-    return fp_from_syllables(left, right, raw)
 
 
 def _same_factors(u: FpWord, v: FpWord) -> None:
@@ -155,7 +151,7 @@ def fp_multiply(u: FpWord, v: FpWord) -> FpWord:
 
 def fp_inverse(u: FpWord) -> FpWord:
     invs = (u.left.inv, u.right.inv)
-    syls = tuple((tag, invs[tag][elem]) for tag, elem in reversed(u.syllables))
+    syls = tuple((tag, invs[tag].item(elem)) for tag, elem in reversed(u.syllables))
     return _fp_word(u.left, u.right, syls)
 
 

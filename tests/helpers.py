@@ -12,6 +12,7 @@ import numpy as np
 
 from tsslab.cayley import CayleyTableError
 from tsslab.groups import (
+    DerivedSeries,
     FiniteGroup,
     GroupError,
     SemidirectParams,
@@ -24,7 +25,14 @@ from tsslab.groups import (
     make_symmetric,
     table_dtype,
 )
-from tsslab.homs import Presentation, _two_generator_relation
+from tsslab.homs import (
+    GeneratorImageMap,
+    HomError,
+    Presentation,
+    TableHom,
+    _two_generator_relation,
+    is_homomorphism,
+)
 from tsslab.words.freegroup import FreeWord, f2_reduce
 from tsslab.words.freeproduct import FpWord
 
@@ -329,7 +337,7 @@ def ref_fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
         raise ValueError("primitive roots are extracted for non-factor words only")
     p = next(p for p in range(2, len(syls) + 1, 2)
              if len(syls) % p == 0 and syls == syls[:p] * (len(syls) // p))
-    inv_conj = [(tag, w.factor(tag).inv[elem]) for tag, elem in reversed(conj.syllables)]
+    inv_conj = [(tag, int(w.factor(tag).inv[elem])) for tag, elem in reversed(conj.syllables)]
     root = ref_fp_normalize(w.left, w.right, [*conj.syllables, *syls[:p], *inv_conj])
     return root, len(syls) // p
 
@@ -434,3 +442,84 @@ def ref_enumerate_homs(pres: Presentation, target: FiniteGroup,
 
     rec(0)
     return found, nodes
+
+
+# --- scalar references for the subgroup, series and homomorphism checks -----
+
+def ref_generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
+    """Closure of gens by breadth-first search over the scalar rows ``mul``:
+    each new element is multiplied by every generator."""
+    gen_list = sorted(set(gens))
+    m = g.mul
+    members = {g.identity, *gen_list}
+    frontier = list(members)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in gen_list:
+                p = m[a][b]
+                if p not in members:
+                    members.add(p)
+                    new.append(p)
+        frontier = new
+    return tuple(sorted(members))
+
+
+def ref_derived_series(g: FiniteGroup) -> DerivedSeries:
+    """G >= G' >= ...: every commutator [a, b] = (ab)(ba)^-1 of a term by a
+    double loop over ``mul``, closed by ``ref_generated_subgroup``."""
+    m, inv = g.mul, g.inv.tolist()
+    current = tuple(range(g.order))
+    terms = [current]
+    while len(current) > 1:
+        comms = {m[m[a][b]][inv[m[b][a]]] for a in current for b in current}
+        nxt = ref_generated_subgroup(g, comms)
+        if nxt == current:
+            break
+        terms.append(nxt)
+        current = nxt
+    return DerivedSeries(terms=tuple(terms), solvable=terms[-1] == (g.identity,))
+
+
+def ref_element_order(g: FiniteGroup, x: int) -> int:
+    """The least k with x^k = e, one scalar product at a time."""
+    acc, k = x, 1
+    while acc != g.identity:
+        acc = g.mul[acc][x]
+        k += 1
+    return k
+
+
+def ref_is_table_homomorphism(h: TableHom) -> bool:
+    """f(ab) == f(a) f(b) for every pair, by a double loop over ``mul``."""
+    sm, tm, f = h.source.mul, h.target.mul, h.mapping
+    return all(f[sm[a][b]] == tm[f[a]][f[b]]
+               for a in range(h.source.order) for b in range(h.source.order))
+
+
+def image_is_cyclic(m: GeneratorImageMap) -> bool:
+    """Whether the image subgroup of a homomorphism from any presentation is
+    generated by a single element: the image closed by
+    ``ref_generated_subgroup`` and scanned for a member of its order."""
+    if not is_homomorphism(m):
+        raise HomError("generator images do not satisfy the relators")
+    sub = ref_generated_subgroup(m.target, m.images)
+    return any(ref_element_order(m.target, x) == len(sub) for x in sub)
+
+
+def ref_braid_image_census(homs, on_noncyclic=None):
+    """(count, histogram, non-cyclic images) of a stream of homomorphisms:
+    each image closed by ``ref_generated_subgroup`` and called cyclic when one
+    of its members has the image's order."""
+    histogram: dict[int, int] = {}
+    count = 0
+    noncyclic = []
+    for hom in homs:
+        count += 1
+        sub = ref_generated_subgroup(hom.target, hom.images)
+        histogram[len(sub)] = histogram.get(len(sub), 0) + 1
+        if not any(ref_element_order(hom.target, x) == len(sub) for x in sub):
+            noncyclic.append(hom.images)
+            if on_noncyclic is not None:
+                on_noncyclic(hom)
+    return count, dict(sorted(histogram.items())), tuple(noncyclic)

@@ -193,7 +193,7 @@ def _outcome(decode, text):
         g = decode(text)
     except CayleyTableError as exc:
         return "error", str(exc), exc.line, exc.row, exc.col
-    return ("group", g.order, g.identity, g.table.dtype, g.table.tolist(), g.inv,
+    return ("group", g.order, g.identity, g.table.dtype, g.table.tolist(), g.inv.tolist(),
             g.labels, g.assoc_verified)
 
 

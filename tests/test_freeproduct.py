@@ -18,7 +18,6 @@ from tsslab.words.freeproduct import (
     fp_identity,
     fp_inverse,
     fp_multiply,
-    fp_normalize,
     fp_power,
     fp_primitive_root,
     fp_tss_analyze,
@@ -70,7 +69,7 @@ class TestNormalForm:
     def test_full_cascade(self):
         # (g1 h g2) * (g2^-1 h^-1) = g1
         u = dw((0, 1), (1, 2), (0, 3))
-        v = dw((0, D8.inv[3]), (1, S3.inv[2]))
+        v = dw((0, int(D8.inv[3])), (1, int(S3.inv[2])))
         assert fp_multiply(u, v) == dw((0, 1))
 
     def test_no_merge_across_factors(self):
@@ -89,19 +88,19 @@ class TestNormalForm:
     @given(raw_syllables())
     def test_normalize_idempotent(self, raw):
         raw = [s for s in raw if _valid(s)]
-        w = fp_normalize(D8, S3, raw)
-        assert fp_normalize(D8, S3, w.syllables) == w
+        w = fp_from_syllables(D8, S3, raw)
+        assert fp_from_syllables(D8, S3, w.syllables) == w
 
     @given(raw_syllables())
     def test_length_never_increases(self, raw):
         raw = [s for s in raw if _valid(s)]
-        assert len(fp_normalize(D8, S3, raw)) <= len(raw)
+        assert len(fp_from_syllables(D8, S3, raw)) <= len(raw)
 
     @given(raw_syllables(), raw_syllables(), raw_syllables())
     def test_associativity(self, a, b, c):
-        u = fp_normalize(D8, S3, [s for s in a if _valid(s)])
-        v = fp_normalize(D8, S3, [s for s in b if _valid(s)])
-        w = fp_normalize(D8, S3, [s for s in c if _valid(s)])
+        u = fp_from_syllables(D8, S3, [s for s in a if _valid(s)])
+        v = fp_from_syllables(D8, S3, [s for s in b if _valid(s)])
+        w = fp_from_syllables(D8, S3, [s for s in c if _valid(s)])
         assert fp_multiply(fp_multiply(u, v), w) == fp_multiply(u, fp_multiply(v, w))
 
 
@@ -127,7 +126,7 @@ class TestCyclicReduce:
 
     @given(raw_syllables())
     def test_roundtrip(self, raw):
-        w = fp_normalize(D8, S3, [s for s in raw if _valid(s)])
+        w = fp_from_syllables(D8, S3, [s for s in raw if _valid(s)])
         core, conj = fp_cyclic_reduce(w)
         assert fp_multiply(fp_multiply(conj, core), fp_inverse(conj)) == w
         if len(core) >= 2:
@@ -302,7 +301,7 @@ class TestJunctionAgreesWithWholeWord:
         u = dw((0, 1), (1, 2), (0, 3), (1, 1))
         assert fp_multiply(u, fp_inverse(u)) == fp_identity(D8, S3)
         # three cancels, then a merge in the left factor
-        v = dw((1, S3.inv[1]), (0, D8.inv[3]), (1, S3.inv[2]), (0, 5))
+        v = dw((1, int(S3.inv[1])), (0, int(D8.inv[3])), (1, int(S3.inv[2])), (0, 5))
         assert fp_multiply(u, v) == dw((0, D8.mul[1][5]))
 
     def test_results_are_normal(self):

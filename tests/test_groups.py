@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from tsslab import groups
 from tsslab.cayley import CayleyTableError, from_cayley_table, to_cayley_table
+from tsslab import homs, verify
+from tsslab.cli import main
 from tsslab.groups import (
     GroupError,
     SemidirectParams,
@@ -35,7 +37,10 @@ from helpers import (
     dense_corpus,
     is_subgroup,
     ref_check_assoc,
+    ref_derived_series,
     ref_eager_mul,
+    ref_element_order,
+    ref_generated_subgroup,
 )
 
 
@@ -247,6 +252,44 @@ class TestGeneratedSubgroup:
     def test_closure_is_subgroup(self, s4):
         sub = generated_subgroup(s4, [3, 7])
         assert is_subgroup(s4, sub)
+
+
+class TestClosureMatchesScalarReferences:
+    """``generated_subgroup``, ``derived_series`` and ``element_orders``
+    against the scalar walks over ``mul`` that they replaced."""
+
+    LARGE = ["dihedral:500", "semidirect:31,30,3", "product:sym:4,dihedral:10"]
+
+    @pytest.mark.parametrize("g", [g for g, _ in dense_corpus()], ids=lambda g: g.name)
+    def test_dense_corpus(self, g):
+        assert derived_series(g) == ref_derived_series(g)
+        assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
+        rng = random.Random(g.order)
+        for x in range(g.order):
+            gens = [x, rng.randrange(g.order)]
+            assert generated_subgroup(g, [x]) == ref_generated_subgroup(g, [x])
+            assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
+
+    @pytest.mark.parametrize("spec", LARGE)
+    def test_large_orders(self, spec):
+        g = parse_group_spec(spec)
+        assert derived_series(g) == ref_derived_series(g)
+        rng = random.Random(spec)
+        for _ in range(20):
+            gens = rng.sample(range(g.order), rng.randrange(1, 3))
+            assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_blocks_keep_results(self, block, monkeypatch):
+        monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+        g = parse_group_spec("product:sym:4,dihedral:3")
+        assert derived_series(g) == ref_derived_series(g)
+        assert generated_subgroup(g, [7, 30]) == ref_generated_subgroup(g, [7, 30])
+
+    def test_inverses_and_orders_are_read_only_arrays(self, s4):
+        for arr in (s4.inv, s4.element_orders):
+            assert arr.dtype == s4.table.dtype and arr.shape == (24,)
+            assert not arr.flags.writeable
 
 
 class TestDerivedSeries:
@@ -533,7 +576,7 @@ class TestDenseCore:
     def test_rows_share_int_objects(self):
         g = make_dihedral(300)  # entries above 256, which CPython does not intern
         x = g.mul[0][400]
-        assert x == 400 and x is g.mul[400][0] is g.inv[x]  # 400 is a reflection
+        assert x == 400 and x is g.mul[400][0] and g.inv[x] == x  # 400 is a reflection
 
     def test_classes_cached_on_the_group(self, s4):
         assert conjugacy_classes(s4) is conjugacy_classes(s4)
@@ -562,6 +605,43 @@ class TestLazyMul:
             realized_permutations(g, cert.elements)
         assert to_cayley_table(back) == text
         assert "mul" not in g.__dict__ and "mul" not in back.__dict__
+
+    @pytest.mark.parametrize("check", [
+        lambda g, h: derived_series(g),
+        lambda g, h: homs.is_table_homomorphism(homs.identity_hom(g)),
+        lambda g, h: homs.quotient_hom(g, [x for x in range(g.order)
+                                           if len(centralizer(g, x)) == g.order]).target,
+        lambda g, h: list(homs.enumerate_table_homs(g, h)),
+    ], ids=["derived_series", "is_table_homomorphism", "quotient_hom", "enumerate_table_homs"])
+    @pytest.mark.parametrize("spec", ["sym:4", "product:cyclic:2,dihedral:4"])
+    def test_group_and_hom_checks_do_not_build_mul(self, check, spec):
+        g, h = parse_group_spec(spec), parse_group_spec("sym:3")
+        out = check(g, h)
+        assert out
+        for group in (g, h, *([out] if isinstance(out, groups.FiniteGroup) else [])):
+            assert "mul" not in group.__dict__
+
+    def test_braid_check_does_not_build_mul(self):
+        target = parse_group_spec("semidirect:11,10,2")  # a braid-homs target
+        assert homs.braid_cyclic_corollary_check(9, target).all_cyclic
+        assert "mul" not in target.__dict__
+
+    @pytest.mark.parametrize("run", [
+        lambda: main(["group", "info", "--spec", "sym:4"]) == 0,
+        lambda: verify.verify_suite("inverse-pair").instances,
+    ], ids=["group-info", "inverse-pair"])
+    def test_cli_and_suite_groups_do_not_build_mul(self, run, monkeypatch, capsys):
+        made = []
+
+        def recording(spec):
+            made.append(parse_group_spec(spec))
+            return made[-1]
+
+        monkeypatch.setattr("tsslab.cli.parse_group_spec", recording)
+        monkeypatch.setattr(verify, "parse_group_spec", recording)
+        assert run()
+        capsys.readouterr()
+        assert made and not any("mul" in g.__dict__ for g in made)
 
     def test_mul_matches_eager_rows(self, small_corpus):
         for g in [g for g, _ in DENSE_CORPUS] + small_corpus:

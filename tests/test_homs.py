@@ -26,7 +26,6 @@ from tsslab.homs import (
     fundamental_lemma_check,
     generating_set,
     identity_hom,
-    image_is_cyclic,
     image_subgroup,
     is_homomorphism,
     is_table_homomorphism,
@@ -36,7 +35,14 @@ from tsslab.homs import (
 from tsslab.schemas import HOM_REPORT_SCHEMA, braid_report_to_json
 from tsslab.tss import TssError
 
-from helpers import ref_enumerate_homs, ref_evaluate_word
+from helpers import (
+    dense_corpus,
+    image_is_cyclic,
+    ref_braid_image_census,
+    ref_enumerate_homs,
+    ref_evaluate_word,
+    ref_is_table_homomorphism,
+)
 
 
 def _std_b3_s3(s3):
@@ -492,3 +498,56 @@ class TestBlockSeams:
                 yielded.append(hom)
         assert yielded and info.value.found == len(yielded)
         assert info.value.nodes == total
+
+
+# --- the array checks against their scalar references -------------------------
+
+def _center(g):
+    return [x for x in range(g.order) if (g.table[x] == g.table[:, x]).all()]
+
+
+class TestTableHomsMatchReference:
+    @pytest.mark.parametrize("g", [g for g, _ in dense_corpus() if g.order >= 3],
+                             ids=lambda g: g.name)
+    def test_dense_corpus_and_planted_faults(self, g):
+        q = quotient_hom(g, _center(g))
+        assert q.mapping[g.identity] == 0
+        for hom in (identity_hom(g), q):
+            assert is_table_homomorphism(hom) and ref_is_table_homomorphism(hom)
+            if hom.target.order == 1:
+                continue
+            # one changed entry breaks f(xa) = f(x) f(a) for some a outside {e, x}
+            for x in (0, g.order // 2, g.order - 1):
+                f = list(hom.mapping)
+                f[x] = (f[x] + 1) % hom.target.order
+                planted = TableHom(g, hom.target, tuple(f))
+                assert not is_table_homomorphism(planted)
+                assert not ref_is_table_homomorphism(planted)
+
+    @pytest.mark.parametrize("source,target", [("sym:4", "sym:3"), ("sym:4", "dihedral:4"),
+                                               ("semidirect:7,3,2", "sym:3")])
+    def test_enumerated_maps(self, source, target):
+        g, h = parse_group_spec(source), parse_group_spec(target)
+        found = list(enumerate_table_homs(g, h))
+        assert found and all(ref_is_table_homomorphism(hom) for hom in found)
+        assert all(type(y) is int for hom in found for y in hom.mapping)
+
+
+class TestBraidCensusMatchesReference:
+    """The closed-form image rule (cyclic iff all generator images are equal)
+    against closing every image and scanning it for a generator."""
+
+    @pytest.mark.parametrize("spec", _ORACLE_TARGETS + ["sym:5"])
+    @pytest.mark.parametrize("strands", range(3, 8))
+    def test_histogram_and_noncyclic_images(self, strands, spec):
+        target = parse_group_spec(spec)
+        seen, want_seen = [], []
+        got = homs._braid_image_census(
+            enumerate_homs(braid_presentation(strands), target),
+            lambda hom: seen.append(hom.images))
+        want = ref_braid_image_census(
+            enumerate_homs(braid_presentation(strands), target),
+            lambda hom: want_seen.append(hom.images))
+        assert got == want
+        assert seen == want_seen == list(want[2])
+        assert all(type(k) is int for k in got[1])
