@@ -287,7 +287,8 @@ def _close(mul: np.ndarray, reached: np.ndarray) -> None:
     while count < n:
         members = reached.nonzero()[0]
         for rows in _row_blocks(len(members), n):
-            reached[mul.take(members[rows], 0).take(members, 1)] = True
+            products = mul.take(members[rows], 0).take(members, 1)
+            reached |= np.bincount(products.ravel(), minlength=n) > 0
         grown = np.count_nonzero(reached)
         if grown == count:
             return
@@ -578,7 +579,7 @@ def derived_series(g: FiniteGroup) -> DerivedSeries:
             a = current[rows]
             ab = table.take(a, 0).take(current, 1)
             ba = table.take(a, 1).take(current, 0).T
-            reached[table[ab, inv[ba]]] = True
+            reached |= np.bincount(table[ab, inv[ba]].ravel(), minlength=g.order) > 0
         _close(table, reached)
         nxt = reached.nonzero()[0]
         if len(nxt) == len(current):

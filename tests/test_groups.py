@@ -254,44 +254,6 @@ class TestGeneratedSubgroup:
         assert is_subgroup(s4, sub)
 
 
-class TestClosureMatchesScalarReferences:
-    """``generated_subgroup``, ``derived_series`` and ``element_orders``
-    against the scalar walks over ``mul`` that they replaced."""
-
-    LARGE = ["dihedral:500", "semidirect:31,30,3", "product:sym:4,dihedral:10"]
-
-    @pytest.mark.parametrize("g", [g for g, _ in dense_corpus()], ids=lambda g: g.name)
-    def test_dense_corpus(self, g):
-        assert derived_series(g) == ref_derived_series(g)
-        assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
-        rng = random.Random(g.order)
-        for x in range(g.order):
-            gens = [x, rng.randrange(g.order)]
-            assert generated_subgroup(g, [x]) == ref_generated_subgroup(g, [x])
-            assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
-
-    @pytest.mark.parametrize("spec", LARGE)
-    def test_large_orders(self, spec):
-        g = parse_group_spec(spec)
-        assert derived_series(g) == ref_derived_series(g)
-        rng = random.Random(spec)
-        for _ in range(20):
-            gens = rng.sample(range(g.order), rng.randrange(1, 3))
-            assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
-
-    @pytest.mark.parametrize("block", [1, 40])
-    def test_blocks_keep_results(self, block, monkeypatch):
-        monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
-        g = parse_group_spec("product:sym:4,dihedral:3")
-        assert derived_series(g) == ref_derived_series(g)
-        assert generated_subgroup(g, [7, 30]) == ref_generated_subgroup(g, [7, 30])
-
-    def test_inverses_and_orders_are_read_only_arrays(self, s4):
-        for arr in (s4.inv, s4.element_orders):
-            assert arr.dtype == s4.table.dtype and arr.shape == (24,)
-            assert not arr.flags.writeable
-
-
 class TestDerivedSeries:
     def test_abelian(self, z6):
         series = derived_series(z6)
@@ -540,6 +502,44 @@ class TestLightAssociativity:
 
 
 DENSE_CORPUS = dense_corpus()
+
+
+class TestClosureMatchesScalarReferences:
+    """``generated_subgroup``, ``derived_series`` and ``element_orders``
+    against the scalar walks over ``mul`` that they replaced."""
+
+    LARGE = ["dihedral:500", "semidirect:31,30,3", "product:sym:4,dihedral:10"]
+
+    @pytest.mark.parametrize("g", [g for g, _ in DENSE_CORPUS], ids=lambda g: g.name)
+    def test_dense_corpus(self, g):
+        assert derived_series(g) == ref_derived_series(g)
+        assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
+        rng = random.Random(g.order)
+        for x in range(g.order):
+            gens = [x, rng.randrange(g.order)]
+            assert generated_subgroup(g, [x]) == ref_generated_subgroup(g, [x])
+            assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
+
+    @pytest.mark.parametrize("spec", LARGE)
+    def test_large_orders(self, spec):
+        g = parse_group_spec(spec)
+        assert derived_series(g) == ref_derived_series(g)
+        rng = random.Random(spec)
+        for _ in range(20):
+            gens = rng.sample(range(g.order), rng.randrange(1, 3))
+            assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_blocks_keep_results(self, block, monkeypatch):
+        monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+        g = parse_group_spec("product:sym:4,dihedral:3")
+        assert derived_series(g) == ref_derived_series(g)
+        assert generated_subgroup(g, [7, 30]) == ref_generated_subgroup(g, [7, 30])
+
+    def test_inverses_and_orders_are_read_only_arrays(self, s4):
+        for arr in (s4.inv, s4.element_orders):
+            assert arr.dtype == s4.table.dtype and arr.shape == (24,)
+            assert not arr.flags.writeable
 
 
 class TestDenseCore:
