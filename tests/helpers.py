@@ -174,12 +174,13 @@ def ref_realized_permutations(g: FiniteGroup, elems: tuple[int, ...]):
 
 def ref_transposition_witnesses(g: FiniteGroup, elems: tuple[int, ...]):
     """For each i, the least q swapping elems[i], elems[i+1] and fixing the rest."""
+    m, inv = g.mul, g.inv.tolist()  # q x q^-1 as in ``conj``, with int inverses
     out = {}
     for i in range(len(elems) - 1):
         want = list(elems)
         want[i], want[i + 1] = want[i + 1], want[i]
         out[(i, i + 1)] = next(
-            (q for q in range(g.order) if [conj(g, q, x) for x in elems] == want), None
+            (q for q in range(g.order) if [m[m[q][x]][inv[q]] for x in elems] == want), None
         )
     return out
 
