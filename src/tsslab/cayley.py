@@ -132,14 +132,30 @@ def _parse_row(toks: list[str], n: int, lineno: int, r: int) -> list[int]:
     return entries
 
 
+# entries per block of rows that to_cayley_table encodes at once
+_ENCODE_BLOCK = 1 << 18
+
+
 def to_cayley_table(g: FiniteGroup) -> str:
-    """Serialize a group in the canonical table format."""
-    text = np.array([str(v) for v in range(g.order)], dtype=object)
-    lines = [str(g.order)]
-    # one row of str objects at a time, so no order^2 object array is made
-    lines += [" ".join(text[row].tolist()) for row in g.table]
+    """Serialize a group in the canonical table format.
+
+    Each entry becomes a fixed-width token, ``"v "`` or, in the last column,
+    ``"v\\n"``, NUL-padded to the width of the longest.  A block of about
+    ``_ENCODE_BLOCK`` entries is gathered from the tokens, taken as bytes,
+    stripped of the padding and decoded once, so no per-entry string is made.
+    """
+    n = g.order
+    width = len(str(n - 1)) + 1
+    digits = [str(v) for v in range(n)]
+    inner = np.array([d + " " for d in digits], dtype=f"S{width}")
+    last = np.array([d + "\n" for d in digits], dtype=f"S{width}")
+    parts = [f"{n}\n"]
+    step = max(1, _ENCODE_BLOCK // n)
+    for lo in range(0, n, step):
+        rows = g.table[lo:lo + step]
+        tokens = inner.take(rows)
+        tokens[:, -1] = last[rows[:, -1]]
+        parts.append(tokens.tobytes().replace(b"\0", b"").decode("ascii"))
     if g.labels is not None:
-        for i, lab in enumerate(g.labels):
-            lines.append(f"label {i} {lab}")
-    lines.append("")  # the final newline, without copying the joined text again
-    return "\n".join(lines)
+        parts += [f"label {i} {lab}\n" for i, lab in enumerate(g.labels)]
+    return "".join(parts)

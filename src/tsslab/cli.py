@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -58,16 +59,18 @@ def _positive_int(source: str) -> Callable[[str], int]:
     return parse
 
 
+_JOBS = _positive_int("--jobs or TSSLAB_JOBS")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsslab",
         description="Exact computation engine for totally symmetric sets in groups.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    # a string default is converted by _positive_int too, so a bad TSSLAB_JOBS
-    # is a usage error like a bad --jobs
-    parser.add_argument("--jobs", type=_positive_int("--jobs or TSSLAB_JOBS"),
-                        default=os.environ.get("TSSLAB_JOBS", "1"),
+    # without --jobs, main reads TSSLAB_JOBS on each call, not once here
+    parser.add_argument("--jobs", type=_JOBS, default=None,
                         help="worker processes for verify grids (env TSSLAB_JOBS)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument("--budget", type=_positive_int("--budget"),
@@ -492,9 +495,20 @@ def _attach_grid(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The parser is built once per process and shared by every call.
+    ``TSSLAB_JOBS`` is read on every call that does not pass ``--jobs``, and
+    a bad value is the same usage error as a bad ``--jobs``.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
+        if args.jobs is None:
+            try:
+                args.jobs = _JOBS(os.environ.get("TSSLAB_JOBS", "1"))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"argument --jobs: {exc}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

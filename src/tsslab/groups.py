@@ -6,7 +6,7 @@ entries built with the group, and ``inv`` is the array of inverses.  Searches
 over the whole group, subgroup closure and commutators are gathers on them and
 on the conjugation table ``conj_table``, built on first use.  ``mul``, the rows
 of ``table`` as tuples, is derived on first use for the scalar walks over small
-groups: ``conj``, ``commutes``, ``tss.brute_force_tss`` and free-product words.
+groups: ``conj``, ``commutes`` and free-product words.
 Labels are advisory display strings only.
 """
 
@@ -103,18 +103,23 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """Read-only array of element orders, in the dtype of ``table``: step
-        k of one power loop takes the k-th powers of the elements whose powers
-        have not yet reached the identity."""
-        orders = np.empty(self.order, dtype=self.table.dtype)
-        pending = np.arange(self.order, dtype=self.table.dtype)
-        power, k = pending, 1
-        while pending.size:
-            done = power == self.identity
-            orders[pending[done]] = k
-            pending, power = pending[~done], power[~done]
-            power = self.table[power, pending]
-            k += 1
+        """Read-only array of element orders, in the dtype of ``table``, by
+        descent from |G| one prime at a time.  For p^a exactly dividing |G|,
+        y = x^(|G|/p^a) has order the p-part of o(x), which is p^j for the
+        least j with y^(p^j) = e; o(x) is the product of the p-parts.  The
+        powers are taken for all x at once by squaring on ``table``, so the
+        work is O(order log order) gathers, not the sum of the orders."""
+        t = self.table
+        orders = np.ones(self.order, dtype=t.dtype)
+        doubling = [np.arange(self.order)]  # x^(2^i) for every x, shared by the primes
+        for p, a in _prime_powers(self.order):
+            y = _power(t, doubling, self.order // p ** a)
+            for j in range(a):
+                above = y != self.identity
+                orders[above] *= p
+                if j + 1 == a or not above.any():
+                    break
+                y = _power(t, [y], p)
         orders.flags.writeable = False
         return orders
 
@@ -207,6 +212,33 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, a) for each prime power p^a exactly dividing n, p ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def _power(table: np.ndarray, doubling: list[np.ndarray], k: int) -> np.ndarray:
+    """x^k for every entry of an array x (k >= 1), by binary powering on
+    ``table``.  ``doubling[i]`` holds x^(2^i); squares read from the table's
+    diagonal are appended to it as needed, so later powers of x reuse them."""
+    result = None
+    for i in range(k.bit_length()):
+        if i == len(doubling):
+            doubling.append(np.diagonal(table)[doubling[-1]])
+        if k >> i & 1:
+            result = doubling[i] if result is None else table[result, doubling[i]]
+    return result
 
 
 def _order_cap(what: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> None:

@@ -345,34 +345,41 @@ def _orbit_minima(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
 
 
 def brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
-    """No-pruning oracle: every size-subset of every commuting family, with a
-    full witness search over all |S|! permutations.
+    """No-pruning oracle: every size-subset of the group, in
+    ``itertools.combinations`` order, that pairwise commutes and realizes
+    each of its |S|! permutations by conjugation, found by a search over all
+    of G per permutation.
 
-    Kept independent of the pruned path: no conjugacy classes, no stabilizer
-    reasoning, no adjacent-transposition shortcut.
+    Kept independent of the pruned path: it reads only ``table`` and ``inv``
+    (no ``mul``, no ``conj_table``, no conjugacy classes, no
+    ``_least_witnesses``) and takes no adjacent-transposition shortcut.  The
+    subsets are taken from ``combinations`` in blocks of about ``_BLOCK``
+    entries and filtered for commutation; the survivors go through the
+    permutation search in blocks whose conjugates, q s q^-1 =
+    ``table[table[q, s], inv[q]]`` for every q in G, hold about ``_BLOCK``
+    entries, so memory does not grow with the number of subsets.
     """
     if size < 1:
         raise TssError(f"size must be >= 1, got {size}")
-    n = g.order
-    m, inv = g.mul, g.inv.tolist()
+    t, inv = g.table, g.inv
+    q = np.arange(g.order)[:, None, None]
+    perms = list(itertools.permutations(range(size)))
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(g.order), size))
+    step = max(1, _BLOCK // (g.order * size))
     out: list[tuple[int, ...]] = []
-    for cand in itertools.combinations(range(n), size):
-        if any(
-            not g.commutes(cand[i], cand[j])
-            for i in range(size)
-            for j in range(i + 1, size)
-        ):
-            continue
-        total = True
-        for sigma in itertools.permutations(range(size)):
-            found = False
-            for q in range(n):
-                if all(m[m[q][cand[i]]][inv[q]] == cand[sigma[i]] for i in range(size)):
-                    found = True
+    while True:
+        sets = np.fromiter(itertools.islice(subsets, max(1, _BLOCK // size) * size),
+                           dtype=t.dtype).reshape(-1, size)
+        if not len(sets):
+            return out
+        for i, j in itertools.combinations(range(size), 2):
+            sets = sets[t[sets[:, i], sets[:, j]] == t[sets[:, j], sets[:, i]]]
+        for lo in range(0, len(sets), step):
+            block = sets[lo:lo + step]
+            images = t[t[q, block], inv[q]]  # images[q, r, i] = q block[r, i] q^-1
+            total = np.ones(len(block), dtype=bool)
+            for sigma in perms:
+                total &= (images == block[:, sigma]).all(axis=2).any(axis=0)
+                if not total.any():
                     break
-            if not found:
-                total = False
-                break
-        if total:
-            out.append(cand)
-    return out
+            out += map(tuple, block[total].tolist())

@@ -33,6 +33,7 @@ from tsslab.homs import (
     _two_generator_relation,
     is_homomorphism,
 )
+from tsslab.tss import TssError
 from tsslab.words.freegroup import FreeWord, f2_reduce
 from tsslab.words.freeproduct import FpWord
 
@@ -480,6 +481,45 @@ def ref_derived_series(g: FiniteGroup) -> DerivedSeries:
         terms.append(nxt)
         current = nxt
     return DerivedSeries(terms=tuple(terms), solvable=terms[-1] == (g.identity,))
+
+
+def ref_brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
+    """Every commuting size-subset, in ``itertools.combinations`` order,
+    with a scalar witness search over all q for each of its |S|! permutations,
+    reading ``mul`` and a local ``inv.tolist()``."""
+    if size < 1:
+        raise TssError(f"size must be >= 1, got {size}")
+    n = g.order
+    m, inv = g.mul, g.inv.tolist()
+    out: list[tuple[int, ...]] = []
+    for cand in itertools.combinations(range(n), size):
+        if any(
+            not g.commutes(cand[i], cand[j])
+            for i in range(size)
+            for j in range(i + 1, size)
+        ):
+            continue
+        total = True
+        for sigma in itertools.permutations(range(size)):
+            found = False
+            for q in range(n):
+                if all(m[m[q][cand[i]]][inv[q]] == cand[sigma[i]] for i in range(size)):
+                    found = True
+                    break
+            if not found:
+                total = False
+                break
+        if total:
+            out.append(cand)
+    return out
+
+
+def ref_to_cayley_table(g: FiniteGroup) -> str:
+    """The Cayley-table document, one ``" ".join`` of ``str`` entries per row."""
+    lines = [str(g.order)] + [" ".join(map(str, row)) for row in g.table.tolist()]
+    if g.labels is not None:
+        lines += [f"label {i} {lab}" for i, lab in enumerate(g.labels)]
+    return "\n".join(lines) + "\n"
 
 
 def ref_element_order(g: FiniteGroup, x: int) -> int:

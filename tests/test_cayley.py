@@ -8,11 +8,12 @@ from tsslab.groups import (
     direct_product,
     make_cyclic,
     make_dihedral,
+    make_group,
     make_semidirect_cyclic,
     make_symmetric,
 )
 
-from helpers import ref_from_cayley_table
+from helpers import ref_from_cayley_table, ref_to_cayley_table
 
 
 def test_trivial_group():
@@ -126,6 +127,28 @@ def test_writer_format(s4):
     assert lines[0] == "24"
     assert lines[1:25] == [" ".join(str(v) for v in row) for row in s4.mul]
     assert lines[25:] == [f"label {i} {lab}" for i, lab in enumerate(s4.labels)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101])
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "plain"])
+def test_writer_at_token_width_edges(n, labelled):
+    # 9 / 10 and 99 / 100 are where the widest entry gains a digit
+    g = make_cyclic(n)
+    if not labelled:
+        g = make_group(g.table)
+    text = to_cayley_table(g)
+    assert text == ref_to_cayley_table(g)
+    back = from_cayley_table(text)
+    assert (back.table == g.table).all() and back.labels == g.labels
+    assert to_cayley_table(back) == text
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_writer_blocks_keep_bytes(block, monkeypatch):
+    g = direct_product(make_cyclic(11), make_dihedral(5))
+    want = ref_to_cayley_table(g)
+    monkeypatch.setattr(cayley, "_ENCODE_BLOCK", block)
+    assert to_cayley_table(g) == want
 
 
 # --- the block decode against the token-by-token decoder ---------------------

@@ -1,8 +1,10 @@
 import json
+import re
 
 import jsonschema
 import pytest
 
+from tsslab import cli, verify
 from tsslab.cli import main
 from tsslab.verify import GRID_RANGE_CAP, _parse_ints, verify_suite
 from tsslab.schemas import SUITE_RESULT_SCHEMA, TSS_REPORT_SCHEMA, HOM_REPORT_SCHEMA
@@ -413,3 +415,56 @@ class TestNoVacuousPass:
         with pytest.raises(ValueError) as info:
             verify_suite(theorem, grid=[params])
         assert str(info.value) == message
+
+
+class TestParserReuse:
+    """The parser is built once per process; every call through the cached
+    parser gives what a freshly built one gives, and ``TSSLAB_JOBS`` is read
+    on every call."""
+
+    ORACLE = ["verify", "oracle", "--grid", "cyclic:3;sym:3"]
+    CALLS = [
+        (None, ["tss", "max"]),
+        (None, ["--help"]),
+        ("abc", ORACLE),
+        ("2", ORACLE),
+        (None, ORACLE),
+        (None, ["verify", "baumslag-solitar", "--grid", "-3--1"]),
+        (None, ["tss", "max", "--group", "dihedral:7"]),
+    ]
+
+    def _call(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("TSSLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("TSSLAB_JOBS", env)
+        code, out, err = run(capsys, *argv)
+        return code, re.sub(r", [0-9.]+s\)$", ")", out, flags=re.M), err
+
+    def test_cached_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        jobs = []
+        suite = verify.verify_suite
+
+        def spy(theorem, grid=None, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return suite(theorem, grid, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_suite", spy)
+        cli._build_parser.cache_clear()
+        reused = [self._call(capsys, monkeypatch, env, argv) for env, argv in self.CALLS]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for env, argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(self._call(capsys, monkeypatch, env, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 2, 0, 0, 0, 0]
+        assert reused[1][1].startswith("usage: tsslab") and "--jobs JOBS" in reused[1][1]
+        assert reused[2][2].endswith("tsslab: error: argument --jobs: expected a positive "
+                                     "integer (from --jobs or TSSLAB_JOBS), got 'abc'\n")
+        assert jobs == [2, 1, 1, 2, 1, 1]
+
+    def test_flag_overrides_a_bad_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TSSLAB_JOBS", "abc")
+        code, out, _ = run(capsys, "--jobs", "1", "table")
+        assert code == 0 and "Dihedral" in out

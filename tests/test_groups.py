@@ -536,6 +536,33 @@ class TestClosureMatchesScalarReferences:
         assert derived_series(g) == ref_derived_series(g)
         assert generated_subgroup(g, [7, 30]) == ref_generated_subgroup(g, [7, 30])
 
+    def test_element_orders_of_dihedral_2000(self):
+        g = parse_group_spec("dihedral:2000")
+        assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
+
+    def test_element_orders_of_cyclic_4000(self):
+        # every order in closed form (g^x has order n / gcd(x, n)); the scalar
+        # walk, whose cost is the sum of the orders, on the divisors and a sample
+        g = parse_group_spec("cyclic:4000")
+        orders = g.element_orders.tolist()
+        assert orders == [4000 // math.gcd(x, 4000) for x in range(4000)]
+        xs = [x for x in range(4000) if x and 4000 % x == 0]
+        xs += random.Random(4000).sample(range(4000), 150)
+        assert [orders[x] for x in xs] == [ref_element_order(g, x) for x in xs]
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6", "semidirect:7,6,3",
+                                      "product:sym:3,cyclic:4"])
+    def test_element_orders_with_identity_not_zero(self, spec):
+        # relabel x -> (x + 5) mod n, so the identity is element 5
+        h = parse_group_spec(spec)
+        shift = (np.arange(h.order) + 5) % h.order
+        table = np.empty_like(h.table)
+        table[np.ix_(shift, shift)] = shift[h.table]
+        g = groups.make_group(table)
+        assert g.identity == 5 % h.order
+        assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
+        assert g.element_orders[shift].tolist() == h.element_orders.tolist()
+
     def test_inverses_and_orders_are_read_only_arrays(self, s4):
         for arr in (s4.inv, s4.element_orders):
             assert arr.dtype == s4.table.dtype and arr.shape == (24,)

@@ -30,6 +30,7 @@ from tsslab.tss import (
 
 from helpers import (
     dense_corpus,
+    ref_brute_force_tss,
     ref_dedup,
     ref_realized_permutations,
     ref_transposition_witnesses,
@@ -245,6 +246,61 @@ class TestOracle:
         triple = tuple(i for i, lab in enumerate(s4.labels)
                        if lab in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"))
         assert triple in brute_force_tss(s4, 3)
+
+
+ORACLE_GROUPS = ([parse_group_spec(spec) for spec in verify._ORACLE_CORPUS]
+                 + [g for g, _ in dense_corpus() if g.order <= 24])
+
+
+class TestBruteForceOnArrays:
+    """``brute_force_tss`` on table arrays against the scalar triple loop it
+    replaced, ``ref_brute_force_tss``."""
+
+    @pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.name)
+    def test_matches_scalar_loop(self, g):
+        for size in range(1, max_tss_size(g).s_of_g + 2):
+            got = brute_force_tss(g, size)
+            assert got == ref_brute_force_tss(g, size), size
+            assert all(type(x) is int for s in got for x in s)
+
+    @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:3", "sym:3"])
+    def test_size_above_order_is_empty(self, spec):
+        g = parse_group_spec(spec)
+        for size in (g.order + 1, g.order + 2):
+            assert brute_force_tss(g, size) == ref_brute_force_tss(g, size) == []
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_raises(self, d8, size):
+        with pytest.raises(TssError) as got:
+            brute_force_tss(d8, size)
+        with pytest.raises(TssError) as want:
+            ref_brute_force_tss(d8, size)
+        assert str(got.value) == str(want.value) == f"size must be >= 1, got {size}"
+
+    def test_commuting_pair_that_is_not_conjugate_is_absent(self):
+        # r and r^2 in D8 commute, but no conjugator swaps them
+        g = parse_group_spec("dihedral:4")
+        assert (g.labels[1], g.labels[2]) == ("r", "r^2") and g.commutes(1, 2)
+        assert (1, 2) not in brute_force_tss(g, 2)
+        assert (1, 3) in brute_force_tss(g, 2)  # r and r^3 = r^-1 are swapped by s
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_keep_results(self, block, monkeypatch):
+        g = parse_group_spec("product:cyclic:2,dihedral:4")
+        want = [ref_brute_force_tss(g, size) for size in (1, 2, 3)]
+        monkeypatch.setattr(tss, "_BLOCK", block)
+        assert [brute_force_tss(g, size) for size in (1, 2, 3)] == want
+
+    def test_independent_of_the_pruned_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not call the pruned path")
+
+        monkeypatch.setattr(tss, "_least_witnesses", forbidden)
+        monkeypatch.setattr(tss, "conjugacy_classes", forbidden)
+        g = parse_group_spec("sym:4")
+        klein = tuple(g.labels.index(lab) for lab in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"))
+        assert brute_force_tss(g, 3) == [tuple(sorted(klein))]
+        assert not {"mul", "conj_table", "conjugacy_partition"} & set(g.__dict__)
 
 
 # groups up to order 48, and S4 x S3 (order 144)
