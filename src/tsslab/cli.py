@@ -1,5 +1,9 @@
 """Command-line surface.
 
+Each command imports only what it runs: the theorem suites (``verify``) and
+the word arithmetic (``words``) load inside the commands that use them, so
+``tss``, ``group``, ``stab`` and ``hom`` start without them.
+
 Exit codes: 0 pass, 1 theorem-check failure, 2 usage or input error,
 3 enumeration budget exhausted.
 """
@@ -15,9 +19,9 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
-from . import homs, tss, verify
+from . import homs, tss
 from .cayley import from_cayley_table, to_cayley_table
 from .groups import GroupError, conjugacy_classes, derived_series
 from .schemas import (
@@ -27,9 +31,6 @@ from .schemas import (
     tss_report_to_json,
 )
 from .specs import GroupSpecError, parse_group_spec, split_spec_pair
-from .words import baumslag as bs
-from .words import freegroup as f2
-from .words import freeproduct as fp
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,6 +61,24 @@ def _positive_int(source: str) -> Callable[[str], int]:
 
 
 _JOBS = _positive_int("--jobs or TSSLAB_JOBS")
+
+
+class _SuiteNames:
+    """The choices of ``verify``'s positional: the sorted suite names, read
+    from ``verify.THEOREMS`` only when argparse checks or lists them.  So
+    only a ``verify`` command, its help or its usage error imports the
+    suites."""
+
+    def _names(self) -> list[str]:
+        from . import verify
+
+        return sorted(verify.THEOREMS)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
 
 
 @functools.cache
@@ -135,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("words", nargs="*")
 
     p_verify = sub.add_parser("verify", help="run a theorem suite")
-    p_verify.add_argument("theorem", choices=sorted(verify.THEOREMS))
+    # set after add_argument, whose metavar check iterates the choices
+    p_verify.add_argument("theorem").choices = _SuiteNames()
     p_verify.add_argument("--grid", type=str, default=None,
                           help="theorem-specific grid override")
     p_verify.add_argument("--max-order", type=int, default=None)
@@ -344,6 +364,8 @@ def _check_word_count(args: argparse.Namespace, arity: dict[str, Optional[int]])
 
 
 def _cmd_word_f2(args: argparse.Namespace) -> int:
+    from .words import freegroup as f2
+
     _check_word_count(args, F2_ARITY)
     op = args.op
     if op == "reduce":
@@ -379,6 +401,8 @@ def _cmd_word_f2(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_bs(args: argparse.Namespace) -> int:
+    from .words import baumslag as bs
+
     _check_word_count(args, BS_ARITY)
     n = args.n
     if args.op == "classify":
@@ -409,6 +433,8 @@ def _cmd_word_bs(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_fp(args: argparse.Namespace) -> int:
+    from .words import freeproduct as fp
+
     _check_word_count(args, FP_ARITY)
     try:
         left_spec, right_spec = split_spec_pair(args.factors)
@@ -443,6 +469,8 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     options: dict[str, Any] = {"seed": args.seed}
     for name in ("max_order", "max_len", "max_syllables", "radius", "bound", "samples"):
         if (value := getattr(args, name)) is not None:
@@ -468,6 +496,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import verify
+
     rows = verify.table_rows()
     doc = {"format": 1, "rows": [{"s": s, "family": fam} for s, fam in rows]}
     width = max(len(s) for s, _ in rows)

@@ -141,22 +141,22 @@ class FiniteGroup:
     def conjugacy_partition(self) -> ConjugacyPartition:
         """Exact conjugacy partition; read it through ``conjugacy_classes``.
 
-        The class of x is the set of entries of column x of ``conj_table``.
+        The class of x is the set of entries of column x of ``conj_table``,
+        so the least entry of that column names it.  Those least entries are
+        the representatives; a cumsum over them ranks the classes by least
+        member, and a stable argsort lists each class's members ascending.
         """
-        c = self.conj_table
-        class_of = [-1] * self.order
-        classes: list[tuple[int, ...]] = []
-        for x in range(self.order):
-            if class_of[x] >= 0:
-                continue
-            members = tuple(np.unique(c[:, x]).tolist())
-            for y in members:
-                class_of[y] = len(classes)
-            classes.append(members)
+        least = self.conj_table.min(axis=0)
+        is_rep = np.zeros(self.order, dtype=bool)
+        is_rep[least] = True
+        class_of = (np.cumsum(is_rep) - 1)[least]
+        members = np.argsort(class_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(class_of)).tolist()
+        classes = tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends))
         return ConjugacyPartition(
-            class_of=tuple(class_of),
-            classes=tuple(classes),
-            representatives=tuple(cls[0] for cls in classes),
+            class_of=tuple(class_of.tolist()),
+            classes=classes,
+            representatives=tuple(np.flatnonzero(is_rep).tolist()),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -256,7 +256,11 @@ def _check_latin(mul: np.ndarray) -> None:
         counts = np.bincount(mul[r], minlength=n)
         c = int(np.argmax(counts > 1))
         raise GroupError(f"not a Latin square: row {r} repeats entry {c}")
-    cols_ok = (np.sort(mul.T, axis=1) == expect).all(axis=1)
+    # the columns as the rows of a C-ordered copy (np.sort(mul.T) copies
+    # too), sorted in place: sorting contiguous rows is the faster sort
+    cols = mul.T.copy()
+    cols.sort(axis=1)
+    cols_ok = (cols == expect).all(axis=1)
     if not cols_ok.all():
         c = int(np.argmin(cols_ok))
         counts = np.bincount(mul[:, c], minlength=n)
@@ -482,7 +486,13 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
 
 
 def make_symmetric(n: int, cap: int = DEFAULT_SYMMETRIC_CAP) -> FiniteGroup:
-    """S_n with elements in lexicographic one-line order, labels in cycle notation."""
+    """S_n with elements in lexicographic one-line order, labels in cycle notation.
+
+    Only the generators' rows are computed from one-line forms.  Every other
+    row is composed: row(y s) = row(y)[row(s)], since (y s) q = y (s q), so a
+    breadth-first search over the generators fills the table one gather per
+    level and generator.
+    """
     if n < 1:
         raise GroupError(f"symmetric group parameter must be >= 1, got {n}")
     if n > cap:
@@ -490,20 +500,33 @@ def make_symmetric(n: int, cap: int = DEFAULT_SYMMETRIC_CAP) -> FiniteGroup:
     order = math.factorial(n)
     _order_cap(f"S_{n}", order)
     perms = list(itertools.permutations(range(n)))
+    labels = [_cycle_notation(p) for p in perms]
+    mul = np.empty((order, order), dtype=table_dtype(order))
+    mul[0] = np.arange(order)  # the identity is first in lexicographic order
+    if n == 1:
+        return make_group(mul, labels, None, name="S1")
+    transposition = perms.index(tuple([1, 0] + list(range(2, n))))
+    ncycle = perms.index(tuple(list(range(1, n)) + [0]))
+    gens = (transposition,) if n == 2 else (transposition, ncycle)
     one_line = np.array(perms, dtype=np.intp).reshape(order, n)
     # base-n keys of the one-line forms ascend with the lexicographic order
     weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
     keys = one_line @ weights
-    mul = np.empty((order, order), dtype=table_dtype(order))
-    for i, p in enumerate(one_line):
-        # (p q)(k) = p[q[k]] for every q at once
-        mul[i] = np.searchsorted(keys, p[one_line] @ weights)
-    labels = [_cycle_notation(p) for p in perms]
-    gens: Optional[tuple[int, ...]] = None
-    if n >= 2:
-        transposition = perms.index(tuple([1, 0] + list(range(2, n))))
-        ncycle = perms.index(tuple(list(range(1, n)) + [0]))
-        gens = (transposition,) if n == 2 else (transposition, ncycle)
+    # (s q)(k) = s[q[k]] for every q at once
+    gen_rows = [np.searchsorted(keys, one_line[s][one_line] @ weights) for s in gens]
+    built = np.zeros(order, dtype=bool)
+    built[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = []
+        for s, row in zip(gens, gen_rows):
+            ys = mul[frontier, s]  # y s for each y in the frontier, all distinct
+            new = ~built[ys]
+            ys = ys[new]
+            mul[ys] = mul[frontier[new]][:, row]
+            built[ys] = True
+            reached.append(ys)
+        frontier = np.concatenate(reached)
     return make_group(mul, labels, gens, name=f"S{n}")
 
 

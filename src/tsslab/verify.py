@@ -13,7 +13,6 @@ import math
 import random
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
@@ -779,6 +778,9 @@ def verify_suite(
         raise GroupError(f"verify {theorem}: the grid has no instances")
     args = [(theorem, p) for p in instances_params]
     if jobs > 1 and len(args) > 1:
+        # the pool (with multiprocessing and subprocess) loads only when used
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             instances = tuple(pool.map(_run_instance, args))
     else:

@@ -12,6 +12,7 @@ import numpy as np
 
 from tsslab.cayley import CayleyTableError
 from tsslab.groups import (
+    ConjugacyPartition,
     DerivedSeries,
     FiniteGroup,
     GroupError,
@@ -24,6 +25,7 @@ from tsslab.groups import (
     make_semidirect_cyclic,
     make_symmetric,
     table_dtype,
+    _cycle_notation,
 )
 from tsslab.homs import (
     GeneratorImageMap,
@@ -65,6 +67,27 @@ def brute_conjugacy_partition(g: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(c)) for c in classes)
 
 
+def ref_conjugacy_partition(g: FiniteGroup) -> ConjugacyPartition:
+    """The partition as ``FiniteGroup.conjugacy_partition`` built it with one
+    ``np.unique`` per class: each x not yet placed starts a class, the set of
+    entries of column x of ``conj_table``."""
+    c = g.conj_table
+    class_of = [-1] * g.order
+    classes: list[tuple[int, ...]] = []
+    for x in range(g.order):
+        if class_of[x] >= 0:
+            continue
+        members = tuple(np.unique(c[:, x]).tolist())
+        for y in members:
+            class_of[y] = len(classes)
+        classes.append(members)
+    return ConjugacyPartition(
+        class_of=tuple(class_of),
+        classes=tuple(classes),
+        representatives=tuple(cls[0] for cls in classes),
+    )
+
+
 def brute_centralizer(g: FiniteGroup, x: int) -> tuple[int, ...]:
     return tuple(
         y for y in range(g.order) if g.mul[x][y] == g.mul[y][x]
@@ -100,6 +123,29 @@ def ref_symmetric_mul(n: int) -> list[list[int]]:
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     return [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+
+
+def ref_symmetric(n: int, rows=None):
+    """S_n's table rows, labels and generators as ``make_symmetric`` built
+    them row by row: row i is the lexicographic index of p_i q for every q,
+    found by ``searchsorted`` on base-n keys of the one-line forms.  Only the
+    ``rows`` given (default all) are built, in that order."""
+    order = math.factorial(n)
+    perms = list(itertools.permutations(range(n)))
+    one_line = np.array(perms, dtype=np.intp).reshape(order, n)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    keys = one_line @ weights
+    rows = range(order) if rows is None else rows
+    table = np.empty((len(rows), order), dtype=table_dtype(order))
+    for out, i in zip(table, rows):
+        out[:] = np.searchsorted(keys, one_line[i][one_line] @ weights)
+    labels = [_cycle_notation(p) for p in perms]
+    gens = None
+    if n >= 2:
+        transposition = perms.index(tuple([1, 0] + list(range(2, n))))
+        ncycle = perms.index(tuple(list(range(1, n)) + [0]))
+        gens = (transposition,) if n == 2 else (transposition, ncycle)
+    return table, labels, gens
 
 
 def ref_semidirect_mul(p: int, m: int, k: int) -> list[list[int]]:
@@ -140,6 +186,23 @@ def dense_corpus() -> list[tuple[FiniteGroup, list[list[int]]]]:
 
 
 # --- reference for table validation ------------------------------------------
+
+def ref_check_latin(mul: np.ndarray) -> None:
+    """The Latin-square check with both sorts made by ``np.sort``, the columns
+    through the transposed view."""
+    n = mul.shape[0]
+    expect = np.arange(n, dtype=mul.dtype)
+    rows_ok = (np.sort(mul, axis=1) == expect).all(axis=1)
+    if not rows_ok.all():
+        r = int(np.argmin(rows_ok))
+        c = int(np.argmax(np.bincount(mul[r], minlength=n) > 1))
+        raise GroupError(f"not a Latin square: row {r} repeats entry {c}")
+    cols_ok = (np.sort(mul.T, axis=1) == expect).all(axis=1)
+    if not cols_ok.all():
+        c = int(np.argmin(cols_ok))
+        r = int(np.argmax(np.bincount(mul[:, c], minlength=n) > 1))
+        raise GroupError(f"not a Latin square: column {c} repeats entry {r}")
+
 
 def ref_check_assoc(mul: np.ndarray) -> None:
     """The full associativity scan, x-major: raises GroupError naming the first

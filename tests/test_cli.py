@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tsslab
 from tsslab import cli, verify
 from tsslab.cli import main
 from tsslab.verify import GRID_RANGE_CAP, _parse_ints, verify_suite
@@ -431,6 +436,8 @@ class TestParserReuse:
         (None, ORACLE),
         (None, ["verify", "baumslag-solitar", "--grid", "-3--1"]),
         (None, ["tss", "max", "--group", "dihedral:7"]),
+        (None, ["verify", "--help"]),
+        (None, ["verify", "bogus"]),
     ]
 
     def _call(self, capsys, monkeypatch, env, argv):
@@ -458,13 +465,83 @@ class TestParserReuse:
             cli._build_parser.cache_clear()
             fresh.append(self._call(capsys, monkeypatch, env, argv))
         assert reused == fresh
-        assert [code for code, _, _ in reused] == [2, 0, 2, 0, 0, 0, 0]
+        assert [code for code, _, _ in reused] == [2, 0, 2, 0, 0, 0, 0, 0, 2]
         assert reused[1][1].startswith("usage: tsslab") and "--jobs JOBS" in reused[1][1]
         assert reused[2][2].endswith("tsslab: error: argument --jobs: expected a positive "
                                      "integer (from --jobs or TSSLAB_JOBS), got 'abc'\n")
+        names = sorted(verify.THEOREMS)
+        assert reused[7][1].startswith("usage: tsslab verify [-h]")
+        assert "{" + ",".join(names) + "}" in reused[7][1]
+        assert reused[8][2].endswith(
+            "tsslab verify: error: argument theorem: invalid choice: 'bogus' (choose from "
+            + ", ".join(map(repr, names)) + ")\n")
         assert jobs == [2, 1, 1, 2, 1, 1]
 
     def test_flag_overrides_a_bad_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TSSLAB_JOBS", "abc")
         code, out, _ = run(capsys, "--jobs", "1", "table")
         assert code == 0 and "Dihedral" in out
+
+
+# Run commands through cli.main in a fresh process and print, after the
+# import and after each command, its exit code and which of LAZY are loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+LAZY = ("tsslab.verify", "tsslab.words", "concurrent.futures", "numpy.ma")
+import tsslab.cli
+seen = [["import", None, [m for m in LAZY if m in sys.modules]]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tsslab.cli.main(argv)
+    seen.append([" ".join(argv), code, [m for m in LAZY if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+class TestStartupImports:
+    """A process loads the suites, the word arithmetic, the worker pool and
+    ``numpy.ma`` only for the commands that use them."""
+
+    def _probe(self, tmp_path, *commands):
+        env = {k: v for k, v in os.environ.items() if k != "TSSLAB_JOBS"}
+        src = str(Path(tsslab.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps([c.split() for c in commands])],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True)
+        return [tuple(entry) for entry in json.loads(done.stdout)]
+
+    def test_table_commands_load_none_of_them(self, tmp_path):
+        seen = self._probe(
+            tmp_path,
+            "tss max --group dihedral:7",
+            "group info --spec sym:4",
+            "hom braid-check --strands 5 --target semidirect:7,3,2",
+            "tss list --group sym:4 --size 2 --up-to-conjugacy",
+            "stab decompose --group sym:4 --elements 1,6",
+            "group build --spec product:dihedral:4,sym:3 --to d8xs3.cayley",
+            "hom enumerate --presentation braid:3 --target cyclic:6",
+            "tss max",
+            "word f2 obstruction abab",
+        )
+        assert seen == [
+            ("import", None, []),
+            ("tss max --group dihedral:7", 0, []),
+            ("group info --spec sym:4", 0, []),
+            ("hom braid-check --strands 5 --target semidirect:7,3,2", 0, []),
+            ("tss list --group sym:4 --size 2 --up-to-conjugacy", 0, []),
+            ("stab decompose --group sym:4 --elements 1,6", 0, []),
+            ("group build --spec product:dihedral:4,sym:3 --to d8xs3.cayley", 0, []),
+            ("hom enumerate --presentation braid:3 --target cyclic:6", 0, []),
+            ("tss max", 2, []),
+            ("word f2 obstruction abab", 0, ["tsslab.words"]),
+        ]
+
+    def test_verify_loads_the_suites_and_the_pool_only_for_jobs(self, tmp_path):
+        seen = self._probe(tmp_path, "verify abelian", "--jobs 2 verify abelian --grid 2,3")
+        assert seen == [
+            ("import", None, []),
+            ("verify abelian", 0, ["tsslab.verify", "tsslab.words"]),
+            ("--jobs 2 verify abelian --grid 2,3", 0,
+             ["tsslab.verify", "tsslab.words", "concurrent.futures"]),
+        ]

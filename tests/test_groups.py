@@ -37,10 +37,13 @@ from helpers import (
     dense_corpus,
     is_subgroup,
     ref_check_assoc,
+    ref_check_latin,
+    ref_conjugacy_partition,
     ref_derived_series,
     ref_eager_mul,
     ref_element_order,
     ref_generated_subgroup,
+    ref_symmetric,
 )
 
 
@@ -504,6 +507,15 @@ class TestLightAssociativity:
 DENSE_CORPUS = dense_corpus()
 
 
+def _relabelled(h):
+    """h's table relabelled by x -> (x + 5) mod n, so the identity is element
+    5 mod n, and the relabelling."""
+    shift = (np.arange(h.order) + 5) % h.order
+    table = np.empty_like(h.table)
+    table[np.ix_(shift, shift)] = shift[h.table]
+    return groups.make_group(table), shift
+
+
 class TestClosureMatchesScalarReferences:
     """``generated_subgroup``, ``derived_series`` and ``element_orders``
     against the scalar walks over ``mul`` that they replaced."""
@@ -553,12 +565,8 @@ class TestClosureMatchesScalarReferences:
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6", "semidirect:7,6,3",
                                       "product:sym:3,cyclic:4"])
     def test_element_orders_with_identity_not_zero(self, spec):
-        # relabel x -> (x + 5) mod n, so the identity is element 5
         h = parse_group_spec(spec)
-        shift = (np.arange(h.order) + 5) % h.order
-        table = np.empty_like(h.table)
-        table[np.ix_(shift, shift)] = shift[h.table]
-        g = groups.make_group(table)
+        g, shift = _relabelled(h)
         assert g.identity == 5 % h.order
         assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
         assert g.element_orders[shift].tolist() == h.element_orders.tolist()
@@ -615,6 +623,76 @@ class TestDenseCore:
                 assert centralizer(g, x) == brute_centralizer(g, x)
                 for y in range(0, g.order, 3):
                     assert conjugating_witness(g, x, y) == brute_conjugate_witness(g, x, y)
+
+
+class TestPartitionByColumnMinima:
+    """``conjugacy_partition`` (least entry of each ``conj_table`` column,
+    ranked by a cumsum) against the per-class ``np.unique`` loop."""
+
+    @pytest.mark.parametrize("g", [g for g, _ in DENSE_CORPUS], ids=lambda g: g.name)
+    def test_dense_corpus(self, g):
+        assert g.conjugacy_partition == ref_conjugacy_partition(g)
+
+    @pytest.mark.parametrize("spec", ["dihedral:500", "semidirect:31,30,3",
+                                      "product:sym:4,sym:4", "sym:6"])
+    def test_large_orders(self, spec):
+        g = parse_group_spec(spec)
+        assert g.conjugacy_partition == ref_conjugacy_partition(g)
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6", "sym:4", "semidirect:7,6,3",
+                                      "product:sym:3,dihedral:4"])
+    def test_identity_not_zero(self, spec):
+        g, _ = _relabelled(parse_group_spec(spec))
+        assert g.identity != 0
+        part = g.conjugacy_partition
+        assert part == ref_conjugacy_partition(g)
+        assert part.classes[part.class_of[g.identity]] == (g.identity,)
+
+
+class TestSymmetricByComposition:
+    """``make_symmetric`` composes rows; the result is byte-identical to the
+    row-by-row ``searchsorted`` build."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_row_by_row_build(self, n):
+        g = make_symmetric(n)
+        table, labels, gens = ref_symmetric(n)
+        assert g.table.dtype == table.dtype and g.table.tobytes() == table.tobytes()
+        assert g.labels == tuple(labels) and g.generators == gens
+        assert g.name == f"S{n}" and g.identity == 0
+
+    def test_sym_7_sampled_rows(self):
+        g = make_symmetric(7)
+        rows = list(range(0, 5040, 7)) + [5039]
+        table, labels, gens = ref_symmetric(7, rows)
+        assert g.table.dtype == table.dtype and g.table[rows].tobytes() == table.tobytes()
+        assert g.labels == tuple(labels) and g.generators == gens
+
+
+class TestLatinColumns:
+    """The column check sorts a copy of the transpose in place: the same
+    verdicts and messages as sorting the transposed view, input untouched."""
+
+    @pytest.mark.parametrize("spec", ["dihedral:10", "sym:4", "semidirect:7,6,3"])
+    def test_row_swaps_name_the_same_column(self, spec):
+        base = parse_group_spec(spec).table
+        rng = random.Random(spec)
+        for _ in range(10):
+            bad = np.array(base)
+            r, a, b = rng.randrange(len(bad)), *rng.sample(range(len(bad)), 2)
+            bad[r, [a, b]] = bad[r, [b, a]]  # rows stay permutations
+            for arr in (bad, np.asfortranarray(bad)):
+                kept = arr.copy()
+                want = _assoc_outcome(ref_check_latin, arr)
+                assert want is not None and want.startswith("not a Latin square: column")
+                assert _assoc_outcome(groups._check_latin, arr) == want
+                assert np.array_equal(arr, kept)
+
+    def test_valid_tables_pass_unchanged(self):
+        for g, _ in DENSE_CORPUS:
+            arr = np.asfortranarray(g.table)
+            groups._check_latin(arr)
+            assert np.array_equal(arr, g.table)
 
 
 class TestLazyMul:
