@@ -15,7 +15,6 @@ from .groups import (  # noqa: F401
     SemidirectParams,
     centralizer,
     conjugacy_classes,
-    conjugating_witness,
     derived_series,
     direct_product,
     generated_subgroup,
@@ -35,8 +34,6 @@ from .tss import (  # noqa: F401
     certify_tss,
     dedup_up_to_conjugacy,
     enumerate_tss,
-    factorial_divisibility,
-    is_tss,
     max_tss_size,
     realized_permutations,
     tss_by_size,

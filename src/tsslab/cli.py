@@ -25,6 +25,7 @@ from . import homs, tss
 from .cayley import from_cayley_table, to_cayley_table
 from .groups import GroupError, conjugacy_classes, derived_series
 from .schemas import (
+    FORMAT_VERSION,
     braid_report_to_json,
     certificate_to_json,
     stabilizer_to_json,
@@ -236,7 +237,7 @@ def _cmd_tss(args: argparse.Namespace) -> int:
         if args.up_to_conjugacy:
             certs = tss.dedup_up_to_conjugacy(g, certs)
         doc = {
-            "format": 1,
+            "format": FORMAT_VERSION,
             "group": g.name,
             "size": args.size,
             "sets": [certificate_to_json(c) for c in certs],
@@ -296,7 +297,7 @@ def _cmd_hom(args: argparse.Namespace) -> int:
         pres = _parse_presentation(args.presentation)
         found = list(homs.enumerate_homs(pres, target, budget=args.budget))
         doc = {
-            "format": 1,
+            "format": FORMAT_VERSION,
             "presentation": args.presentation,
             "target": target.name,
             "hom_count": len(found),
@@ -499,7 +500,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from . import verify
 
     rows = verify.table_rows()
-    doc = {"format": 1, "rows": [{"s": s, "family": fam} for s, fam in rows]}
+    doc = {"format": FORMAT_VERSION, "rows": [{"s": s, "family": fam} for s, fam in rows]}
     width = max(len(s) for s, _ in rows)
     lines = [f"{'S(G)':<{width + 2}} Group"]
     lines += [f"{s:<{width + 2}} {fam}" for s, fam in rows]

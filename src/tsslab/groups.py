@@ -5,8 +5,8 @@ numpy array (``FiniteGroup.table``); it is the only structure of order^2
 entries built with the group, and ``inv`` is the array of inverses.  Searches
 over the whole group, subgroup closure and commutators are gathers on them and
 on the conjugation table ``conj_table``, built on first use.  ``mul``, the rows
-of ``table`` as tuples, is derived on first use for the scalar walks over small
-groups: ``conj``, ``commutes`` and free-product words.
+of ``table`` as tuples, is derived on first use for the one scalar walk over
+small groups, free-product word arithmetic on the factors.
 Labels are advisory display strings only.
 """
 
@@ -46,8 +46,8 @@ class FiniteGroup:
     ``table`` is the read-only order x order array, a Latin square over
     0..order-1 of dtype ``table_dtype(order)``, and ``inv`` the read-only
     array of inverses in the same dtype.  ``mul`` (the rows of ``table`` as
-    tuples), ``element_orders`` and ``conj_table`` are derived from them on
-    first use and kept.
+    tuples, read only by free-product word arithmetic), ``element_orders``
+    and ``conj_table`` are derived from them on first use and kept.
     ``assoc_verified`` records whether associativity was verified for all
     triples, by Light's test in ``make_group`` (skipped for constructor-built
     tables above order 512, where constructor correctness is relied on;
@@ -68,23 +68,10 @@ class FiniteGroup:
             raise GroupError(f"element index {x} out of range for {self.name} (order {self.order})")
         return x
 
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        m = self.mul
-        return m[m[g][x]][self.inv[g]]
-
-    def commutes(self, x: int, y: int) -> bool:
-        m = self.mul
-        return m[x][y] == m[y][x]
-
     def label(self, x: int) -> str:
         if self.labels is not None:
             return self.labels[x]
         return str(x)
-
-    def element_order(self, x: int) -> int:
-        self.check_index(x)
-        return int(self.element_orders[x])
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
@@ -181,37 +168,28 @@ class SemidirectParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise GroupError(f"p={self.p} is not prime")
-        if self.m < 1:
-            raise GroupError(f"m={self.m} must be positive")
-        if not (1 <= self.k < self.p):
-            raise GroupError(f"k={self.k} must satisfy 1 <= k < p={self.p}")
+        self.check_ranges(self.p, self.m, self.k)
         if pow(self.k, self.m, self.p) != 1:
             raise GroupError(
                 f"k^m = {self.k}^{self.m} is not 1 mod {self.p}; the action is ill-defined"
             )
+
+    @staticmethod
+    def check_ranges(p: int, m: int, k: int) -> None:
+        """Raise unless p is prime, m >= 1 and 1 <= k < p; k^m = 1 mod p is
+        left to the constructor."""
+        if _prime_powers(p) != [(p, 1)]:
+            raise GroupError(f"p={p} is not prime")
+        if m < 1:
+            raise GroupError(f"m={m} must be positive")
+        if not (1 <= k < p):
+            raise GroupError(f"k={k} must satisfy 1 <= k < p={p}")
 
 
 @dataclass(frozen=True)
 class DerivedSeries:
     terms: tuple[tuple[int, ...], ...]
     solvable: bool
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -241,10 +219,11 @@ def _power(table: np.ndarray, doubling: list[np.ndarray], k: int) -> np.ndarray:
     return result
 
 
-def _order_cap(what: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> None:
+def _order_cap(what: str, order: int) -> None:
     """Reject an order above the cap before any table is allocated."""
-    if order > cap:
-        raise GroupError(f"{what} has order {order}, above the global order cap {cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupError(
+            f"{what} has order {order}, above the global order cap {DEFAULT_ORDER_CAP}")
 
 
 def _check_latin(mul: np.ndarray) -> None:
@@ -485,7 +464,7 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def make_symmetric(n: int, cap: int = DEFAULT_SYMMETRIC_CAP) -> FiniteGroup:
+def make_symmetric(n: int) -> FiniteGroup:
     """S_n with elements in lexicographic one-line order, labels in cycle notation.
 
     Only the generators' rows are computed from one-line forms.  Every other
@@ -495,8 +474,8 @@ def make_symmetric(n: int, cap: int = DEFAULT_SYMMETRIC_CAP) -> FiniteGroup:
     """
     if n < 1:
         raise GroupError(f"symmetric group parameter must be >= 1, got {n}")
-    if n > cap:
-        raise GroupError(f"symmetric group parameter {n} exceeds cap {cap}")
+    if n > DEFAULT_SYMMETRIC_CAP:
+        raise GroupError(f"symmetric group parameter {n} exceeds cap {DEFAULT_SYMMETRIC_CAP}")
     order = math.factorial(n)
     _order_cap(f"S_{n}", order)
     perms = list(itertools.permutations(range(n)))
@@ -560,13 +539,11 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
     return make_group(mul, labels, gens, name=f"SD({p},{m},{k})")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (x,y) is indexed as x*|H| + y."""
     order = g.order * h.order
-    if order > order_cap:
-        raise GroupError(
-            f"product order {order} exceeds the order cap {order_cap}"
-        )
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupError(f"product order {order} exceeds the order cap {DEFAULT_ORDER_CAP}")
     oh = h.order
     dtype = table_dtype(order)
     mul = np.empty((order, order), dtype=dtype)
@@ -592,14 +569,6 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     Computed once per group and kept on it (``FiniteGroup.conjugacy_partition``).
     """
     return g.conjugacy_partition
-
-
-def conjugating_witness(g: FiniteGroup, x: int, y: int) -> Optional[int]:
-    """Least q with q x q^-1 = y, or None."""
-    g.check_index(x)
-    g.check_index(y)
-    hits = np.flatnonzero(g.conj_table[:, x] == y)
-    return int(hits[0]) if hits.size else None
 
 
 def centralizer(g: FiniteGroup, x: int) -> tuple[int, ...]:

@@ -51,9 +51,6 @@ class TssCertificate:
     elements: tuple[int, ...]
     witnesses: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def size(self) -> int:
-        return len(self.elements)
-
 
 @dataclass(frozen=True)
 class StabilizerDecomposition:
@@ -159,20 +156,6 @@ def _least_witnesses(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
         hit = (c[:, block][:, :, None, :] == block[:, swaps].astype(c.dtype)).all(axis=3)
         out[lo:lo + len(block)] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
     return out
-
-
-def is_tss(g: FiniteGroup, s: Iterable[int]) -> bool:
-    return certify_tss(g, s) is not None
-
-
-def factorial_divisibility(g: FiniteGroup, s: Iterable[int]) -> bool:
-    """For a TSS s: |s|! divides |Stab(s)| and |Stab(s)| divides |G|."""
-    cert = certify_tss(g, s)
-    if cert is None:
-        raise TssError(f"{tuple(s)} is not a totally symmetric set in {g.name}")
-    dec = realized_permutations(g, cert.elements)
-    nstab = len(dec.stabilizer)
-    return nstab % math.factorial(len(cert.elements)) == 0 and g.order % nstab == 0
 
 
 def tss_by_size(g: FiniteGroup) -> Iterator[list[TssCertificate]]:

@@ -21,6 +21,7 @@ from . import homs, tss
 from .groups import (
     FiniteGroup,
     GroupError,
+    SemidirectParams,
     derived_series,
     split_product_index,
 )
@@ -129,6 +130,7 @@ def _multiplicative_order(k: int, p: int) -> int:
 def _run_semidirect(params: dict) -> SuiteInstance:
     p, m, k = params["p"], params["m"], params["k"]
     spec = f"semidirect:{p},{m},{k}"
+    SemidirectParams.check_ranges(p, m, k)
     if pow(k, m, p) != 1:
         # ord_p(k) does not divide m: the action is ill-defined, no group of
         # order p*m exists with this presentation data.

@@ -55,15 +55,6 @@ def bs_inverse(u: BsElement, n: int) -> BsElement:
     return BsElement(-_npow(n, -u.t) * u.r, -u.t)
 
 
-def bs_power(u: BsElement, k: int, n: int) -> BsElement:
-    if k < 0:
-        return bs_power(bs_inverse(u, n), -k, n)
-    acc = BS_IDENTITY
-    for _ in range(k):
-        acc = bs_multiply(acc, u, n)
-    return acc
-
-
 def bs_conjugate(h: BsElement, x: BsElement, n: int) -> BsElement:
     return bs_multiply(bs_multiply(h, x, n), bs_inverse(h, n), n)
 

@@ -385,10 +385,8 @@ def fp_commuting_cliques(
     left: FiniteGroup,
     right: FiniteGroup,
     max_syllables: int,
-    min_size: int = 2,
-    max_size: Optional[int] = None,
 ) -> Iterator[list[FpWord]]:
-    """All pairwise-commuting subsets (size >= min_size) of the ball of
+    """All pairwise-commuting subsets of size >= 2 of the ball of
     identity-free words, grouped by commuting family.
 
     Families are factor conjugates and power families; commutation inside a
@@ -401,7 +399,6 @@ def fp_commuting_cliques(
         families.setdefault(_family_key(w), []).append(w)
     for key in sorted(families, key=str):
         members = families[key]
-        hi = len(members) if max_size is None else min(max_size, len(members))
         adjacency = {
             (i, j): fp_multiply(members[i], members[j]) == fp_multiply(members[j], members[i])
             for i in range(len(members))
@@ -409,10 +406,8 @@ def fp_commuting_cliques(
         }
 
         def extend(chosen: list[int], start: int) -> Iterator[list[FpWord]]:
-            if len(chosen) >= min_size:
+            if len(chosen) >= 2:
                 yield [members[i] for i in chosen]
-            if len(chosen) == hi:
-                return
             for idx in range(start, len(members)):
                 if all(adjacency[(c, idx)] for c in chosen):
                     chosen.append(idx)

@@ -1,7 +1,10 @@
 """Independent brute-force oracles for cross-checking the engine.
 
 These deliberately avoid the library's own algorithms: conjugacy is decided
-by naive witness search over all pairs, centralizers by direct scans.
+by naive witness search over all pairs, centralizers by direct scans.  The
+helpers that only tests call sit here too, though two of them read the
+library: ``conjugating_witness`` a column of ``conj_table`` and
+``factorial_divisibility`` ``certify_tss`` and ``realized_permutations``.
 """
 
 import itertools
@@ -35,13 +38,19 @@ from tsslab.homs import (
     _two_generator_relation,
     is_homomorphism,
 )
-from tsslab.tss import TssError
+from tsslab.tss import TssError, certify_tss, realized_permutations
+from tsslab.words.baumslag import BS_IDENTITY, BsElement, bs_inverse, bs_multiply
 from tsslab.words.freegroup import FreeWord, f2_reduce
 from tsslab.words.freeproduct import FpWord
 
 
 def conj(g: FiniteGroup, q: int, x: int) -> int:
+    """q * x * q^-1."""
     return g.mul[g.mul[q][x]][g.inv[q]]
+
+
+def commutes(g: FiniteGroup, x: int, y: int) -> bool:
+    return g.mul[x][y] == g.mul[y][x]
 
 
 def brute_conjugate_witness(g: FiniteGroup, x: int, y: int):
@@ -49,6 +58,14 @@ def brute_conjugate_witness(g: FiniteGroup, x: int, y: int):
         if conj(g, q, x) == y:
             return q
     return None
+
+
+def conjugating_witness(g: FiniteGroup, x: int, y: int) -> Optional[int]:
+    """Least q with q x q^-1 = y, or None, read from column x of ``conj_table``."""
+    g.check_index(x)
+    g.check_index(y)
+    hits = np.flatnonzero(g.conj_table[:, x] == y)
+    return int(hits[0]) if hits.size else None
 
 
 def brute_conjugacy_partition(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -236,6 +253,16 @@ def ref_realized_permutations(g: FiniteGroup, elems: tuple[int, ...]):
     return tuple(stab), tuple(kernel), realized
 
 
+def factorial_divisibility(g: FiniteGroup, s) -> bool:
+    """For a TSS s: |s|! divides |Stab(s)| and |Stab(s)| divides |G|."""
+    cert = certify_tss(g, s)
+    if cert is None:
+        raise TssError(f"{tuple(s)} is not a totally symmetric set in {g.name}")
+    dec = realized_permutations(g, cert.elements)
+    nstab = len(dec.stabilizer)
+    return nstab % math.factorial(len(cert.elements)) == 0 and g.order % nstab == 0
+
+
 def ref_transposition_witnesses(g: FiniteGroup, elems: tuple[int, ...]):
     """For each i, the least q swapping elems[i], elems[i+1] and fixing the rest."""
     m, inv = g.mul, g.inv.tolist()  # q x q^-1 as in ``conj``, with int inverses
@@ -412,6 +439,16 @@ def ref_f2_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     return f2_reduce(u.letters + v.letters)
 
 
+def bs_power(u: BsElement, k: int, n: int) -> BsElement:
+    """u^k in BS(1, n), one product at a time."""
+    if k < 0:
+        return bs_power(bs_inverse(u, n), -k, n)
+    acc = BS_IDENTITY
+    for _ in range(k):
+        acc = bs_multiply(acc, u, n)
+    return acc
+
+
 # --- the per-candidate TSS search --------------------------------------------
 
 def ref_tss_by_size(g: FiniteGroup):
@@ -432,7 +469,7 @@ def ref_tss_by_size(g: FiniteGroup):
         nxt = []
         for elems, _ in level:
             for x in part.classes[part.class_of[elems[0]]]:
-                if x > elems[-1] and all(g.commutes(x, y) for y in elems):
+                if x > elems[-1] and all(commutes(g, x, y) for y in elems):
                     witnesses = ref_transposition_witnesses(g, elems + (x,))
                     if None not in witnesses.values():
                         nxt.append((elems + (x,), witnesses))
@@ -496,7 +533,7 @@ def ref_enumerate_homs(pres: Presentation, target: FiniteGroup,
         else:
             choices = everything
         for other in commutes_with[level]:
-            choices = [y for y in choices if target.commutes(images[other], y)]
+            choices = [y for y in choices if commutes(target, images[other], y)]
         for img in choices:
             nodes += 1
             images.append(img)
@@ -557,7 +594,7 @@ def ref_brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     for cand in itertools.combinations(range(n), size):
         if any(
-            not g.commutes(cand[i], cand[j])
+            not commutes(g, cand[i], cand[j])
             for i in range(size)
             for j in range(i + 1, size)
         ):

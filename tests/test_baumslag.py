@@ -15,12 +15,13 @@ from tsslab.words.baumslag import (
     bs_conjugate,
     bs_inverse,
     bs_multiply,
-    bs_power,
     bs_swap_decide,
     bs_swap_search,
     format_bs,
     parse_bs,
 )
+
+from helpers import bs_power
 
 ns = st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
 elements = st.builds(

@@ -393,6 +393,9 @@ class TestNoVacuousPass:
          "samples must be >= 0, got -1"),
         (["free-group", "--grid", "-1"], "length must be >= 1, got -1"),
         (["free-group", "--grid", "0"], "length must be >= 1, got 0"),
+        (["semidirect", "--grid", "0,2,1"], "p=0 is not prime"),
+        (["semidirect", "--grid", "1,2,1"], "p=1 is not prime"),
+        (["semidirect", "--grid", "-3,2,1"], "p=-3 is not prime"),
     ])
     def test_cli_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
@@ -415,6 +418,11 @@ class TestNoVacuousPass:
         ("fundamental-lemma", {"fixture": "identity-d8", "expect": "collapsed"},
          "expect 'collapsed' does not match fixture 'identity-d8', whose branch is "
          "'same_size'"),
+        ("semidirect", {"p": 0, "m": 2, "k": 1}, "p=0 is not prime"),
+        ("semidirect", {"p": 1, "m": 2, "k": 1}, "p=1 is not prime"),
+        ("semidirect", {"p": -3, "m": 2, "k": 1}, "p=-3 is not prime"),
+        ("semidirect", {"p": 7, "m": 0, "k": 3}, "m=0 must be positive"),
+        ("semidirect", {"p": 7, "m": 14, "k": 7}, "k=7 must satisfy 1 <= k < p=7"),
     ])
     def test_library_raises(self, theorem, params, message):
         with pytest.raises(ValueError) as info:
