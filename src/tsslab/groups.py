@@ -2,11 +2,12 @@
 
 Every group is a full order x order Cayley table, held once as a read-only
 numpy array (``FiniteGroup.table``); it is the only structure of order^2
-entries built with the group, and ``inv`` is the array of inverses.  Searches
-over the whole group, subgroup closure and commutators are gathers on them and
-on the conjugation table ``conj_table``, built on first use.  ``mul``, the rows
-of ``table`` as tuples, is derived on first use for the one scalar walk over
-small groups, free-product word arithmetic on the factors.
+entries built with the group, and ``inv`` is the array of inverses.  A group
+records one generating set, and every subgroup closure is a breadth-first
+search over generators, ``_close``; other searches are gathers on the tables
+and on the conjugation table ``conj_table``, built on first use.  ``mul``,
+the rows of ``table`` as tuples, is derived on first use for the one scalar
+walk over small groups, free-product word arithmetic on the factors.
 Labels are advisory display strings only.
 """
 
@@ -23,9 +24,9 @@ import numpy as np
 DEFAULT_ASSOC_CAP = 512
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_SYMMETRIC_CAP = 8
-# Entries per block of the gathers in Light's test, in subgroup closure and in
-# the commutators of the derived series: a single block up to order 512, so
-# that validation above it peaks no higher than the Latin check.
+# Entries per block of the gathers in Light's test and in the homomorphism
+# checks: a single block up to order 512, so that validation above it peaks no
+# higher than the Latin check.
 _ASSOC_BLOCK = 1 << 18
 
 
@@ -52,6 +53,8 @@ class FiniteGroup:
     triples, by Light's test in ``make_group`` (skipped for constructor-built
     tables above order 512, where constructor correctness is relied on;
     decoded Cayley documents are checked up to the order cap).
+    ``generators``, None only for the trivial group, generate it (see
+    ``make_group``).
     """
 
     order: int
@@ -257,21 +260,24 @@ def _find_identity(mul: np.ndarray) -> int:
     raise GroupError("table has no two-sided identity")
 
 
-def _check_assoc(mul: np.ndarray, identity: int) -> None:
-    """Light's associativity test.
+def _check_assoc(mul: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Light's associativity test; returns the elements it checked.
 
     The y with (x*y)*z == x*(y*z) for all x, z form a set A closed under
     products, and A holds the identity.  So y is checked only while some
     element is not yet a product of checked elements: the least such element
     is checked with two order^2 gathers, made ``_ASSOC_BLOCK`` entries at a
-    time, then the reached set is closed under products
-    (``_greedy_generators``).  In a group each checked element at least
-    doubles the reached subgroup, so at most log2(order) elements are
-    checked.  A failing y up to order ``DEFAULT_ASSOC_CAP`` runs the full
-    scan, which names the first failing triple; above it, the scan's order^2
-    index copy and O(order^3) work are too much, and the triple named is
-    (x, y, z) for the least failing (x, z) of that y.
+    time, then the reached set is closed over the checked elements
+    (``_greedy_generators``), which closes it under products as they lie in
+    A: for v = v'*g, g checked, u*v = (u*v')*g.  In a group each checked
+    element at least doubles the reached subgroup, so at most log2(order)
+    elements are checked, and they generate the group.  A failing y up to order
+    ``DEFAULT_ASSOC_CAP`` runs the full scan, which names the first failing
+    triple; above it, the scan's order^2 index copy and O(order^3) work are
+    too much, and the triple named is (x, y, z) for the least failing (x, z)
+    of that y.
     """
+    checked = []
     for y in _greedy_generators(mul, identity):
         failure = _light_failure(mul, y)
         if failure is not None:
@@ -279,35 +285,40 @@ def _check_assoc(mul: np.ndarray, identity: int) -> None:
                 _assoc_scan(mul)
             x, z = failure
             raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
+        checked.append(y)
+    return tuple(checked)
 
 
 def _greedy_generators(mul: np.ndarray, identity: int) -> Iterator[int]:
-    """The least element outside the subgroup reached so far, until none is
-    left: each is yielded, then added, and the reached set closed."""
-    reached = np.zeros(mul.shape[0], dtype=bool)
-    reached[identity] = True
+    """The least element outside the closure of the earlier ones, until none is left."""
+    reached = np.arange(mul.shape[0]) == identity
+    gens = []
     while not reached.all():
-        y = int(reached.argmin())
-        yield y
-        reached[y] = True
-        _close(mul, reached)
+        gens.append(int(reached.argmin()))
+        yield gens[-1]
+        _close(mul, reached, gens)
 
 
-def _close(mul: np.ndarray, reached: np.ndarray) -> None:
-    """Close the boolean mask ``reached`` under products, in place: each
-    round marks every product of two reached elements, a block of rows at a
-    time, until the mask stops growing or is full."""
+def _close(mul: np.ndarray, reached: np.ndarray, gens: Sequence[int]) -> None:
+    """Close the mask ``reached`` (holding the identity, inside <gens>) to
+    <gens>, in place and breadth-first: each round multiplies the elements
+    new in the round before (all reached, at first) by every generator and
+    its repeated squares, order.bit_length() of them, so <g> takes that many
+    rounds, not |g| of them."""
     n = mul.shape[0]
-    count = np.count_nonzero(reached)
-    while count < n:
-        members = reached.nonzero()[0]
-        for rows in _row_blocks(len(members), n):
-            products = mul.take(members[rows], 0).take(members, 1)
-            reached |= np.bincount(products.ravel(), minlength=n) > 0
-        grown = np.count_nonzero(reached)
-        if grown == count:
-            return
-        count = grown
+    is_mult = np.zeros(n, dtype=bool)
+    square = np.asarray(gens, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        if is_mult[square].all():
+            break  # the later squares are squares of multipliers already held
+        is_mult[square] = True
+        square = np.diagonal(mul)[square]
+    mults = is_mult.nonzero()[0]
+    frontier = reached.nonzero()[0]
+    while frontier.size:
+        before = reached.copy()
+        reached[mul[frontier[:, None], mults]] = True
+        frontier = (reached ^ before).nonzero()[0]
 
 
 def _row_blocks(rows: int, width: int) -> Iterator[slice]:
@@ -358,7 +369,9 @@ def make_group(
     O(n^2 log n) work.  A failing table up to order 512 gets the full O(n^3)
     scan, which names the first failing triple; a larger one (Cayley
     documents are checked up to the order cap) names a failing triple of
-    Light's failing element in O(n^2).  An integer ndarray already of dtype
+    Light's failing element in O(n^2).  Without ``generators`` the group
+    records the elements Light's test checked, or the same greedy sequence
+    when the test did not run.  An integer ndarray already of dtype
     ``table_dtype(order)`` becomes the group's read-only ``table`` without a
     copy.
     """
@@ -384,8 +397,9 @@ def make_group(
     if not two_sided.all():
         raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
     assoc_verified = n <= assoc_cap
-    if assoc_verified:
-        _check_assoc(table, identity)
+    checked = _check_assoc(table, identity) if assoc_verified else None
+    if generators is None:
+        generators = checked if assoc_verified else tuple(_greedy_generators(table, identity))
     if labels is not None and len(labels) != n:
         raise GroupError("label count does not match group order")
     table.flags.writeable = False
@@ -396,7 +410,7 @@ def make_group(
         inv=inv,
         table=table,
         labels=tuple(labels) if labels is not None else None,
-        generators=tuple(generators) if generators is not None else None,
+        generators=tuple(generators) or None,
         name=name,
         assoc_verified=assoc_verified,
     )
@@ -415,8 +429,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     _order_cap(f"Z_{n}", n)
     mul = np.ascontiguousarray(_cyclic_sums(n, table_dtype(n)))
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    gens = (1,) if n > 1 else None
-    return make_group(mul, labels, gens, name=f"Z{n}")
+    return make_group(mul, labels, (1,) if n > 1 else None, name=f"Z{n}")
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -442,8 +455,7 @@ def make_dihedral(n: int) -> FiniteGroup:
 
     labels = [rot_label(i) for i in range(n)]
     labels += ["s" if i == 0 else ("sr" if i == 1 else f"sr^{i}") for i in range(n)]
-    gens = (1, n) if n > 1 else (n,)
-    return make_group(mul, labels, gens, name=f"D{order}")
+    return make_group(mul, labels, (1, n) if n > 1 else (n,), name=f"D{order}")
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -552,9 +564,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
            out=mul.reshape(g.order, oh, g.order, oh))
     pairs = [(x, y) for x in range(g.order) for y in range(h.order)]
     labels = [f"({g.label(x)},{h.label(y)})" for (x, y) in pairs]
-    gens: Optional[tuple[int, ...]] = None
-    if g.generators is not None and h.generators is not None:
-        gens = tuple(x * oh for x in g.generators) + tuple(h.generators)
+    # (x, e) for each generator x of G, then (e, y) for each y of H
+    gens = ([x * oh + h.identity for x in g.generators or ()]
+            + [g.identity * oh + y for y in h.generators or ()])
     return make_group(mul, labels, gens, name=f"{g.name}x{h.name}")
 
 
@@ -579,35 +591,37 @@ def centralizer(g: FiniteGroup, x: int) -> tuple[int, ...]:
 
 def generated_subgroup(g: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     """Closure of gens under multiplication (inverses follow by finiteness)."""
-    gen_list = sorted(set(gens))
+    gen_list = [g.check_index(x) for x in gens]
     if not gen_list:
         raise GroupError("generator set must be nonempty")
-    for x in gen_list:
-        g.check_index(x)
-    reached = np.zeros(g.order, dtype=bool)
-    reached[g.identity] = True
-    reached[gen_list] = True
-    _close(g.table, reached)
+    reached = np.arange(g.order) == g.identity
+    _close(g.table, reached, gen_list)
     return tuple(reached.nonzero()[0].tolist())
 
 
 def derived_series(g: FiniteGroup) -> DerivedSeries:
-    """G >= G' >= G'' >= ... by commutator closure until stabilization; the
-    commutators [a, b] = (ab)(ba)^-1 are gathered a block of rows a at a time."""
+    """G >= G' >= G'' >= ... until it stabilizes, from ``g.generators``.  For
+    H = <X>, H' is the normal closure in H of the commutators
+    [x, y] = (xy)(yx)^-1 of x, y in X: a commutator, or a conjugate x c x^-1
+    of a generator c, that falls outside the closure so far becomes a
+    generator, and those generators are the X of the next term."""
     table, inv = g.table, g.inv
-    current = np.arange(g.order)
-    terms = [tuple(current.tolist())]
-    while len(current) > 1:
-        reached = np.zeros(g.order, dtype=bool)
-        for rows in _row_blocks(len(current), g.order):
-            a = current[rows]
-            ab = table.take(a, 0).take(current, 1)
-            ba = table.take(a, 1).take(current, 0).T
-            reached |= np.bincount(table[ab, inv[ba]].ravel(), minlength=g.order) > 0
-        _close(table, reached)
-        nxt = reached.nonzero()[0]
-        if len(nxt) == len(current):
+    gens = np.array(g.generators or (), dtype=np.intp)
+    terms = [tuple(range(g.order))]
+    while gens.size:
+        xy = table[np.ix_(gens, gens)]
+        pending = table[xy, inv[xy.T]].ravel().tolist()
+        reached = np.arange(g.order) == g.identity
+        nxt = []
+        while pending:
+            c = pending.pop()
+            if not reached[c]:
+                nxt.append(c)
+                _close(table, reached, nxt)
+                pending += table[table[gens, c], inv[gens]].tolist()
+        term = tuple(reached.nonzero()[0].tolist())
+        if len(term) == len(terms[-1]):
             break
-        terms.append(tuple(nxt.tolist()))
-        current = nxt
+        terms.append(term)
+        gens = np.array(nxt, dtype=np.intp)
     return DerivedSeries(terms=tuple(terms), solvable=terms[-1] == (g.identity,))

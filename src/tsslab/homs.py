@@ -22,7 +22,6 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     GroupError,
-    _greedy_generators,
     _row_blocks,
     generated_subgroup,
     make_group,
@@ -326,17 +325,11 @@ def quotient_hom(g: FiniteGroup, normal: Sequence[int]) -> TableHom:
     return TableHom(g, quotient, tuple(coset_of.tolist()))
 
 
-def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """Greedy deterministic generating set: each generator is the least
-    element outside the subgroup generated by the earlier ones."""
-    return tuple(_greedy_generators(g.table, g.identity)) or (g.identity,)
-
-
 def enumerate_table_homs(
     source: FiniteGroup, target: FiniteGroup, budget: int = DEFAULT_HOM_BUDGET
 ) -> Iterator[TableHom]:
     """All homomorphisms between table groups, in lexicographic order of the
-    images of ``generating_set(source)``.
+    images of ``source.generators`` (the identity for the trivial group).
 
     The source is presented by its Schreier presentation on that generating
     set: the breadth-first spanning tree of the Cayley graph spells each
@@ -346,7 +339,7 @@ def enumerate_table_homs(
     extends along the tree to a full element map, which is yielded only if it
     preserves all products.
     """
-    gens = np.array(generating_set(source))
+    gens = np.array(source.generators or (source.identity,))
     k = len(gens)
     words: list[Optional[tuple[int, ...]]] = [None] * source.order
     words[source.identity] = ()

@@ -102,6 +102,8 @@ def predicted_dihedral_pairs(n: int) -> list[tuple[int, int]]:
 
 def _run_dihedral(params: dict) -> SuiteInstance:
     n = params["n"]
+    if n < 3:  # D2 and D4 are abelian, with S = 1
+        raise ValueError(f"n={n} must be >= 3")
     g = parse_group_spec(f"dihedral:{n}")
     levels = list(tss.tss_by_size(g))
     found = [c.elements for c in levels[1]] if len(levels) > 1 else []
@@ -119,14 +121,6 @@ def _run_dihedral(params: dict) -> SuiteInstance:
 
 # --- semidirect --------------------------------------------------------------
 
-def _multiplicative_order(k: int, p: int) -> int:
-    x, o = k % p, 1
-    while x != 1:
-        x = (x * k) % p
-        o += 1
-    return o
-
-
 def _run_semidirect(params: dict) -> SuiteInstance:
     p, m, k = params["p"], params["m"], params["k"]
     spec = f"semidirect:{p},{m},{k}"
@@ -142,8 +136,7 @@ def _run_semidirect(params: dict) -> SuiteInstance:
     g = parse_group_spec(spec)
     # The proof constructs the swap only when -1 is a power of k mod p
     # (even multiplicative order); outside that regime S = 2 is not asserted.
-    order_k = _multiplicative_order(k, p)
-    minus_one_reachable = any(pow(k, f, p) == p - 1 for f in range(order_k))
+    minus_one_reachable = any(pow(k, f, p) == p - 1 for f in range(p))
     if m % p != 0 or not minus_one_reachable:
         return SuiteInstance(
             params, "not-applicable",

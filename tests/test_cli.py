@@ -175,9 +175,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "dihedral", "--grid", "3-6")
         assert code == 0 and "PASS" in out
 
-    def test_fail_exit_1(self, capsys):
-        # n = 2 gives the abelian D4, where the n >= 3 theorem fails honestly
-        code, out, _ = run(capsys, "verify", "dihedral", "--grid", "2")
+    def test_fail_exit_1(self, capsys, monkeypatch):
+        # a planted wrong prediction: the classification found no longer matches
+        monkeypatch.setattr(verify, "predicted_dihedral_pairs", lambda n: [(0, 1)])
+        code, out, _ = run(capsys, "verify", "dihedral", "--grid", "3")
         assert code == 1 and "FAIL" in out
 
     def test_json_schema(self, capsys):
@@ -396,6 +397,8 @@ class TestNoVacuousPass:
         (["semidirect", "--grid", "0,2,1"], "p=0 is not prime"),
         (["semidirect", "--grid", "1,2,1"], "p=1 is not prime"),
         (["semidirect", "--grid", "-3,2,1"], "p=-3 is not prime"),
+        (["dihedral", "--grid", "1,2,3"], "n=1 must be >= 3"),
+        (["dihedral", "--grid", "3,2"], "n=2 must be >= 3"),
     ])
     def test_cli_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)

@@ -517,14 +517,36 @@ def _relabelled(h):
     return groups.make_group(table), shift
 
 
+def _decoded(spec):
+    """The Cayley document of ``spec`` relabelled by ``_relabelled``, decoded."""
+    return from_cayley_table(to_cayley_table(_relabelled(parse_group_spec(spec))[0]))
+
+
+def _quotient_by_center(spec):
+    g = parse_group_spec(spec)
+    return homs.quotient_hom(g, [x for x in range(g.order)
+                                 if (g.table[x] == g.table[:, x]).all()]).target
+
+
+# tables built without generators, so ``make_group`` records its own
+TABLE_GROUPS = {
+    "decoded": lambda: _decoded("product:sym:4,dihedral:3"),
+    "quotient": lambda: _quotient_by_center("product:sym:4,dihedral:4"),
+    "quotient-above-512": lambda: _quotient_by_center("dihedral:520"),
+    "decoded-times-sym3": lambda: direct_product(_decoded("semidirect:7,6,3"), make_symmetric(3)),
+}
+
+
 class TestClosureMatchesScalarReferences:
     """``generated_subgroup``, ``derived_series`` and ``element_orders``
     against the scalar walks over ``mul`` that they replaced."""
 
-    LARGE = ["dihedral:500", "semidirect:31,30,3", "product:sym:4,dihedral:10"]
+    LARGE = ["dihedral:500", "semidirect:31,30,3", "product:sym:4,dihedral:10", "sym:5",
+             "product:sym:3,sym:4"]
 
     @pytest.mark.parametrize("g", [g for g, _ in DENSE_CORPUS], ids=lambda g: g.name)
     def test_dense_corpus(self, g):
+        assert ref_generated_subgroup(g, g.generators or [g.identity]) == tuple(range(g.order))
         assert derived_series(g) == ref_derived_series(g)
         assert g.element_orders.tolist() == [ref_element_order(g, x) for x in range(g.order)]
         rng = random.Random(g.order)
@@ -541,6 +563,26 @@ class TestClosureMatchesScalarReferences:
         for _ in range(20):
             gens = rng.sample(range(g.order), rng.randrange(1, 3))
             assert generated_subgroup(g, gens) == ref_generated_subgroup(g, gens)
+
+    @pytest.mark.parametrize("build", TABLE_GROUPS.values(), ids=TABLE_GROUPS.keys())
+    def test_recorded_generators(self, build):
+        g = build()
+        assert g.generators and g.identity not in g.generators
+        assert ref_generated_subgroup(g, g.generators) == tuple(range(g.order))
+        assert derived_series(g) == ref_derived_series(g)
+
+    def test_product_generators_fix_the_other_coordinate(self):
+        for g, h in [(make_symmetric(3), _decoded("semidirect:7,6,3")),
+                     (_decoded("semidirect:7,6,3"), make_symmetric(3))]:
+            pairs = [split_product_index(x, h.order) for x in direct_product(g, h).generators]
+            assert pairs == ([(x, h.identity) for x in g.generators]
+                             + [(g.identity, y) for y in h.generators])
+
+    @pytest.mark.parametrize("spec", ["dihedral:200", "semidirect:11,10,2", "sym:5"])
+    def test_cyclic_subgroups_have_the_element_orders(self, spec):
+        g = parse_group_spec(spec)
+        for x in range(g.order):
+            assert len(generated_subgroup(g, [x])) == g.element_orders[x]
 
     @pytest.mark.parametrize("block", [1, 40])
     def test_blocks_keep_results(self, block, monkeypatch):
