@@ -1,14 +1,14 @@
 """Finite groups as dense multiplication tables with 0-based element indices.
 
 Every group is a full order x order Cayley table, held once as a read-only
-numpy array (``FiniteGroup.table``); it is the only structure of order^2
-entries built with the group, and ``inv`` is the array of inverses.  A group
-records one generating set, and every subgroup closure is a breadth-first
-search over generators, ``_close``; other searches are gathers on the tables
-and on the conjugation table ``conj_table``, built on first use.  ``mul``,
-the rows of ``table`` as tuples, is derived on first use for the one scalar
-walk over small groups, free-product word arithmetic on the factors.
-Labels are advisory display strings only.
+numpy array (``FiniteGroup.table``), the only array of order^2 entries a
+group holds; ``inv`` is the array of inverses.  A group records one
+generating set: subgroup closures are breadth-first searches over it
+(``_close``), and conjugacy classes are the orbits of conjugation by it.
+Other searches are gathers on ``table`` and ``inv``, conjugates included
+(``_conjugates``).  ``mul``, the rows of ``table`` as tuples, is derived on
+first use for the one scalar walk over small groups, free-product word
+arithmetic on the factors.  Labels are advisory display strings only.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class FiniteGroup:
     0..order-1 of dtype ``table_dtype(order)``, and ``inv`` the read-only
     array of inverses in the same dtype.  ``mul`` (the rows of ``table`` as
     tuples, read only by free-product word arithmetic), ``element_orders``
-    and ``conj_table`` are derived from them on first use and kept.
+    and ``conjugacy_partition`` are derived from them on first use and kept.
     ``assoc_verified`` records whether associativity was verified for all
     triples, by Light's test in ``make_group`` (skipped for constructor-built
     tables above order 512, where constructor correctness is relied on;
@@ -114,31 +114,26 @@ class FiniteGroup:
         return orders
 
     @cached_property
-    def conj_table(self) -> np.ndarray:
-        """Read-only C with C[q, x] = q x q^-1, in the dtype of ``table``.
-
-        Filled one row at a time, C[q] = M[M[q], inv[q]], so no order^2 index
-        array is ever allocated.
-        """
-        m = self.table
-        c = np.empty_like(m)
-        for q, q_inv in enumerate(self.inv.tolist()):
-            c[q] = m[m[q], q_inv]
-        c.flags.writeable = False
-        return c
-
-    @cached_property
     def conjugacy_partition(self) -> ConjugacyPartition:
         """Exact conjugacy partition; read it through ``conjugacy_classes``.
 
-        The class of x is the set of entries of column x of ``conj_table``,
-        so the least entry of that column names it.  Those least entries are
-        the representatives; a cumsum over them ranks the classes by least
-        member, and a stable argsort lists each class's members ascending.
+        The classes are the orbits of x -> g x g^-1, g in ``generators``: each
+        label, x at first, takes the least label along each such permutation,
+        both ways, then its label's label, until none moves; it is then the
+        least member of the class.  A cumsum over these representatives ranks
+        the classes, and a stable argsort lists each class ascending.
         """
-        least = self.conj_table.min(axis=0)
-        is_rep = np.zeros(self.order, dtype=bool)
-        is_rep[least] = True
+        t, inv = self.table, self.inv
+        gens = np.array(self.generators or (), dtype=np.intp)
+        perms = t[t[gens], inv[gens][:, None]].astype(np.intp)  # [i, x] = g_i x g_i^-1
+        least, before = np.arange(self.order), None
+        while not np.array_equal(least, before):
+            before = least
+            for p in perms:
+                least = np.minimum(least, least[p])
+                least[p] = np.minimum(least[p], least)
+            least = least[least]
+        is_rep = least == np.arange(self.order)
         class_of = (np.cumsum(is_rep) - 1)[least]
         members = np.argsort(class_of, kind="stable").tolist()
         ends = np.cumsum(np.bincount(class_of)).tolist()
@@ -573,6 +568,17 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def split_product_index(idx: int, h_order: int) -> tuple[int, int]:
     """Recover (x, y) from the fixed product index layout x*|H| + y."""
     return divmod(idx, h_order)
+
+
+def _conjugates(g: FiniteGroup, cols: Sequence[int] | np.ndarray) -> np.ndarray:
+    """q x q^-1 for every q (axis 0) and every x in the index array ``cols``,
+    in the dtype of ``table``.  One gather at flat indices (q x, q^-1) keeps
+    the memory order of ``table[:, cols]``, q innermost, which the reductions
+    over the axes of ``cols`` run along."""
+    cols = np.asarray(cols, dtype=np.intp)
+    index = np.multiply(g.table[:, cols], g.order, dtype=np.intp)
+    index += g.inv.reshape((-1,) + (1,) * cols.ndim)
+    return g.table.ravel()[index]
 
 
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:

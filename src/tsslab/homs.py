@@ -22,6 +22,7 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     GroupError,
+    _conjugates,
     _row_blocks,
     generated_subgroup,
     make_group,
@@ -200,8 +201,9 @@ def enumerate_homs(
 
     The parents of a level are extended in blocks of about ``_BLOCK``
     candidates, and each block's children are carried down to the last
-    generator before the next block starts, so the stream is lazy and at most
-    one block per generator is held at a time.  Nodes are counted a block at
+    generator before the next block starts (a stack of one block iterator per
+    generator, not recursion), so the stream is lazy and at most one block per
+    generator is held at a time.  Nodes are counted a block at
     a time: ``BudgetExceeded`` is raised as soon as the count passes
     ``budget``, so its ``nodes`` can exceed ``budget + 1``, and its ``found``
     counts the maps already yielded.
@@ -269,20 +271,22 @@ def enumerate_homs(
             children = children[evaluate_word(target, children, rel) == target.identity]
         return children
 
-    def extend(rows: np.ndarray, level: int) -> Iterator[GeneratorImageMap]:
-        nonlocal found
-        blocks = _candidate_blocks(*candidates(rows, level), _BLOCK)
-        # map lets go of each block once its children exist, so that while the
-        # later generators are assigned a level holds only its children
-        for children in map(lambda block: grow(rows, level, *block), blocks):
-            if level + 1 < k:
-                yield from extend(children, level + 1)
-                continue
+    def extend(rows: np.ndarray, level: int) -> Iterator[np.ndarray]:
+        # rows' children block by block; map lets go of a block once they exist
+        return map(lambda block: grow(rows, level, *block),
+                   _candidate_blocks(*candidates(rows, level), _BLOCK))
+
+    stack = [extend(np.empty((1, 0), dtype=table.dtype), 0)]
+    while stack:
+        children = next(stack[-1], None)
+        if children is None:
+            stack.pop()
+        elif len(stack) < k:
+            stack.append(extend(children, len(stack)))
+        else:
             for images in children.tolist():
                 found += 1
                 yield GeneratorImageMap(pres, target, tuple(images))
-
-    yield from extend(np.empty((1, 0), dtype=table.dtype), 0)
 
 
 def image_subgroup(m: GeneratorImageMap) -> tuple[int, ...]:
@@ -313,7 +317,7 @@ def quotient_hom(g: FiniteGroup, normal: Sequence[int]) -> TableHom:
     nset = tuple(sorted(set(normal)))
     if generated_subgroup(g, nset) != nset:
         raise HomError("normal-subgroup elements do not form a subgroup")
-    outside = ~np.isin(g.conj_table[:, nset], nset)  # [q, j]: q nset[j] q^-1 not in N
+    outside = ~np.isin(_conjugates(g, nset), nset)  # [q, j]: q nset[j] q^-1 not in N
     if outside.any():
         q, j = map(int, np.argwhere(outside)[0])
         raise HomError(f"subgroup is not normal: {q} conjugates {nset[j]} outside it")

@@ -18,7 +18,6 @@ kernel, ``_least_witnesses``, that ``certify_tss`` shares.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,11 +25,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError, conjugacy_classes
+from .groups import FiniteGroup, GroupError, _conjugates, conjugacy_classes
 
 # Block size of the level search and of dedup_up_to_conjugacy: a block of
 # parents has about this many candidates, and a block of sets gathers about
-# this many conjugation-table entries (a block holds at least one of either).
+# this many table entries per member (a block holds at least one of either).
 _BLOCK = 1 << 15
 
 
@@ -85,14 +84,14 @@ def realized_permutations(g: FiniteGroup, s: Iterable[int]) -> StabilizerDecompo
     """Exact setwise stabilizer, kernel, and realized permutations of s.
 
     Correct whether or not s is a TSS; permutations are position tuples over
-    the sorted element list.  Row q of ``conj_table[:, s]`` holds the images
+    the sorted element list.  Row q of ``_conjugates(g, s)`` holds the images
     of s under q, so one position lookup gives every q's permutation.
     """
     elems = _normalize_set(g, s)
     k = len(elems)
     pos = np.full(g.order, k, dtype=np.intp)
     pos[list(elems)] = np.arange(k)
-    perms = pos[g.conj_table[:, elems]]  # perms[q, i]: position of q s_i q^-1, k if outside s
+    perms = pos[_conjugates(g, elems)]  # perms[q, i]: position of q s_i q^-1, k if outside s
     stab = np.flatnonzero((perms < k).all(axis=1))
     kernel = np.flatnonzero((perms == np.arange(k)).all(axis=1))
     rows = perms[stab]
@@ -108,8 +107,8 @@ def realized_permutations(g: FiniteGroup, s: Iterable[int]) -> StabilizerDecompo
 def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
     """Certificate with adjacent-transposition witnesses, or None.
 
-    The witness for (i, i+1) is the least q whose row of
-    ``conj_table[:, s]`` is s with those two members swapped.
+    The witness for (i, i+1) is the least q that conjugates s to s with
+    those two members swapped.
     """
     elems = _normalize_set(g, s)
     m = g.table
@@ -125,36 +124,26 @@ def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
     return TssCertificate(g, elems, {(i, i + 1): q for i, q in enumerate(witnesses)})
 
 
-@functools.cache
-def _swaps(k: int) -> np.ndarray:
-    """Row i: the positions 0..k-1 with i and i+1 exchanged."""
-    swaps = np.tile(np.arange(k), (k - 1, 1))
-    for i in range(k - 1):
-        swaps[i, i:i + 2] = i + 1, i
-    swaps.flags.writeable = False  # shared by every caller through the cache
-    return swaps
-
-
 def _least_witnesses(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
     """Least witnesses for a batch of sorted k-sets, an (e, k) array.
 
-    Column i of the (e, k-1) result holds, for each set, the least q whose
-    row of ``conj_table[:, set]`` is the set with members i and i+1 swapped,
-    or -1 where no q is.  Sets go through in blocks whose hit matrices hold
-    about ``_BLOCK`` entries; ``argmax`` down the q axis of a hit matrix gives
-    the first hit row.
+    Column i of the (e, k-1) result holds, for each set s, the least q with
+    q s_j q^-1 = s_swap(j) for all j, swap exchanging i and i+1, or -1: that
+    is q s_j = s_swap(j) q, a column of ``table`` against a row, with no
+    inverse gathered.  Sets go through in blocks whose hit matrices hold
+    about ``_BLOCK`` entries; ``argmax`` along q gives the first hit.
     """
     e, k = sets.shape
-    swaps = _swaps(k)
-    c = g.conj_table
+    # row i: the positions 0..k-1 with i and i+1 exchanged
+    swaps = np.arange(k) + np.eye(k - 1, k, dtype=np.intp) - np.eye(k - 1, k, 1, dtype=np.intp)
+    t = g.table
     out = np.empty((e, k - 1), dtype=np.intp)
     step = max(1, _BLOCK // (g.order * k * (k - 1)))
     for lo in range(0, e, step):
         block = sets[lo:lo + step]
-        # hit[q, r, i]: q block[r] q^-1 is block[r] with members i and i+1
-        # swapped; compared in the table's dtype, so the images are not widened
-        hit = (c[:, block][:, :, None, :] == block[:, swaps].astype(c.dtype)).all(axis=3)
-        out[lo:lo + len(block)] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+        # hit[r, i, q]: q block[r, j] = block[r, swaps[i, j]] q for every j
+        hit = (t[:, block].transpose(1, 2, 0)[:, None] == t[block][:, swaps]).all(axis=2)
+        out[lo:lo + len(block)] = np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
     return out
 
 
@@ -309,12 +298,11 @@ def _orbit_minima(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
     """
     e, k = sets.shape
     n = g.order
-    c = g.conj_table
     out = np.empty(e, dtype=bool)
     step = max(1, _BLOCK // (n * k))
     for lo in range(0, e, step):
         block = sets[lo:lo + step]
-        images = c[:, block]  # images[q, r, j] = q block[r, j] q^-1
+        images = _conjugates(g, block)  # images[q, r, j] = q block[r, j] q^-1
         column = images.min(axis=2)
         keep = np.ones(len(block), dtype=bool)
         for j in range(k):
@@ -334,7 +322,7 @@ def brute_force_tss(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
     of G per permutation.
 
     Kept independent of the pruned path: it reads only ``table`` and ``inv``
-    (no ``mul``, no ``conj_table``, no conjugacy classes, no
+    (no ``mul``, no conjugacy classes, no
     ``_least_witnesses``) and takes no adjacent-transposition shortcut.  The
     subsets are taken from ``combinations`` in blocks of about ``_BLOCK``
     entries and filtered for commutation; the survivors go through the

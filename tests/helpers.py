@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own algorithms: conjugacy is decided
 by naive witness search over all pairs, centralizers by direct scans.  The
-helpers that only tests call sit here too, though two of them read the
-library: ``conjugating_witness`` a column of ``conj_table`` and
-``factorial_divisibility`` ``certify_tss`` and ``realized_permutations``.
+helpers that only tests call sit here too, though one of them reads the
+library: ``factorial_divisibility`` calls ``certify_tss`` and
+``realized_permutations``.
 """
 
 import itertools
@@ -60,11 +60,16 @@ def brute_conjugate_witness(g: FiniteGroup, x: int, y: int):
     return None
 
 
+def conj_column(g: FiniteGroup, x: int) -> np.ndarray:
+    """q x q^-1 for every q, gathered from ``table`` and ``inv``."""
+    return g.table[g.table[:, x], g.inv]
+
+
 def conjugating_witness(g: FiniteGroup, x: int, y: int) -> Optional[int]:
-    """Least q with q x q^-1 = y, or None, read from column x of ``conj_table``."""
+    """Least q with q x q^-1 = y, or None, read from the conjugates of x."""
     g.check_index(x)
     g.check_index(y)
-    hits = np.flatnonzero(g.conj_table[:, x] == y)
+    hits = np.flatnonzero(conj_column(g, x) == y)
     return int(hits[0]) if hits.size else None
 
 
@@ -87,14 +92,13 @@ def brute_conjugacy_partition(g: FiniteGroup) -> list[tuple[int, ...]]:
 def ref_conjugacy_partition(g: FiniteGroup) -> ConjugacyPartition:
     """The partition as ``FiniteGroup.conjugacy_partition`` built it with one
     ``np.unique`` per class: each x not yet placed starts a class, the set of
-    entries of column x of ``conj_table``."""
-    c = g.conj_table
+    conjugates of x."""
     class_of = [-1] * g.order
     classes: list[tuple[int, ...]] = []
     for x in range(g.order):
         if class_of[x] >= 0:
             continue
-        members = tuple(np.unique(c[:, x]).tolist())
+        members = tuple(np.unique(conj_column(g, x)).tolist())
         for y in members:
             class_of[y] = len(classes)
         classes.append(members)
@@ -274,6 +278,26 @@ def ref_transposition_witnesses(g: FiniteGroup, elems: tuple[int, ...]):
             (q for q in range(g.order) if [m[m[q][x]][inv[q]] for x in elems] == want), None
         )
     return out
+
+
+def ref_least_witnesses(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
+    """``tss._least_witnesses`` as it scanned full rows of a conjugation
+    table: for each sorted k-set (a row of ``sets``) and each i, the least q
+    whose row of C[:, set], C[q, x] = q x q^-1, is the set with members i and
+    i+1 swapped, or -1.  C is built here from ``table`` and ``inv``."""
+    t = g.table
+    c = t[t, g.inv[:, None]]  # c[q, x] = (q x) q^-1
+    k = sets.shape[1]
+    swaps = np.tile(np.arange(k), (k - 1, 1))
+    for i in range(k - 1):
+        swaps[i, i:i + 2] = i + 1, i
+    step = max(1, (1 << 20) // (g.order * k * k))  # sets per block of hits
+    out = [np.empty((0, k - 1), dtype=np.intp)]
+    for lo in range(0, len(sets), step):
+        block = sets[lo:lo + step]
+        hit = (c[:, block][:, :, None, :] == block[:, swaps]).all(axis=3)  # [q, r, i]
+        out.append(np.where(hit.any(axis=0), hit.argmax(axis=0), -1))
+    return np.concatenate(out)
 
 
 def ref_dedup(g: FiniteGroup, sets) -> list[tuple[int, ...]]:

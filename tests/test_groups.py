@@ -44,6 +44,7 @@ from helpers import (
     ref_eager_mul,
     ref_element_order,
     ref_generated_subgroup,
+    ref_is_table_homomorphism,
     ref_symmetric,
 )
 
@@ -586,8 +587,15 @@ class TestClosureMatchesScalarReferences:
 
     @pytest.mark.parametrize("block", [1, 40])
     def test_blocks_keep_results(self, block, monkeypatch):
+        # the homomorphism check gathers _ASSOC_BLOCK entries at a time
         monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
         g = parse_group_spec("product:sym:4,dihedral:3")
+        hom = homs.quotient_hom(g, range(6))  # onto S4, the D6 factor is {e} x D6
+        f = list(hom.mapping)
+        f[-1] = (f[-1] + 1) % hom.target.order  # breaks a product in the last row
+        bad = homs.TableHom(g, hom.target, tuple(f))
+        assert homs.is_table_homomorphism(hom) and ref_is_table_homomorphism(hom)
+        assert not homs.is_table_homomorphism(bad) and not ref_is_table_homomorphism(bad)
         assert derived_series(g) == ref_derived_series(g)
         assert generated_subgroup(g, [7, 30]) == ref_generated_subgroup(g, [7, 30])
 
@@ -630,7 +638,7 @@ class TestDenseCore:
 
     @pytest.mark.parametrize("g,want", DENSE_CORPUS, ids=lambda v: getattr(v, "name", ""))
     def test_conj_table_is_conjugation(self, g, want):
-        c = g.conj_table
+        c = groups._conjugates(g, np.arange(g.order))  # c[q, x] = q x q^-1
         m, inv = g.mul, g.inv
         assert all(c[q][x] == m[m[q][x]][inv[q]]
                    for q in range(g.order) for x in range(g.order))
@@ -641,11 +649,12 @@ class TestDenseCore:
                 assert sorted(conjugacy_classes(g).classes) == brute_conjugacy_partition(g)
 
     def test_dtype_and_read_only(self, s4):
-        for arr in (s4.table, s4.conj_table):
-            assert arr.dtype == np.int16 and arr.shape == (24, 24)
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1
+        # conjugates are gathered on demand, in the table's dtype
+        assert groups._conjugates(s4, np.arange(24)).dtype == np.int16
+        assert s4.table.dtype == np.int16 and s4.table.shape == (24, 24)
+        assert not s4.table.flags.writeable
+        with pytest.raises(ValueError):
+            s4.table[0, 0] = 1
 
     def test_wide_dtype_above_int16(self):
         assert groups.table_dtype(32767) == np.int16
@@ -669,8 +678,9 @@ class TestDenseCore:
 
 
 class TestPartitionByColumnMinima:
-    """``conjugacy_partition`` (least entry of each ``conj_table`` column,
-    ranked by a cumsum) against the per-class ``np.unique`` loop."""
+    """``conjugacy_partition`` (least member of each orbit of conjugation by
+    the generators, ranked by a cumsum) against the per-class ``np.unique``
+    of each element's conjugates."""
 
     @pytest.mark.parametrize("g", [g for g, _ in DENSE_CORPUS], ids=lambda g: g.name)
     def test_dense_corpus(self, g):
@@ -690,6 +700,12 @@ class TestPartitionByColumnMinima:
         part = g.conjugacy_partition
         assert part == ref_conjugacy_partition(g)
         assert part.classes[part.class_of[g.identity]] == (g.identity,)
+
+    @pytest.mark.parametrize("build", TABLE_GROUPS.values(), ids=TABLE_GROUPS.keys())
+    def test_recorded_generators(self, build):
+        # quotients and decoded documents: orbits of the greedy generators
+        g = build()
+        assert g.conjugacy_partition == ref_conjugacy_partition(g)
 
 
 class TestSymmetricByComposition:

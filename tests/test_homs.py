@@ -146,6 +146,11 @@ class TestEnumerate:
         assert {h.images for h in reduced} <= full
         assert len(reduced) < len(full)
 
+    def test_more_generators_than_the_recursion_limit(self):
+        # the levels are walked with a stack of iterators, not recursion
+        found = list(enumerate_homs(Presentation(1200, ((1,),)), make_cyclic(1)))
+        assert [h.images for h in found] == [(0,) * 1200]
+
 
 class TestCyclicImage:
     def test_trivial(self, s3):

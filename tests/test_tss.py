@@ -2,6 +2,7 @@ import math
 import random
 
 import jsonschema
+import numpy as np
 import pytest
 
 from tsslab import tss, verify
@@ -33,6 +34,7 @@ from helpers import (
     factorial_divisibility,
     ref_brute_force_tss,
     ref_dedup,
+    ref_least_witnesses,
     ref_realized_permutations,
     ref_transposition_witnesses,
     ref_tss_by_size,
@@ -301,7 +303,7 @@ class TestBruteForceOnArrays:
         g = parse_group_spec("sym:4")
         klein = tuple(g.labels.index(lab) for lab in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"))
         assert brute_force_tss(g, 3) == [tuple(sorted(klein))]
-        assert not {"mul", "conj_table", "conjugacy_partition"} & set(g.__dict__)
+        assert not {"mul", "conjugacy_partition"} & set(g.__dict__)
 
 
 # groups up to order 48, and S4 x S3 (order 144)
@@ -321,7 +323,7 @@ def _search_sets(g):
 
 
 class TestConjugationTableSearches:
-    """The row filters on ``conj_table`` against scalar conjugation loops."""
+    """The row filters on gathered conjugates against scalar conjugation loops."""
 
     @pytest.mark.parametrize("spec", TABLE_SEARCH_SPECS)
     def test_realized_permutations(self, spec):
@@ -423,3 +425,49 @@ class TestLevelSearch:
         assert [len(level) for level in tss.tss_by_size(
             parse_group_spec("product:sym:3,cyclic:7"))] == [42, 7]
         assert [len(level) for level in tss.tss_by_size(make_dihedral(4))] == [8, 3]
+
+
+# every member of the bands of the benchmark's `tables` workload
+# (perfbench/workloads.py), orders 480 to 1008
+TABLES_BANDS = ["product:sym:4,sym:4", "product:sym:4,dihedral:12", "product:dihedral:12,sym:4",
+                "product:sym:4,dihedral:10", "product:dihedral:10,sym:4", "sym:6",
+                "dihedral:496", "dihedral:500", "dihedral:504"] + [
+    f"semidirect:31,30,{k}" for k in (3, 11, 12, 13, 17, 21, 22, 24)]
+
+
+class TestWitnessKernel:
+    """``_least_witnesses`` (q x = y q, read on ``table``) against the
+    full-row reference kernel on a conjugation table, witness for witness, on
+    every batch of sets the level search hands it, certified or not."""
+
+    @staticmethod
+    def _check_levels(g, monkeypatch):
+        batches = []
+        kernel = tss._least_witnesses
+
+        def recording(g, sets):
+            batches.append((sets, kernel(g, sets)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(tss, "_least_witnesses", recording)
+        list(tss.tss_by_size(g))
+        for sets, found in batches:
+            assert found.tolist() == ref_least_witnesses(g, sets).tolist()
+        return len(batches)
+
+    @pytest.mark.parametrize("g", [g for g, _ in dense_corpus()], ids=lambda g: g.name)
+    def test_dense_corpus(self, g, monkeypatch):
+        self._check_levels(g, monkeypatch)
+
+    @pytest.mark.parametrize("spec", TABLE_SEARCH_SPECS)
+    def test_table_search_specs(self, spec, monkeypatch):
+        g = parse_group_spec(spec)
+        self._check_levels(g, monkeypatch)
+        for s in _search_sets(g):
+            if len(s) > 1:
+                sets = np.array([s], dtype=np.intp)
+                assert tss._least_witnesses(g, sets).tolist() == ref_least_witnesses(g, sets).tolist()
+
+    @pytest.mark.parametrize("spec", TABLES_BANDS)
+    def test_tables_bands(self, spec, monkeypatch):
+        assert self._check_levels(parse_group_spec(spec), monkeypatch) > 0
