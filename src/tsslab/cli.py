@@ -70,16 +70,16 @@ class _SuiteNames:
     only a ``verify`` command, its help or its usage error imports the
     suites."""
 
-    def _names(self) -> list[str]:
+    def _sorted(self) -> list[str]:
         from . import verify
 
         return sorted(verify.THEOREMS)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._names()
+        return name in self._sorted()
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
+        return iter(self._sorted())
 
 
 @functools.cache
@@ -472,13 +472,12 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    options: dict[str, Any] = {"seed": args.seed}
-    for name in ("max_order", "max_len", "max_syllables", "radius", "bound", "samples"):
-        if (value := getattr(args, name)) is not None:
-            options[name] = value
-    if args.budget != homs.DEFAULT_HOM_BUDGET:
-        options["budget"] = args.budget
-    grid = verify.THEOREMS[args.theorem].grid(options, args.grid) if args.grid else None
+    # every option some suite declares; verify_suite refuses one this suite does not
+    keys = {o.key for spec in verify.THEOREMS.values() for o in spec.options}
+    options = {key: value for key in keys if (value := getattr(args, key)) is not None}
+    if args.budget == homs.DEFAULT_HOM_BUDGET:
+        del options["budget"]  # the default budget is no --budget
+    grid = verify.THEOREMS[args.theorem].parse(args.grid) if args.grid is not None else None
     result = verify.verify_suite(
         args.theorem, grid, jobs=args.jobs, out_dir=args.out, **options
     )

@@ -174,12 +174,14 @@ class SemidirectParams:
 
     @staticmethod
     def check_ranges(p: int, m: int, k: int) -> None:
-        """Raise unless p is prime, m >= 1 and 1 <= k < p; k^m = 1 mod p is
-        left to the constructor."""
-        if _prime_powers(p) != [(p, 1)]:
-            raise GroupError(f"p={p} is not prime")
+        """Raise unless m >= 1, p*m is within the order cap, p is prime and
+        1 <= k < p; k^m = 1 mod p is left to the constructor.  The primality
+        test comes last: its trial division takes sqrt(p) steps."""
         if m < 1:
             raise GroupError(f"m={m} must be positive")
+        _order_cap(f"SD({p},{m},{k})", p * m)
+        if _prime_powers(p) != [(p, 1)]:
+            raise GroupError(f"p={p} is not prime")
         if not (1 <= k < p):
             raise GroupError(f"k={k} must satisfy 1 <= k < p={p}")
 
@@ -522,8 +524,7 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
     Index layout: a*m + b for 0 <= a < p, 0 <= b < m.
     """
     p, m, k = params.p, params.m, params.k
-    order = p * m
-    _order_cap(f"SD({p},{m},{k})", order)
+    order = p * m  # within the cap, which SemidirectParams checks
     # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + a2 k^b1) s^(b1 + b2)
     kpow = np.array([pow(k, b1, p) for b1 in range(m)], dtype=np.int64)
     twisted = np.outer(kpow, np.arange(p, dtype=np.int64)) % p  # [b1, a2] -> a2 k^b1

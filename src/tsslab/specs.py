@@ -4,6 +4,7 @@ product:<spec>,<spec>, file:<path>."""
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from .cayley import from_cayley_table
 from .groups import (
@@ -23,10 +24,16 @@ class GroupSpecError(GroupError):
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
-    group, rest = _parse(spec.strip())
+    return group_spec_builder(spec)()
+
+
+def group_spec_builder(spec: str) -> Callable[[], FiniteGroup]:
+    """What builds ``spec``'s group, once its syntax and its semidirect
+    parameters check; nothing is built or read before the call."""
+    build, rest = _parse(spec.strip())
     if rest:
         raise GroupSpecError(f"trailing text {rest!r} after group spec")
-    return group
+    return build
 
 
 def split_spec_pair(text: str) -> tuple[str, str]:
@@ -57,28 +64,29 @@ def _expect(s: str, ch: str) -> str:
     return s[len(ch):]
 
 
-def _parse(s: str) -> tuple[FiniteGroup, str]:
+def _parse(s: str) -> tuple[Callable[[], FiniteGroup], str]:
     if s.startswith("cyclic:"):
         n, rest = _take_int(s[len("cyclic:"):])
-        return make_cyclic(n), rest
+        return lambda: make_cyclic(n), rest
     if s.startswith("dihedral:"):
         n, rest = _take_int(s[len("dihedral:"):])
-        return make_dihedral(n), rest
+        return lambda: make_dihedral(n), rest
     if s.startswith("sym:"):
         n, rest = _take_int(s[len("sym:"):])
-        return make_symmetric(n), rest
+        return lambda: make_symmetric(n), rest
     if s.startswith("semidirect:"):
         p, rest = _take_int(s[len("semidirect:"):])
         rest = _expect(rest, ",")
         m, rest = _take_int(rest)
         rest = _expect(rest, ",")
         k, rest = _take_int(rest)
-        return make_semidirect_cyclic(SemidirectParams(p, m, k)), rest
+        params = SemidirectParams(p, m, k)
+        return lambda: make_semidirect_cyclic(params), rest
     if s.startswith("product:"):
         left, rest = _parse(s[len("product:"):])
         rest = _expect(rest, ",")
         right, rest = _parse(rest)
-        return direct_product(left, right), rest
+        return lambda: direct_product(left(), right()), rest
     if s.startswith("file:"):
         # paths may not contain commas (a comma ends the spec inside products)
         body = s[len("file:"):]
@@ -86,8 +94,7 @@ def _parse(s: str) -> tuple[FiniteGroup, str]:
         path, rest = (body, "") if cut < 0 else (body[:cut], body[cut:])
         if not path:
             raise GroupSpecError("file: spec needs a path")
-        text = Path(path).read_text()
-        return from_cayley_table(text, name=f"file:{path}"), rest
+        return lambda: from_cayley_table(Path(path).read_text(), name=f"file:{path}"), rest
     raise GroupSpecError(
         f"unknown group spec {s!r}; use cyclic:N, dihedral:N, sym:N, "
         f"semidirect:P,M,K, product:<spec>,<spec>, or file:<path>"

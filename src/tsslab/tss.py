@@ -288,6 +288,19 @@ def _orbit_minima(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
     """For each sorted row of an (e, k) array, whether it is the least sorted
     image of itself under conjugation.
 
+    That image starts with the least class member of the set's members, so
+    only the rows that start with it go to ``_orbit_minima_kernel``.
+    """
+    part = conjugacy_classes(g)
+    least = np.array(part.representatives, dtype=np.intp)[np.array(part.class_of)]
+    out = least[sets].min(axis=1) == sets[:, 0]
+    out[out] = _orbit_minima_kernel(g, sets[out])
+    return out
+
+
+def _orbit_minima_kernel(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
+    """``_orbit_minima`` for every row, with no prefilter.
+
     Row q of a set's images is its image under q; the identity's row is the set
     itself.  The rows are narrowed to the lexicographically least sorted image
     one column at a time, and a set is kept iff each column minimum equals its

@@ -3,7 +3,10 @@
 Each suite reproduces one classification or corollary over a parameter grid
 and reports per-instance verdicts: pass, fail, not-applicable, or
 exhausted(bound) for bounded searches in infinite groups.  Failures carry a
-minimal counterexample and a re-runnable command line.
+minimal counterexample and a re-runnable command line.  A suite declares its
+parameters once, on its ``TheoremSpec``: its grid fields and options with their
+kinds, default values and ranges.  The --grid parser, the default grid, every
+range check and the options the CLI passes are read from that declaration.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import homs, tss
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupError,
     SemidirectParams,
@@ -26,7 +30,7 @@ from .groups import (
     split_product_index,
 )
 from .schemas import FORMAT_VERSION, certificate_to_json
-from .specs import parse_group_spec
+from .specs import group_spec_builder, parse_group_spec
 from .words import baumslag as bs
 from .words import freegroup as f2
 from .words import freeproduct as fp
@@ -102,8 +106,6 @@ def predicted_dihedral_pairs(n: int) -> list[tuple[int, int]]:
 
 def _run_dihedral(params: dict) -> SuiteInstance:
     n = params["n"]
-    if n < 3:  # D2 and D4 are abelian, with S = 1
-        raise ValueError(f"n={n} must be >= 3")
     g = parse_group_spec(f"dihedral:{n}")
     levels = list(tss.tss_by_size(g))
     found = [c.elements for c in levels[1]] if len(levels) > 1 else []
@@ -124,7 +126,6 @@ def _run_dihedral(params: dict) -> SuiteInstance:
 def _run_semidirect(params: dict) -> SuiteInstance:
     p, m, k = params["p"], params["m"], params["k"]
     spec = f"semidirect:{p},{m},{k}"
-    SemidirectParams.check_ranges(p, m, k)
     if pow(k, m, p) != 1:
         # ord_p(k) does not divide m: the action is ill-defined, no group of
         # order p*m exists with this presentation data.
@@ -245,18 +246,11 @@ def odd_order_corpus(max_order: int) -> list[str]:
     specs += [f"cyclic:{n}" for n in (125, 243, 343, 499) if n <= max_order]
     semis = [(7, 3, 2), (13, 3, 3), (19, 3, 7)]
     specs += [f"semidirect:{p},{m},{k}" for (p, m, k) in semis if p * m <= max_order]
-    products = [
-        ("cyclic:3", "cyclic:7"),
-        ("cyclic:5", "cyclic:5"),
-        ("cyclic:3", "semidirect:7,3,2"),
-        ("cyclic:9", "cyclic:49"),
-        ("semidirect:7,3,2", "semidirect:7,3,2"),
-        ("semidirect:13,3,3", "cyclic:11"),
-    ]
+    products = [("cyclic:3", "cyclic:7"), ("cyclic:5", "cyclic:5"), ("cyclic:3", "semidirect:7,3,2"),
+                ("cyclic:9", "cyclic:49"), ("semidirect:7,3,2", "semidirect:7,3,2"),
+                ("semidirect:13,3,3", "cyclic:11")]
     orders = {s: parse_group_spec(s).order for pair in products for s in pair}
-    specs += [
-        f"product:{a},{b}" for a, b in products if orders[a] * orders[b] <= max_order
-    ]
+    specs += [f"product:{a},{b}" for a, b in products if orders[a] * orders[b] <= max_order]
     return specs
 
 
@@ -291,10 +285,6 @@ def _run_solvable(params: dict) -> SuiteInstance:
 
 def _run_stabilizer_ses(params: dict) -> SuiteInstance:
     spec = params["group"]
-    samples = params["samples"]
-    seed = params["seed"]
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
     g = parse_group_spec(spec)
 
     def repro(elements: Iterable[int]) -> str:
@@ -312,8 +302,8 @@ def _run_stabilizer_ses(params: dict) -> SuiteInstance:
                 checked += 1
                 continue
             return _cert_failure(params, bad, cert, repro(cert.elements))
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(params["seed"])
+    for _ in range(params["samples"]):
         size = rng.randint(1, min(4, g.order))
         s = tuple(sorted(rng.sample(range(g.order), size)))
         dec = tss.realized_permutations(g, s)
@@ -327,11 +317,6 @@ def _run_stabilizer_ses(params: dict) -> SuiteInstance:
 
 
 # --- fundamental lemma -------------------------------------------------------
-
-def _budget_param(opts: dict) -> dict:
-    # the budget enters params only when set, so default runs keep their JSON
-    return {"budget": opts["budget"]} if "budget" in opts else {}
-
 
 _KLEIN = ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")  # the nonidentity elements of V4 < S4
 
@@ -359,24 +344,18 @@ _LEMMA_FIXTURES: dict[str, tuple[str, str, Optional[Callable[[FiniteGroup], tupl
 }
 
 
-def _lemma_instance(name: str, opts: dict) -> dict:
-    if name not in _LEMMA_FIXTURES:
-        raise GroupError(f"unknown fundamental-lemma fixture {name!r}; "
-                         f"known fixtures: {', '.join(_LEMMA_FIXTURES)}")
-    expect = _LEMMA_FIXTURES[name][0]
-    return {"fixture": name, "expect": expect,
-            **(_budget_param(opts) if expect == "sweep" else {})}
+def _lemma_branch(params: dict) -> dict:
+    """The fixture's branch as ``expect``, which a given ``expect`` must match."""
+    expect = _LEMMA_FIXTURES[params["fixture"]][0]
+    if params.get("expect", expect) != expect:
+        raise ValueError(f"expect {params['expect']!r} does not match fixture "
+                         f"{params['fixture']!r}, whose branch is {expect!r}")
+    return {"expect": expect}
 
 
 def _run_fundamental_lemma(params: dict) -> SuiteInstance:
     fixture = params["fixture"]
-    if fixture not in _LEMMA_FIXTURES:
-        raise ValueError(f"unknown fixture {fixture!r}")
     expect, spec, build = _LEMMA_FIXTURES[fixture]
-    if params.get("expect", expect) != expect:
-        raise ValueError(f"expect {params['expect']!r} does not match fixture {fixture!r}, "
-                         f"whose branch is {expect!r}")
-    params = {"fixture": fixture, "expect": expect, **params}  # the CLI's params, in its order
     g = parse_group_spec(spec)
     if build is None:
         s3 = parse_group_spec("sym:3")
@@ -454,30 +433,19 @@ def _run_braid_corollary(params: dict) -> SuiteInstance:
 
 # --- free group --------------------------------------------------------------
 
-def _all_reduced_words(length: int) -> list[f2.FreeWord]:
-    out: list[f2.FreeWord] = []
-
-    def extend(letters: list[int]) -> None:
-        if len(letters) == length:
-            out.append(f2.FreeWord(tuple(letters)))
-            return
-        for x in (1, -1, 2, -2):
-            if letters and letters[-1] == -x:
-                continue
-            letters.append(x)
-            extend(letters)
-            letters.pop()
-
-    extend([])
-    return out
+def _reduced_words(length: int, prefix: tuple[int, ...] = ()) -> Iterator[f2.FreeWord]:
+    """The reduced words of ``length``, one at a time, in order of the letters 1, -1, 2, -2."""
+    if len(prefix) == length:
+        yield f2.FreeWord(prefix)
+        return
+    for x in (1, -1, 2, -2):
+        if not prefix or prefix[-1] != -x:
+            yield from _reduced_words(length, prefix + (x,))
 
 
 def _run_free_group(params: dict) -> SuiteInstance:
     length = params["length"]
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    words = _all_reduced_words(length)
-    for w in words:
+    for w in _reduced_words(length):
         # the evidence tests w against root^-n, which is w^-1: one conjugacy
         # test per word decides both failures
         evidence = f2.f2_tss_obstruction(w)
@@ -496,7 +464,7 @@ def _run_free_group(params: dict) -> SuiteInstance:
             )
     return SuiteInstance(
         params, "pass",
-        f"all {len(words)} reduced words of length {length}: "
+        f"all {4 * 3 ** (length - 1)} reduced words of length {length}: "
         f"never conjugate to the inverse, obstruction certified",
     )
 
@@ -551,45 +519,10 @@ def _run_oracle(params: dict) -> SuiteInstance:
     return SuiteInstance(params, "pass", f"identical TSS lists for sizes 1..{s_val + 1}")
 
 
-# --- registry ----------------------------------------------------------------
-
-_SOLVABLE_CORPUS = [
-    "cyclic:8", "cyclic:12", "dihedral:3", "dihedral:4", "dihedral:5",
-    "dihedral:6", "sym:3", "sym:4", "semidirect:3,6,2", "semidirect:7,3,2",
-    "product:dihedral:4,sym:3", "product:sym:3,sym:4", "sym:5",
-]
-
-_SMALL_CORPUS = [
-    "cyclic:6", "cyclic:8", "dihedral:3", "dihedral:4", "dihedral:5",
-    "dihedral:6", "sym:3", "sym:4", "semidirect:3,6,2", "semidirect:7,3,2",
-    "product:cyclic:2,dihedral:4", "product:cyclic:3,sym:3",
-]
-
-_ORACLE_CORPUS = [
-    *(f"cyclic:{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 24)),
-    *(f"dihedral:{n}" for n in range(3, 13)),
-    "sym:3", "sym:4", "semidirect:3,6,2", "semidirect:7,3,2",
-    "product:cyclic:2,cyclic:2", "product:cyclic:2,dihedral:4",
-    "product:cyclic:3,sym:3", "product:cyclic:2,cyclic:12",
-]
-
-_PRODUCT_FACTORS = ["cyclic:5", "cyclic:6", "dihedral:3", "dihedral:4", "sym:3", "sym:4"]
-
-
-def _default_product_pairs() -> list[tuple[str, str]]:
-    orders = {s: parse_group_spec(s).order for s in _PRODUCT_FACTORS}
-    return [(a, b) for i, a in enumerate(_PRODUCT_FACTORS) for b in _PRODUCT_FACTORS[i:]
-            if orders[a] * orders[b] <= 600]
-
-
-# --- grids -------------------------------------------------------------------
+# --- parameters --------------------------------------------------------------
 
 # longest integer range a --grid may spell, e.g. 3-12; checked before expanding
 GRID_RANGE_CAP = 1000
-
-
-def _grid_items(text: str) -> list[str]:
-    return [t for t in text.split(";") if t.strip()]
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -612,131 +545,168 @@ def _parse_ints(text: str) -> list[int]:
     return out
 
 
-def _parse_triples(text: str) -> list[tuple[int, ...]]:
-    out = []
-    for item in _grid_items(text):
-        try:
-            p, m, k = (int(v) for v in item.split(","))
-        except ValueError:
-            raise GroupError(f"bad --grid item {item!r}; expected 'p,m,k' integer triples "
-                             f"joined by ';', e.g. '3,6,2;5,20,2'") from None
-        out.append((p, m, k))
-    return out
+@dataclass(frozen=True)
+class Param:
+    """A suite parameter: a field of its grid items, or an option.  An option
+    enters each instance's params with its ``default``, only when given if
+    that is None, or never if it only sizes the default grid (``grid_only``)."""
+    key: str
+    kind: str = "int"  # int, spec (a group spec) or fixture (a fundamental-lemma fixture)
+    low: Optional[int] = None  # the inclusive range of an int
+    high: Optional[int] = None
+    default: Any = None
+    grid_only: bool = False
+
+    def check(self, value: Any) -> Any:
+        """``value``, or a ValueError that names the key."""
+        if self.kind == "spec":
+            try:
+                group_spec_builder(value)  # the syntax only: no group is built here
+            except GroupError as exc:
+                raise ValueError(f"{self.key}: {exc}") from None
+        if self.kind == "fixture" and value not in _LEMMA_FIXTURES:
+            raise ValueError(f"unknown fundamental-lemma fixture {value!r}; "
+                             f"known fixtures: {', '.join(_LEMMA_FIXTURES)}")
+        if self.low is not None and value < self.low:
+            raise ValueError(f"{self.key} must be >= {self.low}, got {value}")
+        if self.high is not None and value > self.high:
+            raise ValueError(f"{self.key} must be <= {self.high}, got {value}")
+        return value
 
 
-def _split_grid_pair(item: str, syntax: str) -> tuple[str, str]:
-    if "+" not in item:
-        raise GroupError(f"bad --grid item {item!r}; expected {syntax} pairs joined by ';'")
-    left, right = item.split("+", 1)
-    return left.strip(), right.strip()
+@dataclass(frozen=True)
+class TheoremSpec:
+    """A suite: its runner and the one declaration of its parameters.  A --grid
+    item is the ``fields`` joined by ``sep``, items are joined by ';', and a
+    lone int field also takes ranges such as '3-12'.  ``check`` checks fields
+    against each other and may return params derived from them."""
+    runner: Callable[[dict], SuiteInstance]
+    description: str
+    default_grid: Callable[[dict], str]  # the --grid text run without one, from the options
+    fields: tuple[Param, ...] = (Param("group", "spec"),)
+    options: tuple[Param, ...] = ()
+    sep: str = "+"
+    syntax: str = "<spec>+<spec> pairs joined by ';'"  # the item form, in errors
+    check: Callable[[dict], Optional[dict]] = lambda params: None
 
+    def parse(self, text: str) -> list[dict]:
+        """The fields of each item of the --grid ``text``."""
+        if len(self.fields) == 1 and self.fields[0].kind == "int":
+            return [{self.fields[0].key: n} for n in _parse_ints(text)]
+        out = []
+        for item in filter(str.strip, text.split(";")):
+            parts = [part.strip() for part in item.split(self.sep, len(self.fields) - 1)]
+            try:
+                if len(parts) < len(self.fields) or not all(parts):
+                    raise ValueError
+                out.append({f.key: int(part) if f.kind == "int" else part
+                            for f, part in zip(self.fields, parts)})
+            except ValueError:
+                raise GroupError(f"bad --grid item {item!r}; expected {self.syntax}") from None
+        return out
 
-def _spec_pairs(text: str) -> list[tuple[str, str]]:
-    return [_split_grid_pair(item, "<spec>+<spec>") for item in _grid_items(text)]
+    def settings(self, theorem: str, given: dict) -> dict:
+        """Each option, ``given`` or its default; only ``seed`` may be undeclared."""
+        for key in sorted(given.keys() - {o.key for o in self.options} - {"seed"}):
+            raise ValueError(f"verify {theorem} takes no --{key.replace('_', '-')}")
+        return {o.key: o.check(given[o.key]) if o.key in given else o.default
+                for o in self.options}
 
-
-def _braid_pairs(text: str) -> list[tuple[int, str]]:
-    out = []
-    for item in _grid_items(text):
-        strands, target = _split_grid_pair(item, "<strands>+<spec>")
-        if not strands.isdigit():
-            raise GroupError(f"bad --grid item {item!r}; expected <strands>+<spec> "
-                             f"with an integer strand count, e.g. '5+sym:5'")
-        out.append((int(strands), target))
-    return out
-
-
-def _names(text: str) -> list[str]:
-    return [item.strip() for item in _grid_items(text)]
-
-
-def _pair_instance(first: str, second: str,
-                   extra: Callable[[dict], dict] = lambda opts: {}) -> Callable[[Any, dict], dict]:
-    return lambda pair, opts: {first: pair[0], second: pair[1], **extra(opts)}
+    def complete(self, params: dict, settings: dict) -> dict:
+        """``params``, checked, with what ``check`` derives and each option they lack."""
+        for f in self.fields:
+            f.check(params[f.key])
+        out = {**params, **(self.check(params) or {})}
+        for o in self.options:
+            value = out.get(o.key, settings[o.key])
+            if not o.grid_only and value is not None:
+                out[o.key] = o.check(value)
+        return out
 
 
 # --- registry ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremSpec:
-    """A suite: its runner, and its grid, built by ``grid`` from the default
-    items or from --grid text.  Corpus suites take group specs joined by ';'."""
-    runner: Callable[[dict], SuiteInstance]
-    description: str
-    default_items: Callable[[dict], Iterable[Any]]  # grid items from the options
-    parse_items: Callable[[str], list[Any]] = _names  # --grid text -> grid items
-    instance: Callable[[Any, dict], dict] = lambda spec, opts: {"group": spec}  # item -> params
-    # params every instance carries, with the values used when the options omit them
-    defaults: dict = field(default_factory=dict)
+_SOLVABLE_CORPUS = ("cyclic:8;cyclic:12;dihedral:3;dihedral:4;dihedral:5;dihedral:6;sym:3;sym:4;"
+                    "semidirect:3,6,2;semidirect:7,3,2;product:dihedral:4,sym:3;"
+                    "product:sym:3,sym:4;sym:5")
+_SMALL_CORPUS = ("cyclic:6;cyclic:8;dihedral:3;dihedral:4;dihedral:5;dihedral:6;sym:3;sym:4;"
+                 "semidirect:3,6,2;semidirect:7,3,2;product:cyclic:2,dihedral:4;"
+                 "product:cyclic:3,sym:3")
+_ORACLE_CORPUS = ";".join([
+    *(f"cyclic:{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 24)),
+    *(f"dihedral:{n}" for n in range(3, 13)),
+    "sym:3;sym:4;semidirect:3,6,2;semidirect:7,3,2;product:cyclic:2,cyclic:2",
+    "product:cyclic:2,dihedral:4;product:cyclic:3,sym:3;product:cyclic:2,cyclic:12"])
 
-    def grid(self, opts: dict, text: Optional[str] = None) -> list[dict]:
-        """Instance params for the --grid ``text``, or for the default grid."""
-        items = self.default_items(opts) if text is None else self.parse_items(text)
-        return [self.complete(self.instance(item, opts), opts) for item in items]
+_PRODUCT_FACTORS = ["cyclic:5", "cyclic:6", "dihedral:3", "dihedral:4", "sym:3", "sym:4"]
+_PRODUCT_PAIRS = ";".join(f"{a}+{b}" for i, a in enumerate(_PRODUCT_FACTORS)
+                          for b in _PRODUCT_FACTORS[i:])
 
-    def complete(self, params: dict, opts: dict) -> dict:
-        """``params`` followed by each of ``defaults`` they lack, from ``opts``
-        when given there."""
-        return {**params, **{k: opts.get(k, v) for k, v in self.defaults.items()
-                             if k not in params}}
+_SPEC_PAIR = (Param("left", "spec"), Param("right", "spec"))
+_BUDGET = Param("budget", low=1)  # enters params only when given, so default runs keep their JSON
 
-
+# The caps bound what one instance builds or runs: B_n has n(n-1)/2 relators, the
+# free-product ball grows about 5x a syllable, and BS(1,n) pairs a (2 radius + 1)^2 ball.
 THEOREMS: dict[str, TheoremSpec] = {
     "abelian": TheoremSpec(
         _run_abelian, "abelian groups have only singleton TSS",
-        lambda opts: opts.get("ns", range(1, 31)), _parse_ints, lambda n, opts: {"n": n}),
-    "dihedral": TheoremSpec(
+        lambda opts: "1-30", (Param("n", low=1, high=DEFAULT_ORDER_CAP),)),
+    "dihedral": TheoremSpec(  # D2 and D4 are abelian, with S = 1
         _run_dihedral, "S(D_2n) = 2 with the literal two-family classification",
-        lambda opts: opts.get("ns", range(3, 13)), _parse_ints, lambda n, opts: {"n": n}),
+        lambda opts: "3-12", (Param("n", low=3, high=DEFAULT_ORDER_CAP // 2),)),
     # (7,14,3) has an ill-defined action (ord_7(3) = 6 does not divide 14) and
     # is flagged not-applicable; (7,14,6) and (7,42,3) are the valid even-order
     # instances for those p, m choices.
     "semidirect": TheoremSpec(
         _run_semidirect, "S(Z_p x| Z_m) = 2 when -1 is a power of the action multiplier",
-        lambda opts: opts.get("triples", [(3, 6, 2), (5, 20, 2), (7, 14, 3), (7, 14, 6), (7, 42, 3)]),
-        _parse_triples, lambda pmk, opts: {"p": pmk[0], "m": pmk[1], "k": pmk[2]}),
+        lambda opts: "3,6,2;5,20,2;7,14,3;7,14,6;7,42,3", (Param("p"), Param("m"), Param("k")),
+        sep=",", syntax="'p,m,k' integer triples joined by ';', e.g. '3,6,2;5,20,2'",
+        check=lambda params: SemidirectParams.check_ranges(params["p"], params["m"], params["k"])),
     "direct-product": TheoremSpec(
         _run_direct_product, "S(G x H) = max(S(G), S(H)) plus the coordinate-structure corollary",
-        lambda opts: _default_product_pairs(),
-        _spec_pairs, _pair_instance("left", "right")),
+        lambda opts: _PRODUCT_PAIRS, _SPEC_PAIR),
     "free-product": TheoremSpec(
         _run_free_product, "S(G * H) = max(S(G), S(H)); every TSS is a conjugated factor TSS",
-        lambda opts: [("cyclic:3", "cyclic:3"), ("dihedral:4", "sym:3")],
-        _spec_pairs, _pair_instance("left", "right"), {"max_syllables": 4}),
+        lambda opts: "cyclic:3+cyclic:3;dihedral:4+sym:3", _SPEC_PAIR,
+        (Param("max_syllables", low=1, high=6, default=4),)),
     "inverse-pair": TheoremSpec(
         _run_inverse_pair, "a TSS containing g and g^-1 is exactly {g, g^-1}",
-        lambda opts: opts.get("groups", _SMALL_CORPUS)),
+        lambda opts: _SMALL_CORPUS),
     "odd-order": TheoremSpec(
         _run_odd_order, "odd-order groups have only singleton TSS",
-        lambda opts: odd_order_corpus(opts.get("max_order", 200))),
+        lambda opts: ";".join(odd_order_corpus(opts["max_order"])),
+        options=(Param("max_order", default=200, grid_only=True),)),
     "solvable": TheoremSpec(
         _run_solvable, "solvable groups satisfy S(G) <= 4 (size 3 occurs: S_4)",
-        lambda opts: opts.get("groups", _SOLVABLE_CORPUS)),
+        lambda opts: _SOLVABLE_CORPUS),
     "stabilizer-ses": TheoremSpec(
         _run_stabilizer_ses, "1 -> kernel -> Stab(S) -> Sym(S) -> 1 cardinality identity",
-        lambda opts: opts.get("groups", _SMALL_CORPUS), defaults={"samples": 20, "seed": 0}),
+        lambda opts: _SMALL_CORPUS,
+        options=(Param("samples", low=0, high=10000, default=20), Param("seed", default=0))),
     "fundamental-lemma": TheoremSpec(
         _run_fundamental_lemma, "TSS images have full size (and are TSS) or collapse to a point",
-        lambda opts: list(_LEMMA_FIXTURES), _names, _lemma_instance),
+        lambda opts: ";".join(_LEMMA_FIXTURES), (Param("fixture", "fixture"),), (_BUDGET,),
+        check=_lemma_branch),
     "no-injection": TheoremSpec(
         _run_no_injection, "no injective homomorphism when S(source) > S(target)",
-        lambda opts: [("sym:4", "dihedral:4"), ("sym:4", "cyclic:12"), ("dihedral:4", "cyclic:8")],
-        _spec_pairs, _pair_instance("source", "target", _budget_param)),
+        lambda opts: "sym:4+dihedral:4;sym:4+cyclic:12;dihedral:4+cyclic:8",
+        (Param("source", "spec"), Param("target", "spec")), (_BUDGET,)),
     "braid-corollary": TheoremSpec(
         _run_braid_corollary, "homomorphisms B_n -> G are cyclic when S(G) < floor(n/2)",
-        lambda opts: [(5, t) for t in ("cyclic:6", "semidirect:7,3,2", "sym:5")],
-        _braid_pairs, _pair_instance("strands", "target", _budget_param)),
+        lambda opts: "5+cyclic:6;5+semidirect:7,3,2;5+sym:5",
+        (Param("strands", low=5, high=100), Param("target", "spec")), (_BUDGET,),
+        syntax="<strands>+<spec> pairs joined by ';', e.g. '5+sym:5'"),
     "free-group": TheoremSpec(
         _run_free_group, "F_2 words are never conjugate to their inverses; S(F_2) = 1 evidence",
-        lambda opts: range(1, opts.get("max_len", 6) + 1), _parse_ints,
-        lambda n, opts: {"length": n}),
+        lambda opts: f"1-{opts['max_len']}", (Param("length", low=1, high=12),),
+        (Param("max_len", high=12, default=6, grid_only=True),)),
     "baumslag-solitar": TheoremSpec(
         _run_baumslag, "S(BS(1,n)) is 2 for n = -1 and 1 otherwise (exact swap decisions)",
-        lambda opts: opts.get("ns", [-3, -2, -1, 2, 3]), _parse_ints, lambda n, opts: {"n": n},
-        {"radius": 4, "bound": 6}),
+        lambda opts: "-3,-2,-1,2,3", (Param("n"),),
+        (Param("radius", low=1, high=20, default=4), Param("bound", low=1, default=6))),
     "oracle": TheoremSpec(
         _run_oracle, "pruned enumerator matches the no-pruning brute-force oracle",
-        lambda opts: opts.get("groups", _ORACLE_CORPUS)),
+        lambda opts: _ORACLE_CORPUS),
 }
 
 
@@ -757,18 +727,18 @@ def verify_suite(
 ) -> SuiteResult:
     """Run one theorem suite over its grid, optionally across worker processes.
 
-    Without ``grid`` the suite's default grid is built from ``options``.  A
-    given grid's params that lack one of the suite's defaulted params (the
-    BS radius and bound, say) take it from ``options`` or its default.
-    Worker outputs are collected in grid order, so runs are deterministic for
-    any job count.
+    ``options`` are those the suite declares, and ``seed``; without ``grid``
+    they build the default grid.  Each instance's params are checked and take
+    the options they lack (the BS radius and bound, say).  Worker outputs are
+    collected in grid order, so runs are deterministic for any job count.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {', '.join(sorted(THEOREMS))}")
     start = time.perf_counter()
     spec = THEOREMS[theorem]
-    instances_params = (spec.grid(options) if grid is None
-                        else [spec.complete(params, options) for params in grid])
+    settings = spec.settings(theorem, options)
+    grid = spec.parse(spec.default_grid(settings)) if grid is None else grid
+    instances_params = [spec.complete(params, settings) for params in grid]
     if not instances_params:
         raise GroupError(f"verify {theorem}: the grid has no instances")
     args = [(theorem, p) for p in instances_params]
@@ -823,7 +793,7 @@ def table_rows() -> list[tuple[str, str]]:
     def s_of(spec: str) -> int:
         return tss.max_tss_size(parse_group_spec(spec)).s_of_g
 
-    ev_ok = all(f2.f2_tss_obstruction(w).certified for w in _all_reduced_words(4))
+    ev_ok = all(f2.f2_tss_obstruction(w).certified for w in _reduced_words(4))
     bs_rigid = bs.bs_classification_check(2, 3, bound=4)
     bs_minus = bs.bs_classification_check(-1, 3, bound=4)
     biggest = 1

@@ -89,7 +89,7 @@ def odd_survey():
 def test_criterion_01_dihedral_classification(dihedral_survey):
     with criterion(1, "dihedral classification n=3..12", 5,
                    fixture_cost=dihedral_survey["build_s"]):
-        result = verify.verify_suite("dihedral", ns=list(range(3, 13)))
+        result = verify.verify_suite("dihedral")
         assert result.passed
         for entry in dihedral_survey["entries"]:
             n = entry["n"]
@@ -218,9 +218,7 @@ def test_criterion_09_free_group():
 
 def test_criterion_10_baumslag_solitar():
     with criterion(10, "BS(1,n) classification, n in {-3,-2,-1,2,3}, radius 4", 120):
-        result = verify.verify_suite(
-            "baumslag-solitar", ns=[-3, -2, -1, 2, 3], radius=4, bound=6
-        )
+        result = verify.verify_suite("baumslag-solitar", radius=4, bound=6)
         assert result.passed
         verdicts = {i.params["n"]: i.verdict for i in result.instances}
         assert verdicts[-1] == "pass"

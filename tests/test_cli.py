@@ -397,8 +397,8 @@ class TestNoVacuousPass:
         (["semidirect", "--grid", "0,2,1"], "p=0 is not prime"),
         (["semidirect", "--grid", "1,2,1"], "p=1 is not prime"),
         (["semidirect", "--grid", "-3,2,1"], "p=-3 is not prime"),
-        (["dihedral", "--grid", "1,2,3"], "n=1 must be >= 3"),
-        (["dihedral", "--grid", "3,2"], "n=2 must be >= 3"),
+        (["dihedral", "--grid", "1,2,3"], "n must be >= 3, got 1"),
+        (["dihedral", "--grid", "3,2"], "n must be >= 3, got 2"),
     ])
     def test_cli_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
@@ -431,6 +431,91 @@ class TestNoVacuousPass:
         with pytest.raises(ValueError) as info:
             verify_suite(theorem, grid=[params])
         assert str(info.value) == message
+
+
+# "\u0663" is an Arabic-Indic digit that int() reads as 3; "\u00b3" is a
+# superscript digit that str.isdigit() accepts and int() rejects.
+_BOUNDARY = ["0", "-1", str(2**63), "", "\u0663", "\u00b3", "1+x,"]
+
+
+def _sweep_cases():
+    """(argv, names) for each boundary value in --grid and in each declared
+    option of each suite; an exit-2 message must name one of ``names``."""
+    for theorem, spec in sorted(verify.THEOREMS.items()):
+        fields = ["--grid", "grid", *(f.key for f in spec.fields)]
+        cases = [(["verify", theorem, "--grid", value], fields) for value in _BOUNDARY]
+        for option in spec.options:
+            flag = "--" + option.key.replace("_", "-")
+            # an option that sizes the default grid may leave it empty
+            names = [flag, option.key, *(["grid"] if option.grid_only else [])]
+            cases += [([flag, value, "verify", theorem] if flag in ("--budget", "--seed")
+                       else ["verify", theorem, flag, value], names) for value in _BOUNDARY]
+        yield from (pytest.param(argv, names, id=" ".join(argv)) for argv, names in cases)
+
+
+class TestBoundarySweep:
+    """Every suite, crossed with boundary values in --grid and in each option
+    it declares, ends in exit 0, 2 or 3 with no traceback, and an exit-2
+    message names the grid, the field or the option.  In-process with
+    --jobs 1, so no worker pool starts."""
+
+    @pytest.mark.parametrize("argv,names", list(_sweep_cases()))
+    def test_exit_code_and_message(self, capsys, argv, names):
+        code, _, err = run(capsys, "--jobs", "1", *argv)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names), err
+
+
+class TestParameterDeclaration:
+    """Each suite's parameters are declared once, on its ``TheoremSpec``."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "free-group", "--grid", "22"], "length must be <= 12, got 22"),
+        (["verify", "free-group", "--max-len", "13"], "max_len must be <= 12, got 13"),
+        (["verify", "baumslag-solitar", "--grid", "2", "--radius", "100000"],
+         "radius must be <= 20, got 100000"),
+        (["verify", "free-product", "--max-syllables", "7"], "max_syllables must be <= 6, got 7"),
+        (["verify", "stabilizer-ses", "--samples", "10001"], "samples must be <= 10000, got 10001"),
+        (["verify", "braid-corollary", "--grid", "101+cyclic:2"],
+         "strands must be <= 100, got 101"),
+        (["verify", "braid-corollary", "--grid", "4+cyclic:2"], "strands must be >= 5, got 4"),
+        (["verify", "abelian", "--grid", "3", "--radius", "3"], "verify abelian takes no --radius"),
+        (["--budget", "10", "verify", "abelian", "--grid", "3"],
+         "verify abelian takes no --budget"),
+        (["verify", "oracle", "--grid", "cyclic:2", "--max-len", "2"],
+         "verify oracle takes no --max-len"),
+    ])
+    def test_caps_and_undeclared_options_exit_2(self, capsys, argv, message):
+        # the caps are checked before anything is enumerated
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("theorem", sorted(verify.THEOREMS))
+    def test_seed_and_defaults_are_accepted_by_every_suite(self, theorem):
+        spec = verify.THEOREMS[theorem]
+        settings = spec.settings(theorem, {"seed": 3})
+        assert settings == {o.key: 3 if o.key == "seed" else o.default for o in spec.options}
+        assert all(spec.complete(p, settings) for p in spec.parse(spec.default_grid(settings)))
+
+    def test_library_takes_no_grid_keywords(self):
+        for theorem, keyword in [("dihedral", "ns"), ("semidirect", "triples"),
+                                 ("oracle", "groups")]:
+            with pytest.raises(ValueError, match=f"verify {theorem} takes no --{keyword}$"):
+                verify_suite(theorem, **{keyword: []})
+
+    @pytest.mark.parametrize("argv", [
+        ["tss", "max", "--group", "semidirect:2305843009213693951,2,1"],
+        ["verify", "semidirect", "--grid", "2305843009213693951,2,1"],
+    ])
+    def test_huge_semidirect_p_meets_the_order_cap_first(self, argv):
+        # p = 2^61 - 1 is prime: its trial division would run for minutes
+        src = str(Path(tsslab.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "tsslab.cli", *argv], capture_output=True,
+                              text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("error: SD(2305843009213693951,2,1) has order "
+                               "4611686018427387902, above the global order cap 20000\n")
 
 
 class TestParserReuse:

@@ -251,7 +251,7 @@ class TestOracle:
         assert triple in brute_force_tss(s4, 3)
 
 
-ORACLE_GROUPS = ([parse_group_spec(spec) for spec in verify._ORACLE_CORPUS]
+ORACLE_GROUPS = ([parse_group_spec(spec) for spec in verify._ORACLE_CORPUS.split(";")]
                  + [g for g, _ in dense_corpus() if g.order <= 24])
 
 
@@ -396,6 +396,17 @@ class TestLevelSearch:
         sets = _non_tss_sets(g)
         kept = dedup_up_to_conjugacy(g, [TssCertificate(g, s) for s in sets])
         assert [c.elements for c in kept] == ref_dedup(g, sets)
+
+    @pytest.mark.parametrize("g", [g for g, _ in dense_corpus()], ids=lambda g: g.name)
+    def test_orbit_minima_match_the_unfiltered_kernel(self, g):
+        # the prefilter passes only sets that start with their least class member
+        by_size = {}
+        for s in [c.elements for level in tss.tss_by_size(g) for c in level] + _non_tss_sets(g):
+            by_size.setdefault(len(s), []).append(s)
+        for sets in by_size.values():
+            sets = np.array(sets, dtype=np.intp)
+            assert (tss._orbit_minima(g, sets).tolist()
+                    == tss._orbit_minima_kernel(g, sets).tolist())
 
     @pytest.mark.parametrize("block", ["one entry", "below one row"])
     @pytest.mark.parametrize("spec", ["sym:4", "dihedral:24", "product:sym:4,sym:3",
