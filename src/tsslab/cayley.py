@@ -53,7 +53,7 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         raise CayleyTableError("empty table document")
     lineno, body = rows[0]
     head = body.split()
-    if len(head) != 1 or not head[0].isdigit():
+    if len(head) != 1 or not head[0].isdecimal():
         raise CayleyTableError("first line must hold the group order", line=lineno)
     n = int(head[0])
     if n < 1:

@@ -147,8 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bs.add_argument("--n", type=int, required=True)
     p_bs.add_argument("op", choices=tuple(BS_ARITY))
     p_bs.add_argument("words", nargs="*")
-    p_bs.add_argument("--bound", type=int, default=6)
-    p_bs.add_argument("--radius", type=int, default=4)
+    # without them, _cmd_word_bs takes the library's defaults
+    p_bs.add_argument("--bound", type=int, default=None)
+    p_bs.add_argument("--radius", type=int, default=None)
     p_fp = word_sub.add_parser("fp", help="free product of two table groups")
     p_fp.add_argument("--factors", required=True, help="<spec>,<spec>")
     p_fp.add_argument("op", choices=tuple(FP_ARITY))
@@ -186,9 +187,12 @@ def _emit(doc: dict[str, Any], args: argparse.Namespace, text_lines: list[str],
 
 def _parse_elements(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        elems = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise GroupError(f"bad element list {text!r}; expected comma-separated integers")
+        elems = []
+    if not elems:
+        raise GroupError(f"bad --elements {text!r}; expected comma-separated integers")
+    return elems
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
@@ -406,8 +410,10 @@ def _cmd_word_bs(args: argparse.Namespace) -> int:
 
     _check_word_count(args, BS_ARITY)
     n = args.n
+    bound = bs.DEFAULT_BOUND if args.bound is None else args.bound
     if args.op == "classify":
-        report = bs.bs_classification_check(n, args.radius, bound=args.bound)
+        radius = bs.DEFAULT_RADIUS if args.radius is None else args.radius
+        report = bs.bs_classification_check(n, radius, bound=bound)
         print(f"BS(1,{n}) branch {report.branch}: {len(report.instances)} instances, "
               f"all_ok {report.all_ok}")
         for inst in report.instances[:10]:
@@ -427,7 +433,7 @@ def _cmd_word_bs(args: argparse.Namespace) -> int:
     elif args.op == "commutes":
         print("yes" if bs.bs_commutes(words[0], words[1], n) else "no")
     else:
-        res = bs.bs_swap_decide(words[0], words[1], n, args.bound)
+        res = bs.bs_swap_decide(words[0], words[1], n, bound)
         print(res.describe() if res.witness is None
               else f"witness {bs.format_bs(res.witness, n)}")
     return EXIT_PASS
@@ -440,7 +446,7 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
     try:
         left_spec, right_spec = split_spec_pair(args.factors)
     except GroupSpecError as exc:
-        raise GroupError(f"bad factor pair {args.factors!r}: {exc}") from exc
+        raise GroupError(f"bad --factors {args.factors!r}: {exc}") from exc
     left = parse_group_spec(left_spec)
     right = parse_group_spec(right_spec)
     if args.op == "reduce":
@@ -505,7 +511,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     lines += [f"{s:<{width + 2}} {fam}" for s, fam in rows]
     csv_rows = [["s", "family"]] + [[s, fam] for s, fam in rows]
     _emit(doc, args, lines, csv_rows)
-    return EXIT_PASS
+    return EXIT_FAIL if any(s == "?" for s, _ in rows) else EXIT_PASS
 
 
 def _attach_grid(argv: list[str]) -> list[str]:
@@ -542,6 +548,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.budget != homs.DEFAULT_HOM_BUDGET and args.command not in ("hom", "verify"):
+            # only homomorphism enumeration counts nodes; verify suites refuse it one by one
+            raise GroupError(f"{args.command} takes no --budget")
         if args.command == "group":
             return _cmd_group(args)
         if args.command == "tss":

@@ -66,6 +66,8 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_HOM_BUDGET = 10**8
+# B_n has n(n-1)/2 relators, all built before the budget counts a node
+BRAID_STRAND_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,8 @@ def braid_presentation(n: int) -> Presentation:
     """B_n on Artin generators: far commutation plus the braid relation."""
     if n < 2:
         raise HomError(f"braid group needs at least 2 strands, got {n}")
+    if n > BRAID_STRAND_CAP:
+        raise HomError(f"braid group strands must be <= {BRAID_STRAND_CAP}, got {n}")
     k = n - 1
     relators: list[tuple[int, ...]] = []
     for i in range(1, k + 1):
@@ -494,7 +498,7 @@ def braid_cyclic_corollary_check(
     Each image is classified by ``_braid_image_census``.
     """
     if n < 5:
-        raise HomError(f"the cyclic-image corollary is stated for n >= 5, got {n}")
+        raise HomError(f"the cyclic-image corollary is stated for n >= 5 strands, got {n}")
     start = time.perf_counter()
     threshold = n // 2
     s_target = max_tss_size(target).s_of_g

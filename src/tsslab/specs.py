@@ -51,11 +51,19 @@ def split_spec_pair(text: str) -> tuple[str, str]:
 
 def _take_int(s: str) -> tuple[int, str]:
     i = 0
-    while i < len(s) and s[i].isdigit():
+    while i < len(s) and s[i].isdecimal():
         i += 1
     if i == 0:
         raise GroupSpecError(f"expected an integer at {s!r}")
     return int(s[:i]), s[i:]
+
+
+def _read_cayley(path: str) -> FiniteGroup:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise GroupSpecError(f"cannot read file:{path}: {exc.strerror or exc}") from None
+    return from_cayley_table(text, name=f"file:{path}")
 
 
 def _expect(s: str, ch: str) -> str:
@@ -94,7 +102,7 @@ def _parse(s: str) -> tuple[Callable[[], FiniteGroup], str]:
         path, rest = (body, "") if cut < 0 else (body[:cut], body[cut:])
         if not path:
             raise GroupSpecError("file: spec needs a path")
-        return lambda: from_cayley_table(Path(path).read_text(), name=f"file:{path}"), rest
+        return lambda: _read_cayley(path), rest
     raise GroupSpecError(
         f"unknown group spec {s!r}; use cyclic:N, dihedral:N, sym:N, "
         f"semidirect:P,M,K, product:<spec>,<spec>, or file:<path>"

@@ -44,6 +44,7 @@ class SuiteInstance:
     counterexample: Optional[dict[str, Any]] = None
     repro: Optional[str] = None
     elapsed_s: float = 0.0
+    value: Optional[int] = None  # the number a passing runner established, for the table
 
     @property
     def failed(self) -> bool:
@@ -69,7 +70,7 @@ def _s_claim(params: dict, spec: str, g: FiniteGroup, holds: Callable[[int], boo
     report = tss.max_tss_size(g)
     s = report.s_of_g
     if holds(s):
-        return SuiteInstance(params, "pass", f"S({g.name}) = {s}{note(s)}")
+        return SuiteInstance(params, "pass", f"S({g.name}) = {s}{note(s)}", value=s)
     return _tss_max_failure(params, f"S({g.name}) = {s}{fail_note}", counterexample(report), spec)
 
 
@@ -112,7 +113,8 @@ def _run_dihedral(params: dict) -> SuiteInstance:
     expected = [tuple(p) for p in predicted_dihedral_pairs(n)]
     if len(levels) == 2 and found == expected:
         note = " (reflection family present)" if n % 4 == 0 else ""
-        return SuiteInstance(params, "pass", f"S(D{2*n}) = 2, {len(found)} literal sets{note}")
+        return SuiteInstance(params, "pass", f"S(D{2*n}) = 2, {len(found)} literal sets{note}",
+                             value=len(levels))
     return SuiteInstance(
         params, "fail", f"S = {len(levels)}; found {found}, expected {expected}",
         counterexample={"found": [list(t) for t in found],
@@ -184,7 +186,7 @@ def _run_direct_product(params: dict) -> SuiteInstance:
                                  f"tsslab tss list --group {product_spec} --size {size}")
     detail = f"S({prod.name}) = {expected} = max(S)"
     detail += f"; doubly-distinct sets attain min({s_g},{s_h}): {'yes' if min_attained else 'no'}"
-    return SuiteInstance(params, "pass", detail)
+    return SuiteInstance(params, "pass", detail, value=expected)
 
 
 # --- free product ------------------------------------------------------------
@@ -218,7 +220,7 @@ def _run_free_product(params: dict) -> SuiteInstance:
     return SuiteInstance(
         params, "pass",
         f"ball {max_syllables}: {certified} multi-element TSS, "
-        f"largest {biggest} <= max factor bound {bound}",
+        f"largest {biggest} <= max factor bound {bound}", value=biggest,
     )
 
 
@@ -465,16 +467,14 @@ def _run_free_group(params: dict) -> SuiteInstance:
     return SuiteInstance(
         params, "pass",
         f"all {4 * 3 ** (length - 1)} reduced words of length {length}: "
-        f"never conjugate to the inverse, obstruction certified",
+        f"never conjugate to the inverse, obstruction certified", value=1,
     )
 
 
 # --- Baumslag-Solitar ---------------------------------------------------------
 
 def _run_baumslag(params: dict) -> SuiteInstance:
-    n = params["n"]
-    radius = params["radius"]
-    bound = params["bound"]
+    n, radius, bound = params["n"], params["radius"], params["bound"]
     report = bs.bs_classification_check(n, radius, bound=bound)
     if not report.all_ok:
         bad = next(i for i in report.instances if i.verdict == "fail")
@@ -487,14 +487,12 @@ def _run_baumslag(params: dict) -> SuiteInstance:
         return SuiteInstance(
             params, f"exhausted({bound})",
             f"BS(1,{n}): {len(report.instances)} commuting pairs, no swap witness; "
-            f"exact unique-solution conditions verified",
+            f"exact unique-solution conditions verified", value=1,
         )
-    detail = (
-        f"BS(1,{n}) abelian: only singletons"
-        if report.branch == "abelian"
-        else f"BS(1,{n}): {len(report.instances)} certified size-2 TSS, no size-3 extension"
-    )
-    return SuiteInstance(params, "pass", detail)
+    if report.branch == "abelian":
+        return SuiteInstance(params, "pass", f"BS(1,{n}) abelian: only singletons", value=1)
+    return SuiteInstance(params, "pass", f"BS(1,{n}): {len(report.instances)} certified size-2 "
+                         f"TSS, no size-3 extension", value=2)
 
 
 # --- oracle equivalence ------------------------------------------------------
@@ -703,7 +701,8 @@ THEOREMS: dict[str, TheoremSpec] = {
     "baumslag-solitar": TheoremSpec(
         _run_baumslag, "S(BS(1,n)) is 2 for n = -1 and 1 otherwise (exact swap decisions)",
         lambda opts: "-3,-2,-1,2,3", (Param("n"),),
-        (Param("radius", low=1, high=20, default=4), Param("bound", low=1, default=6))),
+        (Param("radius", low=1, high=bs.RADIUS_CAP, default=bs.DEFAULT_RADIUS),
+         Param("bound", low=1, default=bs.DEFAULT_BOUND))),
     "oracle": TheoremSpec(
         _run_oracle, "pruned enumerator matches the no-pruning brute-force oracle",
         lambda opts: _ORACLE_CORPUS),
@@ -788,29 +787,30 @@ def suite_result_to_json(result: SuiteResult) -> dict[str, Any]:
 
 # --- summary table -----------------------------------------------------------
 
-def table_rows() -> list[tuple[str, str]]:
-    """The classification summary: computed S values per family, deterministic."""
-    def s_of(spec: str) -> int:
-        return tss.max_tss_size(parse_group_spec(spec)).s_of_g
+# (suite, --grid item, options, family, cell format): each row is one suite run,
+# and its cell formats the value its instances record
+TABLE_ROSTER = (
+    ("abelian", "12", {}, "Abelian (Z12)", "{}"),
+    ("free-group", "1-4", {}, "Free group F2 (words <= 4, bounded)", "{}"),
+    ("odd-order", "semidirect:7,3,2", {}, "Odd order (Z7 x| Z3)", "{}"),
+    ("baumslag-solitar", "2", {"radius": 3, "bound": 4}, "BS(1,2) (radius 3, bounded)", "{}"),
+    ("dihedral", "5", {}, "Dihedral (D10)", "{}"),
+    ("semidirect", "3,6,2", {}, "Z3 x| Z6 (k=2)", "{}"),
+    ("baumslag-solitar", "-1", {"radius": 3, "bound": 4}, "BS(1,-1) (radius 3)", "{}"),
+    ("solvable", "sym:4", {}, "Solvable (S4; bound from the SES)", "{} (<= 4)"),
+    ("direct-product", "dihedral:3+sym:4", {}, "Direct product (D6 x S4)", "max = {}"),
+    ("free-product", "cyclic:3+cyclic:3", {"max_syllables": 3},
+     "Free product (Z3 * Z3, ball 3)", "max = {}"),
+)
 
-    ev_ok = all(f2.f2_tss_obstruction(w).certified for w in _reduced_words(4))
-    bs_rigid = bs.bs_classification_check(2, 3, bound=4)
-    bs_minus = bs.bs_classification_check(-1, 3, bound=4)
-    biggest = 1
-    for clique in fp.fp_commuting_cliques(parse_group_spec("cyclic:3"),
-                                          parse_group_spec("cyclic:3"), 3):
-        verdict = fp.fp_tss_analyze(clique)
-        if verdict.is_tss:
-            biggest = max(biggest, verdict.size)
-    return [
-        (str(s_of("cyclic:12")), "Abelian (Z12)"),
-        ("1" if ev_ok else "?", "Free group F2 (words <= 4, bounded)"),
-        (str(s_of("semidirect:7,3,2")), "Odd order (Z7 x| Z3)"),
-        ("1" if bs_rigid.all_ok else "?", "BS(1,2) (radius 3, bounded)"),
-        (str(s_of("dihedral:5")), "Dihedral (D10)"),
-        (str(s_of("semidirect:3,6,2")), "Z3 x| Z6 (k=2)"),
-        ("2" if bs_minus.all_ok else "?", "BS(1,-1) (radius 3)"),
-        (f"{s_of('sym:4')} (<= 4)", "Solvable (S4; bound from the SES)"),
-        (f"max = {s_of('product:dihedral:3,sym:4')}", "Direct product (D6 x S4)"),
-        (f"max = {biggest}", "Free product (Z3 * Z3, ball 3)"),
-    ]
+
+def table_rows() -> list[tuple[str, str]]:
+    """The classification summary, one row per ``TABLE_ROSTER`` entry: its
+    cell is the largest value its instances record, or '?' when one of them
+    records none (it failed, or does not apply)."""
+    rows = []
+    for theorem, item, options, family, cell in TABLE_ROSTER:
+        result = verify_suite(theorem, THEOREMS[theorem].parse(item), jobs=1, **options)
+        values = [i.value for i in result.instances]
+        rows.append(("?" if None in values else cell.format(max(values)), family))
+    return rows

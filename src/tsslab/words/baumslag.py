@@ -29,6 +29,12 @@ class BsElement:
         return self.r == 0 and self.t == 0
 
 
+# The classification pairs a (2 radius + 1)^2 ball, so its radius is capped; the
+# defaults serve `word bs` and `verify baumslag-solitar` alike.
+DEFAULT_RADIUS = 4
+DEFAULT_BOUND = 6
+RADIUS_CAP = 20
+
 BS_IDENTITY = BsElement(0, 0)
 BS_A = BsElement(1, 0)
 BS_B = BsElement(0, 1)
@@ -161,7 +167,8 @@ class BsClassificationReport:
     all_ok: bool
 
 
-def bs_classification_check(n: int, radius: int, bound: int = 6) -> BsClassificationReport:
+def bs_classification_check(n: int, radius: int,
+                            bound: int = DEFAULT_BOUND) -> BsClassificationReport:
     """Reproduce the BS(1, n) classification at desk scale, deciding every
     swap exactly with ``bs_swap_decide``.
 
@@ -177,6 +184,8 @@ def bs_classification_check(n: int, radius: int, bound: int = 6) -> BsClassifica
     _check_n(n)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+    if radius > RADIUS_CAP:
+        raise ValueError(f"radius must be <= {RADIUS_CAP}, got {radius}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     instances: list[BsPairEvidence] = []

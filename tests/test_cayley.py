@@ -97,6 +97,14 @@ def test_empty_document():
         from_cayley_table("# nothing\n")
 
 
+@pytest.mark.parametrize("head", ["\u00b2", "2.0", "x"])
+def test_header_must_be_a_decimal_integer(head):
+    # a superscript passes str.isdigit() but not int()
+    with pytest.raises(CayleyTableError) as info:
+        from_cayley_table(f"{head}\n0 1\n1 0\n")
+    assert str(info.value) == "first line must hold the group order (line 1)"
+
+
 def test_s4_survives_roundtrip(s4):
     assert from_cayley_table(to_cayley_table(s4)).mul == s4.mul
 

@@ -3,16 +3,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import tsslab
-from tsslab import cli, verify
+from tsslab import cli, homs, verify
 from tsslab.cli import main
 from tsslab.verify import GRID_RANGE_CAP, _parse_ints, verify_suite
 from tsslab.schemas import SUITE_RESULT_SCHEMA, TSS_REPORT_SCHEMA, HOM_REPORT_SCHEMA
+from tsslab.words import baumslag as bs
 
 
 def run(capsys, *argv):
@@ -312,6 +314,35 @@ class TestTable:
         doc = json.loads(out)
         assert {"s", "family"} <= set(doc["rows"][0])
 
+    @pytest.mark.parametrize("verdict", ["fail", "not-applicable"])
+    def test_a_row_whose_instance_does_not_pass_prints_a_question_mark(
+            self, capsys, monkeypatch, verdict):
+        planted = replace(verify.THEOREMS["dihedral"],
+                          runner=lambda params: verify.SuiteInstance(params, verdict, "planted"))
+        monkeypatch.setitem(verify.THEOREMS, "dihedral", planted)
+        code, out, err = run(capsys, "--format", "json", "table")
+        assert code == 1 and err == ""
+        cells = {row["family"]: row["s"] for row in json.loads(out)["rows"]}
+        assert cells["Dihedral (D10)"] == "?" and cells["Abelian (Z12)"] == "1"
+
+    def test_every_cell_comes_from_a_suite_run(self, monkeypatch):
+        results = []
+        suite = verify.verify_suite
+
+        def spy(theorem, grid=None, **kwargs):
+            results.append(suite(theorem, grid, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(verify, "verify_suite", spy)
+        rows = verify.table_rows()
+        assert [r.theorem for r in results] == [t for t, *_ in verify.TABLE_ROSTER]
+        assert [s for s, _ in rows] == [cell.format(max(i.value for i in r.instances))
+                                        for r, (*_, cell) in zip(results, verify.TABLE_ROSTER)]
+        # the F2 row covers every length up to 4, not only length 4
+        f2 = results[1]
+        assert [i.params["length"] for i in f2.instances] == [1, 2, 3, 4]
+        assert [i.verdict for i in f2.instances] == ["pass"] * 4
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -465,6 +496,104 @@ class TestBoundarySweep:
         assert code in (0, 2, 3) and "Traceback" not in err
         if code == 2:
             assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names), err
+
+
+_MISSING_FILE = "file:no-such-dir/group.cayley"
+_V = None  # where a command takes the boundary value
+# (argv, the option it sets): the value takes the place of _V, or of the "{}"
+# inside an argument
+_COMMANDS = [
+    (["tss", "max", "--group", _V], "--group"),
+    (["tss", "list", "--group", _V, "--size", "2"], "--group"),
+    (["tss", "list", "--group", "sym:3", "--size", _V], "--size"),
+    (["tss", "check", "--group", _V, "--elements", "1,2"], "--group"),
+    (["tss", "check", "--group", "sym:3", "--elements", _V], "--elements"),
+    (["stab", "decompose", "--group", _V, "--elements", "1"], "--group"),
+    (["stab", "decompose", "--group", "sym:3", "--elements", _V], "--elements"),
+    (["group", "info", "--group", _V], "--group"),
+    (["hom", "enumerate", "--presentation", "braid:{}", "--target", "sym:3"], "--presentation"),
+    (["hom", "enumerate", "--presentation", "braid:3", "--target", _V], "--target"),
+    (["hom", "enumerate", "--presentation", "braid:3", "--target", "sym:3", "--limit", _V],
+     "--limit"),
+    (["hom", "braid-check", "--strands", _V, "--target", "cyclic:2"], "--strands"),
+    (["hom", "braid-check", "--strands", "5", "--target", _V], "--target"),
+    (["word", "f2", "obstruction", _V], "word"),  # F2 takes words only
+    (["word", "bs", "--n", _V, "classify"], "--n"),
+    (["word", "bs", "--n", "2", "classify", "--radius", _V], "--radius"),
+    (["word", "bs", "--n", "2", "classify", "--bound", _V], "--bound"),
+    (["word", "bs", "--n", "2", "swap", "a^1/2^0 b^0", "a^2/2^0 b^0", "--bound", _V], "--bound"),
+    (["word", "fp", "--factors", "{},cyclic:2", "analyze", "[G:1]"], "--factors"),
+]
+
+
+def _command_sweep_cases():
+    """(argv, names) for each boundary value, and a missing file, in each
+    option of the commands outside ``verify``.  A message names the value
+    when it quotes it; a word's message may name only its first bad letter."""
+    for template, option in _COMMANDS:
+        for value in [*_BOUNDARY, _MISSING_FILE]:
+            argv = [value if arg is _V else arg.replace("{}", value) for arg in template]
+            names = [option, option.lstrip("-"), repr(value), *([value] if value else []),
+                     *(["letter"] if option == "word" else [])]
+            yield pytest.param(argv, names, id=" ".join(argv))
+
+
+class TestCommandBoundarySweep:
+    """The sweep of TestBoundarySweep over ``tss``, ``stab``, ``group``,
+    ``hom`` and ``word``: exit 0, 2 or 3, no traceback, and an exit-2 message
+    that names the option or the value.  Sizes that would allocate without
+    bound are capped in the library, so every case ends at once."""
+
+    @pytest.mark.parametrize("argv,names", list(_command_sweep_cases()))
+    def test_exit_code_and_message(self, capsys, argv, names):
+        code, _, err = run(capsys, "--jobs", "1", *argv)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names), err
+
+
+class TestInputChecks:
+    """Caps checked in the library before anything is built, integers read
+    as ``int`` reads them, and ``--budget`` refused where nothing counts it."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["hom", "braid-check", "--strands", "100000", "--target", "cyclic:2"],
+         f"braid group strands must be <= {homs.BRAID_STRAND_CAP}, got 100000"),
+        (["hom", "enumerate", "--presentation", "braid:100000", "--target", "cyclic:2"],
+         f"braid group strands must be <= {homs.BRAID_STRAND_CAP}, got 100000"),
+        (["word", "bs", "--n", "2", "classify", "--radius", "100000"],
+         "radius must be <= 20, got 100000"),
+        (["tss", "max", "--group", "cyclic:\u00b3"], "expected an integer at '\u00b3'"),
+        (["--budget", "10", "tss", "max", "--group", "sym:5"], "tss takes no --budget"),
+        (["--budget", "10", "group", "info", "--spec", "sym:3"], "group takes no --budget"),
+        (["--budget", "10", "stab", "decompose", "--group", "sym:3", "--elements", "1"],
+         "stab takes no --budget"),
+        (["--budget", "10", "word", "f2", "reduce", "ab"], "word takes no --budget"),
+        (["--budget", "10", "table"], "table takes no --budget"),
+    ])
+    def test_exit_2_before_any_work(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_caps_live_in_the_library(self):
+        with pytest.raises(homs.HomError, match="strands must be <= 1000, got 1001"):
+            homs.braid_presentation(homs.BRAID_STRAND_CAP + 1)
+        with pytest.raises(ValueError, match="radius must be <= 20, got 21"):
+            bs.bs_classification_check(2, bs.RADIUS_CAP + 1)
+        radius, bound = verify.THEOREMS["baumslag-solitar"].options
+        assert (radius.high, radius.default, bound.default) == (
+            bs.RADIUS_CAP, bs.DEFAULT_RADIUS, bs.DEFAULT_BOUND)
+
+    def test_word_bs_takes_the_library_defaults(self, capsys):
+        _, implicit, _ = run(capsys, "word", "bs", "--n", "-1", "classify")
+        _, explicit, _ = run(capsys, "word", "bs", "--n", "-1", "classify",
+                             "--radius", "4", "--bound", "6")
+        assert implicit == explicit and "36 instances" in implicit
+
+    def test_missing_file_names_the_spec(self, capsys):
+        code, _, err = run(capsys, "group", "info", "--spec", _MISSING_FILE)
+        assert code == 2
+        assert err == f"error: cannot read {_MISSING_FILE}: No such file or directory\n"
 
 
 class TestParameterDeclaration:
