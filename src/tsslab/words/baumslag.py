@@ -1,8 +1,8 @@
 """Exact arithmetic in the Baumslag-Solitar groups BS(1, n) = <a, b | bab^-1 = a^n>.
 
 Elements live in Z[1/n] x| Z as pairs (r, t) with a = (1, 0), b = (0, 1) and
-(r1, t1)(r2, t2) = (r1 + n^t1 * r2, t1 + t2).  The rational part is an exact
-Fraction; membership in Z[1/n] is preserved by all operations.
+(r1, t1)(r2, t2) = (r1 + n^t1 * r2, t1 + t2); r is an exact Fraction.  Commutation
+and swaps are decided in closed form from this structure, without searching.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ def bs_ab(i: RationalLike, j: int) -> BsElement:
 
 
 def bs_commutes(u: BsElement, v: BsElement, n: int) -> bool:
-    return bs_multiply(u, v, n) == bs_multiply(v, u, n)
+    """uv = vu iff r_u (1 - n^t_v) = r_v (1 - n^t_u): their (r, 1 - n^t) are parallel."""
+    _check_n(n)
+    return u.r * (1 - _npow(n, v.t)) == v.r * (1 - _npow(n, u.t))
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,9 @@ def bs_classification_check(n: int, radius: int,
 
     Other n: every distinct commuting pair within the radius is shown
     non-swappable, reported as exhausted(bound) since no swap exists at all.
+    The pairs come from keying the ball by the direction of (r, 1 - n^t): the
+    fixed point r / (1 - n^t) for t != 0, "translation" for t = 0; the
+    identity, which commutes with everything, has no key.
     """
     _check_n(n)
     if radius < 1:
@@ -219,32 +224,30 @@ def bs_classification_check(n: int, radius: int,
                     continue
                 # v is the only element that can be swapped with u, so no
                 # third element extends {u, v}.
-                instances.append(
-                    BsPairEvidence(
-                        u, v, "pass",
-                        f"certified TSS via {res.describe()}; no size-3 superset in reach",
-                    )
-                )
+                detail = f"certified TSS via {res.describe()}; no size-3 superset in reach"
+                instances.append(BsPairEvidence(u, v, "pass", detail))
         return BsClassificationReport(n, radius, bound, "inverse_pairs", tuple(instances), ok)
 
-    # |n| >= 2: rigid branch.
+    # |n| >= 2: rigid branch, pairs by key (see above and bs_commutes).
     ok = True
+    detail = f"exact: a swap needs equal b-exponents and n^f = -1, impossible for n = {n}"
     elems = [bs_ab(i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)]
+    keys = [None if u.is_identity() else u.r / (1 - _npow(n, u.t)) if u.t else "translation"
+            for u in elems]
+    members: dict = {}
+    for idx, key in enumerate(keys):
+        members.setdefault(key, []).append(idx)
     for idx, u in enumerate(elems):
-        for v in elems[idx + 1:]:
-            if not bs_commutes(u, v, n):
-                continue
+        later = (range(idx + 1, len(elems)) if keys[idx] is None
+                 else sorted(w for w in members[keys[idx]] + members[None] if w > idx))
+        for v in map(elems.__getitem__, later):
             res = bs_swap_decide(u, v, n, bound)
-            if res.witness is not None:
-                instances.append(
-                    BsPairEvidence(u, v, "fail", f"unexpected swap witness {res.describe()}")
-                )
+            if res.witness is None:
+                instances.append(BsPairEvidence(u, v, f"exhausted({bound})", detail))
+            else:
                 ok = False
-                continue
-            instances.append(
-                BsPairEvidence(u, v, f"exhausted({bound})", "exact: a swap needs equal "
-                               f"b-exponents and n^f = -1, impossible for n = {n}")
-            )
+                instances.append(
+                    BsPairEvidence(u, v, "fail", f"unexpected swap witness {res.describe()}"))
     return BsClassificationReport(n, radius, bound, "rigid", tuple(instances), ok)
 
 
@@ -256,9 +259,6 @@ def format_bs(u: BsElement, n: int) -> str:
     while (r * _npow(n, q)).denominator != 1:
         q += 1
     p = int(r * _npow(n, q))
-    while q > 0 and p % n == 0:  # defensive; q chosen minimal above
-        p //= n
-        q -= 1
     return f"a^{p}/{n}^{q} b^{u.t}"
 
 

@@ -39,7 +39,7 @@ from tsslab.homs import (
     is_homomorphism,
 )
 from tsslab.tss import TssError, certify_tss, realized_permutations
-from tsslab.words.baumslag import BS_IDENTITY, BsElement, bs_inverse, bs_multiply
+from tsslab.words.baumslag import BS_IDENTITY, BsElement, bs_ab, bs_inverse, bs_multiply
 from tsslab.words.freegroup import FreeWord, f2_reduce
 from tsslab.words.freeproduct import FpWord
 
@@ -471,6 +471,20 @@ def bs_power(u: BsElement, k: int, n: int) -> BsElement:
     for _ in range(k):
         acc = bs_multiply(acc, u, n)
     return acc
+
+
+def ref_bs_commutes(u: BsElement, v: BsElement, n: int) -> bool:
+    """uv = vu by multiplying both ways."""
+    return bs_multiply(u, v, n) == bs_multiply(v, u, n)
+
+
+def ref_bs_commuting_pairs(n: int, radius: int) -> list[tuple[BsElement, BsElement]]:
+    """Distinct commuting pairs (u, v) of the ball a^i b^j, |i|, |j| <= radius,
+    u before v in its i-major order, by testing every pair with
+    ``ref_bs_commutes``."""
+    elems = [bs_ab(i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)]
+    return [(u, v) for idx, u in enumerate(elems) for v in elems[idx + 1:]
+            if ref_bs_commutes(u, v, n)]
 
 
 # --- the per-candidate TSS search --------------------------------------------

@@ -21,7 +21,7 @@ from tsslab.words.baumslag import (
     parse_bs,
 )
 
-from helpers import bs_power
+from helpers import bs_power, ref_bs_commutes, ref_bs_commuting_pairs
 
 ns = st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
 elements = st.builds(
@@ -84,6 +84,36 @@ class TestCommutes:
         assert not bs_commutes(bs_ab(1, 1), bs_ab(2, 1), 2)
 
 
+class TestClosedFormCommutes:
+    """``bs_commutes`` (one comparison) against ``ref_bs_commutes`` (products
+    both ways), for every n in -3..3 except 0."""
+
+    @pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
+    def test_matches_products_on_the_pool(self, n):
+        pool = _pool(n)
+        for u, v in itertools.product(pool, repeat=2):
+            assert bs_commutes(u, v, n) == ref_bs_commutes(u, v, n), (u, v)
+
+    @given(elements, elements, st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    def test_matches_products_on_fractional_r(self, u, v, n):
+        assert bs_commutes(u, v, n) == ref_bs_commutes(u, v, n)
+
+    def test_rejects_zero_n(self):
+        with pytest.raises(ValueError, match="^BS\\(1, n\\) requires a nonzero n$"):
+            bs_commutes(BS_A, BS_B, 0)
+
+
+class TestRigidPairsByKey:
+    """The rigid branch lists, by key, exactly the pairs that testing every
+    pair of the ball finds, in the same order."""
+
+    @pytest.mark.parametrize("n", [2, 3, -2, -3])
+    @pytest.mark.parametrize("radius", range(1, 7))
+    def test_same_pairs_as_all_pairs(self, n, radius):
+        report = bs_classification_check(n, radius)
+        assert [(i.u, i.v) for i in report.instances] == ref_bs_commuting_pairs(n, radius)
+
+
 class TestSwapSearch:
     def test_witness_b_for_inverse_powers(self):
         res = bs_swap_search(bs_ab(3, 0), bs_ab(-3, 0), -1, 6)
@@ -118,14 +148,18 @@ class TestSwapSearch:
 SEARCH_SETTINGS = [(b, d) for b in range(1, 7) for d in range(3)]
 
 
-def _commuting_pairs(n):
-    """Ordered commuting pairs from a pool of elements with Z[1/n] fractions,
-    b-exponents -2..2 and a few powers: every pair with u = v or with equal
-    b-exponents and r_u = -r_v, and a stride sample of about 36 of the rest."""
+def _pool(n):
+    """Elements with Z[1/n] fractions, b-exponents -2..2 and a few powers."""
     rs = sorted({Fraction(r) for r in (0, 1, -1, 2, Fraction(1, n), Fraction(-3, n * n))})
     pool = [BsElement(r, t) for r in rs for t in range(-2, 3)]
-    pool += [bs_power(u, k, n) for u in pool[::6] for k in (-1, 2)]
-    pairs = [(u, v) for u, v in itertools.product(pool, repeat=2) if bs_commutes(u, v, n)]
+    return pool + [bs_power(u, k, n) for u in pool[::6] for k in (-1, 2)]
+
+
+def _commuting_pairs(n):
+    """Ordered commuting pairs from ``_pool(n)``: every pair with u = v or with
+    equal b-exponents and r_u = -r_v, and a stride sample of about 36 of the
+    rest."""
+    pairs = [(u, v) for u, v in itertools.product(_pool(n), repeat=2) if bs_commutes(u, v, n)]
     near = [(u, v) for u, v in pairs if u == v or (u.t == v.t and u.r == -v.r)]
     rest = [p for p in pairs if p not in near]
     return near + rest[::max(1, len(rest) // 36)]

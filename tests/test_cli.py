@@ -12,6 +12,8 @@ import pytest
 import tsslab
 from tsslab import cli, homs, verify
 from tsslab.cli import main
+from tsslab.groups import GroupError
+from tsslab.specs import parse_group_spec
 from tsslab.verify import GRID_RANGE_CAP, _parse_ints, verify_suite
 from tsslab.schemas import SUITE_RESULT_SCHEMA, TSS_REPORT_SCHEMA, HOM_REPORT_SCHEMA
 from tsslab.words import baumslag as bs
@@ -201,6 +203,14 @@ class TestVerify:
         _, par, _ = run(capsys, "--jobs", "2", "verify", "abelian", "--grid", "2,3,4")
         strip = lambda s: [l.split(" - ")[0] for l in s.splitlines() if l.startswith("  ")]
         assert strip(seq) == strip(par)
+
+    @pytest.mark.parametrize("theorem", sorted(verify.THEOREMS))
+    def test_default_suite_json_same_under_two_jobs(self, capsys, theorem):
+        outs = []
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "--jobs", jobs, "--format", "json", "verify", theorem)
+            outs.append((code, re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', out), err))
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
     def test_semidirect_defect_flagged(self, capsys):
         code, out, _ = run(capsys, "verify", "semidirect")
@@ -550,6 +560,26 @@ class TestCommandBoundarySweep:
         assert code in (0, 2, 3) and "Traceback" not in err
         if code == 2:
             assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names), err
+
+
+# The order cap + 1 for each spec family (sym:9 is past the degree cap too).
+_OVER_THE_CAP = ["cyclic:20001", "dihedral:10001", "semidirect:2,10001,1", "sym:8", "sym:9",
+                 "product:cyclic:142,cyclic:142"]
+
+
+class TestOrderCapSweep:
+    """Each option that takes a group spec, given a group just past the cap,
+    exits 2 with the library's message and no traceback."""
+
+    @pytest.mark.parametrize("spec", _OVER_THE_CAP)
+    @pytest.mark.parametrize("template", [t for t, option in _COMMANDS
+                                          if option in ("--group", "--target")],
+                             ids=lambda t: " ".join(a for a in t if a is not _V))
+    def test_exits_2_with_the_cap_message(self, capsys, template, spec):
+        with pytest.raises(GroupError, match="cap") as info:
+            parse_group_spec(spec)
+        argv = [spec if arg is _V else arg for arg in template]
+        assert run(capsys, "--jobs", "1", *argv) == (2, "", f"error: {info.value}\n")
 
 
 class TestInputChecks:

@@ -3,14 +3,18 @@ swap was still decided by the bounded spiral search (`bs_swap_search`).
 
 The exact decider must reproduce them: the `table`, the default
 `verify baumslag-solitar` JSON (elapsed times zeroed) and `word bs swap`.
+The classification at the radius cap, 20, is pinned by digests recorded when
+its rigid branch still tested every pair of the ball for commutation.
 """
 
+import hashlib
 import json
 import re
 
 import pytest
 
 from tsslab.cli import main
+from tsslab.words.baumslag import bs_classification_check, format_bs
 
 TABLE = [
     ("1", "Abelian (Z12)"),
@@ -55,6 +59,16 @@ BS_SUITE = [
 ]
 
 
+# sha256 of the JSON list of [format_bs(u), format_bs(v), verdict, detail] for
+# every instance of bs_classification_check(n, 20), with the default bound
+RADIUS_20_DIGESTS = {
+    2: "fe974406525947cfe905491ca8f01ae8aff715a531b1dac97778607025dbc742",
+    -2: "e16c3df3cf2f11b132c12e2578153ce4ce7dc9b114bd1eef32d044e0cebf1b13",
+    3: "c2fb6fdbb09c370cf11cd3c9e4541182bf7a8e409ff32e120a834d75a18c6140",
+    -3: "95a36e8ba90ebc6609767ec2388677f5bfa57561c5bcd9b8248477b5dca151e2",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -85,6 +99,20 @@ def test_default_baumslag_suite_json(capsys):
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert (code, err) == (0, "")
     assert re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', out) == expected
+
+
+@pytest.mark.parametrize("n", sorted(RADIUS_20_DIGESTS))
+def test_classification_at_radius_20(n):
+    report = bs_classification_check(n, 20)
+    rows = [[format_bs(i.u, n), format_bs(i.v, n), i.verdict, i.detail]
+            for i in report.instances]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == RADIUS_20_DIGESTS[n]
+
+
+def test_word_bs_classify_at_radius_20(capsys):
+    code, out, err = run(capsys, "word", "bs", "--n", "2", "classify", "--radius", "20")
+    assert (code, err) == (0, "")
+    assert out.startswith("BS(1,2) branch rigid: 3380 instances, all_ok True\n")
 
 
 @pytest.mark.parametrize("n,u,v,out", [
