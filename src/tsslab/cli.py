@@ -379,10 +379,7 @@ def _cmd_word_f2(args: argparse.Namespace) -> int:
         return EXIT_PASS
     words = [f2.parse_f2(t) for t in args.words]
     if op == "mul":
-        acc = words[0]
-        for w in words[1:]:
-            acc = f2.f2_multiply(acc, w)
-        print(f2.format_f2(acc))
+        print(f2.format_f2(functools.reduce(f2.f2_multiply, words)))
     elif op == "inverse":
         print(f2.format_f2(f2.f2_inverse(words[0])))
     elif op == "commutes":
@@ -424,10 +421,7 @@ def _cmd_word_bs(args: argparse.Namespace) -> int:
         return EXIT_PASS if report.all_ok else EXIT_FAIL
     words = [bs.parse_bs(t, n) for t in args.words]
     if args.op == "mul":
-        acc = words[0]
-        for w in words[1:]:
-            acc = bs.bs_multiply(acc, w, n)
-        print(bs.format_bs(acc, n))
+        print(bs.format_bs(functools.reduce(lambda u, v: bs.bs_multiply(u, v, n), words), n))
     elif args.op == "inverse":
         print(bs.format_bs(bs.bs_inverse(words[0], n), n))
     elif args.op == "commutes":
@@ -455,10 +449,7 @@ def _cmd_word_fp(args: argparse.Namespace) -> int:
         return EXIT_PASS
     words = [fp.parse_fp(t, left, right) for t in args.words]
     if args.op == "mul":
-        acc = words[0]
-        for w in words[1:]:
-            acc = fp.fp_multiply(acc, w)
-        print(fp.format_fp(acc))
+        print(fp.format_fp(functools.reduce(fp.fp_multiply, words)))
     elif args.op == "inverse":
         print(fp.format_fp(fp.fp_inverse(words[0])))
     elif args.op == "cyclic":

@@ -50,11 +50,11 @@ class FiniteGroup:
     tuples, read only by free-product word arithmetic), ``element_orders``
     and ``conjugacy_partition`` are derived from them on first use and kept.
     ``assoc_verified`` records whether associativity was verified for all
-    triples, by Light's test in ``make_group`` (skipped for constructor-built
-    tables above order 512, where constructor correctness is relied on;
-    decoded Cayley documents are checked up to the order cap).
-    ``generators``, None only for the trivial group, generate it (see
-    ``make_group``).
+    triples by Light's test: up to order 512 for the constructors' tables,
+    which are Latin with an identity by construction and are not re-checked
+    (``_built``); ``make_group`` checks decoded Cayley documents in full up
+    to the order cap.  ``generators``, None only for the trivial group,
+    generate it (see ``make_group``).
     """
 
     order: int
@@ -353,12 +353,13 @@ def _assoc_scan(mul: np.ndarray) -> None:
 def make_group(
     mul: Sequence[Sequence[int]] | np.ndarray,
     labels: Optional[Sequence[str]] = None,
-    generators: Optional[Sequence[int]] = None,
     name: str = "group",
     assoc_cap: int = DEFAULT_ASSOC_CAP,
 ) -> FiniteGroup:
-    """Validate a raw table and build a FiniteGroup.
+    """Validate a table from outside the library and build a FiniteGroup.
 
+    Cayley documents, ``file:`` specs, quotients and raw tables come here; the
+    constructors' tables hold by construction and skip these checks (``_built``).
     Latin-square, identity and inverse checks always run.  Associativity is
     decided for order <= assoc_cap (default ``DEFAULT_ASSOC_CAP``, 512; above
     it ``assoc_verified`` is False) by Light's test, ``_check_assoc``: two
@@ -366,11 +367,10 @@ def make_group(
     O(n^2 log n) work.  A failing table up to order 512 gets the full O(n^3)
     scan, which names the first failing triple; a larger one (Cayley
     documents are checked up to the order cap) names a failing triple of
-    Light's failing element in O(n^2).  Without ``generators`` the group
-    records the elements Light's test checked, or the same greedy sequence
-    when the test did not run.  An integer ndarray already of dtype
-    ``table_dtype(order)`` becomes the group's read-only ``table`` without a
-    copy.
+    Light's failing element in O(n^2).  The group records the elements Light's
+    test checked, or the same greedy sequence when the test did not run.  An
+    integer ndarray already of dtype ``table_dtype(order)`` becomes the group's
+    read-only ``table`` without a copy.
     """
     if isinstance(mul, np.ndarray) and mul.dtype.kind in "iu":
         arr = mul
@@ -393,6 +393,23 @@ def make_group(
     two_sided = table[inv, np.arange(n)] == identity
     if not two_sided.all():
         raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
+    return _group(table, identity, inv, labels, None, name, assoc_cap)
+
+
+def _built(table: np.ndarray, labels: list[str], generators: Optional[Sequence[int]],
+           name: str) -> FiniteGroup:
+    """A constructor's table as a group, not re-checked: it is a Latin square
+    with an identity by construction.  The identity is read in O(n), and each
+    inverse as x^(2n-1) = x^-1 in O(n log n) gathers on the table."""
+    inv = _power(table, [np.arange(len(table))], 2 * len(table) - 1).astype(table.dtype)
+    return _group(table, _find_identity(table), inv, labels, generators, name, DEFAULT_ASSOC_CAP)
+
+
+def _group(table: np.ndarray, identity: int, inv: np.ndarray, labels: Optional[Sequence[str]],
+           generators: Optional[Sequence[int]], name: str, assoc_cap: int) -> FiniteGroup:
+    """Run Light's test up to ``assoc_cap`` and freeze the arrays into a group
+    that records ``generators``, else the elements the test checked."""
+    n = table.shape[0]
     assoc_verified = n <= assoc_cap
     checked = _check_assoc(table, identity) if assoc_verified else None
     if generators is None:
@@ -426,7 +443,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     _order_cap(f"Z_{n}", n)
     mul = np.ascontiguousarray(_cyclic_sums(n, table_dtype(n)))
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return make_group(mul, labels, (1,) if n > 1 else None, name=f"Z{n}")
+    return _built(mul, labels, (1,) if n > 1 else None, f"Z{n}")
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -444,7 +461,8 @@ def make_dihedral(n: int) -> FiniteGroup:
     mul = np.empty((order, order), dtype=sums.dtype)
     mul[:n, :n] = sums
     np.add(sums, n, out=mul[n:, :n])
-    np.take(sums, (-np.arange(n)) % n, axis=0, out=mul[n:, n:])  # row i1: i2 - i1
+    mul[n, n:] = sums[0]  # row i1: i2 - i1, row n - i1 of sums; a view copy needs no temporary
+    mul[n + 1:, n:] = sums[:0:-1]
     np.add(mul[n:, n:], n, out=mul[:n, n:])
 
     def rot_label(i: int) -> str:
@@ -452,7 +470,7 @@ def make_dihedral(n: int) -> FiniteGroup:
 
     labels = [rot_label(i) for i in range(n)]
     labels += ["s" if i == 0 else ("sr" if i == 1 else f"sr^{i}") for i in range(n)]
-    return make_group(mul, labels, (1, n) if n > 1 else (n,), name=f"D{order}")
+    return _built(mul, labels, (1, n) if n > 1 else (n,), f"D{order}")
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -492,7 +510,7 @@ def make_symmetric(n: int) -> FiniteGroup:
     mul = np.empty((order, order), dtype=table_dtype(order))
     mul[0] = np.arange(order)  # the identity is first in lexicographic order
     if n == 1:
-        return make_group(mul, labels, None, name="S1")
+        return _built(mul, labels, None, "S1")
     transposition = perms.index(tuple([1, 0] + list(range(2, n))))
     ncycle = perms.index(tuple(list(range(1, n)) + [0]))
     gens = (transposition,) if n == 2 else (transposition, ncycle)
@@ -515,7 +533,7 @@ def make_symmetric(n: int) -> FiniteGroup:
             built[ys] = True
             reached.append(ys)
         frontier = np.concatenate(reached)
-    return make_group(mul, labels, gens, name=f"S{n}")
+    return _built(mul, labels, gens, f"S{n}")
 
 
 def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
@@ -544,26 +562,24 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
 
     labels = [lab(a, b) for a in range(p) for b in range(m)]
     gens = (m, 1)  # r = (a=1,b=0), s = (a=0,b=1)
-    return make_group(mul, labels, gens, name=f"SD({p},{m},{k})")
+    return _built(mul, labels, gens, f"SD({p},{m},{k})")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (x,y) is indexed as x*|H| + y."""
-    order = g.order * h.order
-    if order > DEFAULT_ORDER_CAP:
-        raise GroupError(f"product order {order} exceeds the order cap {DEFAULT_ORDER_CAP}")
+    order, name = g.order * h.order, f"{g.name}x{h.name}"
+    _order_cap(name, order)
     oh = h.order
     dtype = table_dtype(order)
     mul = np.empty((order, order), dtype=dtype)
     # [x1, y1, x2, y2] -> g(x1, x2) * |H| + h(y1, y2)
     np.add((g.table.astype(dtype) * oh)[:, None, :, None], h.table[None, :, None, :],
            out=mul.reshape(g.order, oh, g.order, oh))
-    pairs = [(x, y) for x in range(g.order) for y in range(h.order)]
-    labels = [f"({g.label(x)},{h.label(y)})" for (x, y) in pairs]
+    labels = [f"({g.label(x)},{h.label(y)})" for x in range(g.order) for y in range(oh)]
     # (x, e) for each generator x of G, then (e, y) for each y of H
     gens = ([x * oh + h.identity for x in g.generators or ()]
             + [g.identity * oh + y for y in h.generators or ()])
-    return make_group(mul, labels, gens, name=f"{g.name}x{h.name}")
+    return _built(mul, labels, gens, name)
 
 
 def split_product_index(idx: int, h_order: int) -> tuple[int, int]:

@@ -413,12 +413,12 @@ def fundamental_lemma_check(
         size = len(cert.elements)
         target = hom.target
     elif isinstance(hom, GeneratorImageMap):
-        if not hom.presentation.name.startswith("braid:"):
+        pres, tail = hom.presentation, hom.presentation.name.removeprefix("braid:")
+        if tail == pres.name or not tail.isdecimal() or pres != braid_presentation(int(tail)):
             raise HomError("presentation TSS fixtures are supported for braid groups only")
         if not is_homomorphism(hom):
             raise HomError("generator images do not satisfy the relators")
-        strands = int(hom.presentation.name.split(":")[1])
-        allowed = set(odd_artin_generators(strands))
+        allowed = set(odd_artin_generators(int(tail)))
         chosen = sorted(set(s))
         if not chosen or not set(chosen) <= allowed:
             raise TssError(

@@ -27,6 +27,7 @@ from .groups import (
     GroupError,
     SemidirectParams,
     derived_series,
+    direct_product,
     split_product_index,
 )
 from .schemas import FORMAT_VERSION, certificate_to_json
@@ -157,7 +158,7 @@ def _run_direct_product(params: dict) -> SuiteInstance:
     g = parse_group_spec(left_spec)
     h = parse_group_spec(right_spec)
     product_spec = f"product:{left_spec},{right_spec}"
-    prod = parse_group_spec(product_spec)
+    prod = direct_product(g, h)
     s_g = tss.max_tss_size(g).s_of_g
     s_h = tss.max_tss_size(h).s_of_g
     levels = list(tss.tss_by_size(prod))

@@ -257,6 +257,8 @@ def format_bs(u: BsElement, n: int) -> str:
     q = 0
     r = u.r
     while (r * _npow(n, q)).denominator != 1:
+        if q > r.denominator.bit_length():  # the least q is below log2 of the denominator
+            raise ValueError(f"r = {r} is not in Z[1/{n}]")
         q += 1
     p = int(r * _npow(n, q))
     return f"a^{p}/{n}^{q} b^{u.t}"

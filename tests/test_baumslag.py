@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,17 @@ class TestTextForm:
         e = BsElement(Fraction(-1, 2), 1)
         text = format_bs(e, -2)
         assert parse_bs(text, -2) == e
+
+    @pytest.mark.parametrize("r,n", [(Fraction(1, 3), 2), (Fraction(1, 2), -1),
+                                     (Fraction(1, 2), 1), (Fraction(5, 7 * 2**10), 6)])
+    def test_rejects_r_outside_z_1_over_n(self, r, n):
+        with pytest.raises(ValueError, match=re.escape(f"r = {r} is not in Z[1/{n}]")):
+            format_bs(BsElement(r, 0), n)
+
+    @given(st.integers(-50, 50), st.integers(0, 12), st.sampled_from([1, -1, 2, -2, 3, 6, -12]))
+    def test_roundtrip_in_z_1_over_n(self, p, q, n):
+        x = BsElement(Fraction(p) / Fraction(n) ** q, q)
+        assert parse_bs(format_bs(x, n), n) == x
 
     @given(elements)
     def test_roundtrip_n3(self, x):

@@ -835,11 +835,13 @@ class TestOrderCap:
         assert peak < 2**20
 
     def test_product_rejected_before_allocating(self):
-        side = math.isqrt(groups.DEFAULT_ORDER_CAP) + 1
+        cap = groups.DEFAULT_ORDER_CAP
+        side = math.isqrt(cap) + 1
         factor = make_cyclic(side)
+        message = f"Z{side}xZ{side} has order {side * side}, above the global order cap {cap}"
         tracemalloc.start()
         try:
-            with pytest.raises(GroupError, match="cap"):
+            with pytest.raises(GroupError, match=f"^{message}$"):
                 direct_product(factor, factor)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -851,3 +853,78 @@ class TestOrderCap:
 
         assert main(["group", "build", "--spec", "dihedral:100000"]) == 2
         assert "order 200000, above the global order cap" in capsys.readouterr().err
+
+
+def _semidirect_triples(max_order):
+    """Every (p, m, k) with p prime, p*m <= max_order, 1 <= k < p and k^m = 1 mod p."""
+    primes = [p for p in range(2, max_order + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    return [(p, m, k) for p in primes for m in range(1, max_order // p + 1)
+            for k in range(1, p) if pow(k, m, p) == 1]
+
+
+_FACTOR_ORDERS = {spec: parse_group_spec(spec).order for spec in [
+    "cyclic:1", "cyclic:2", "cyclic:4", "cyclic:10", "dihedral:3", "dihedral:4", "dihedral:25",
+    "sym:3", "sym:4", "sym:5", "semidirect:7,3,2", "semidirect:5,4,2", "product:cyclic:2,sym:3"]}
+
+# every constructor family on a dense corpus, products of small factors up to order 1200
+CONSTRUCTED = {
+    "cyclic": [f"cyclic:{n}" for n in [*range(1, 65), 500, 511, 512, 513, 1000, 1200]],
+    "dihedral": [f"dihedral:{n}" for n in [*range(1, 33), 250, 256, 257, 500, 600]],
+    "sym": [f"sym:{n}" for n in range(1, 7)],
+    "semidirect": [f"semidirect:{p},{m},{k}" for p, m, k in _semidirect_triples(120)],
+    "product": [f"product:{a},{b}" for a, b in itertools.product(_FACTOR_ORDERS, repeat=2)
+                if _FACTOR_ORDERS[a] * _FACTOR_ORDERS[b] <= 1200],
+}
+
+
+class TestConstructedTables:
+    """Constructors build their groups without the checks ``make_group`` runs
+    on tables from outside; the checked path agrees with them on every table."""
+
+    @pytest.mark.parametrize("family", CONSTRUCTED)
+    def test_checked_path_agrees(self, family):
+        for spec in CONSTRUCTED[family]:
+            g = parse_group_spec(spec)
+            h = groups.make_group(g.table, g.labels, name=g.name)
+            assert h.identity == g.identity, spec
+            assert h.inv.dtype == g.inv.dtype and np.array_equal(h.inv, g.inv), spec
+            assert h.table.dtype == g.table.dtype, spec
+            assert h.table.tobytes() == g.table.tobytes(), spec
+            assert h.labels == g.labels and h.assoc_verified == g.assoc_verified, spec
+
+    def test_corpus_reaches_the_edges(self):
+        assert {p * m for p, m, _ in _semidirect_triples(120)} >= {2, 119, 120}
+        orders = {_FACTOR_ORDERS[a] * _FACTOR_ORDERS[b]
+                  for a, b in itertools.product(_FACTOR_ORDERS, repeat=2)}
+        assert min(orders) == 1 and 1200 in orders
+
+    @pytest.fixture
+    def latin_check_raises(self, monkeypatch):
+        class LatinCheckCalled(Exception):
+            pass
+
+        def refuse(table):
+            raise LatinCheckCalled
+
+        monkeypatch.setattr(groups, "_check_latin", refuse)
+        return LatinCheckCalled
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:1", "cyclic:12", "dihedral:1", "dihedral:7", "sym:1", "sym:4",
+        "semidirect:2,1,1", "semidirect:7,3,2", "product:cyclic:1,sym:1",
+        "product:sym:3,dihedral:4",
+    ])
+    def test_constructors_skip_the_latin_check(self, latin_check_raises, spec):
+        g = parse_group_spec(spec)
+        assert g.table[g.identity].tolist() == list(range(g.order))
+
+    def test_tables_from_outside_are_checked(self, latin_check_raises, tmp_path):
+        g = make_dihedral(4)
+        path = tmp_path / "d8.txt"
+        path.write_text(to_cayley_table(g))
+        for build in (lambda: from_cayley_table(to_cayley_table(g)),
+                      lambda: parse_group_spec(f"file:{path}"),
+                      lambda: groups.make_group(g.table.tolist()),
+                      lambda: homs.quotient_hom(g, [g.identity])):
+            with pytest.raises(latin_check_raises):
+                build()

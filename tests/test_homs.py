@@ -256,6 +256,19 @@ class TestFundamentalLemma:
         with pytest.raises(TssError):
             fundamental_lemma_check(identity_hom(s4), [1, 2])
 
+    @pytest.mark.parametrize("pres,images,message", [
+        # a homomorphism of Z^2 * Z whose image of {0, 2} is not a TSS of S4
+        (Presentation(3, ((1, 2, -1, -2),), name="braid:4"), ("(3 4)", "e", "(2 3 4)"),
+         "braid groups only"),
+        (Presentation(3, braid_presentation(4).relators, name="braid:x"),
+         ("(1 2)", "(2 3)", "(3 4)"), "braid groups only"),
+        (Presentation(1, ((1, -1),), name="braid:1"), ("e",), "at least 2 strands"),
+    ], ids=["not-braid-relators", "strands-not-decimal", "one-strand"])
+    def test_rejects_presentation_named_braid(self, s4, pres, images, message):
+        images = tuple(s4.labels.index(x) for x in images)
+        with pytest.raises(HomError, match=message):
+            fundamental_lemma_check(GeneratorImageMap(pres, s4, images), [0, 2])
+
     def test_rejects_non_odd_artin_fixture(self, s4):
         pres = braid_presentation(4)
         m = GeneratorImageMap(pres, s4, (0, 0, 0))
