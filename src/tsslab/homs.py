@@ -66,7 +66,7 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_HOM_BUDGET = 10**8
-# B_n has n(n-1)/2 relators, all built before the budget counts a node
+# B_n has (n-1)(n-2)/2 relators, all built before the budget counts a node
 BRAID_STRAND_CAP = 1000
 
 
@@ -182,6 +182,60 @@ def _two_generator_relation(rel: tuple[int, ...]) -> Optional[tuple[str, int, in
     return None
 
 
+def _image_map(pres: Presentation, target: FiniteGroup,
+               images: tuple[int, ...]) -> GeneratorImageMap:
+    """A map whose images are in range by construction: no field check."""
+    m = object.__new__(GeneratorImageMap)
+    m.__dict__.update(presentation=pres, target=target, images=images)
+    return m
+
+
+def _commuting_pools(
+    table: np.ndarray, members: np.ndarray, class_start: np.ndarray, class_size: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The commuting pools of a group, built on first request: x's pool is
+    the members of x's class y with xy = yx, ascending.
+
+    The returned function takes an array of elements and returns the pools
+    built so far, back to back in one array, and each element's first
+    position and count in it.  The pools it lacks are built first, from the
+    class layout (``members`` with each element's ``class_start`` and
+    ``class_size`` there), by the table comparison of the commutator filter,
+    in blocks of about ``_BLOCK`` pairs.
+    """
+    first = count = None  # allocated by the first request
+    data, used = members[:0], 0
+
+    def pools(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nonlocal first, count, data, used
+        if count is None:
+            first = np.zeros(len(table), dtype=np.intp)
+            count = np.zeros(len(table), dtype=np.intp)  # 0 until built: x is in its own pool
+        missing = x[count[x] == 0]
+        if len(missing):
+            new = np.flatnonzero(np.bincount(missing, minlength=len(table)))
+            kept, owner = [], []
+            for idx, cand in _candidate_blocks(members, class_start[new], class_size[new],
+                                               _BLOCK):
+                y = new[idx]
+                commuting = table[y, cand] == table[cand, y]
+                kept.append(cand[commuting])
+                owner.append(idx[commuting])
+            sizes = np.bincount(np.concatenate(owner), minlength=len(new))
+            first[new] = used + np.cumsum(sizes) - sizes
+            count[new] = sizes
+            size = used + int(sizes.sum())
+            if size > len(data):  # a new array; the blocks still out keep the old one
+                grown = np.empty(max(size, 2 * len(data)), dtype=data.dtype)
+                grown[:used] = data[:used]
+                data = grown
+            data[used:size] = np.concatenate(kept)
+            used = size
+        return data, first[x], count[x]
+
+    return pools
+
+
 def enumerate_homs(
     pres: Presentation,
     target: FiniteGroup,
@@ -195,19 +249,28 @@ def enumerate_homs(
     in lexicographic order.  Candidates for a generator come from what the
     relators already imply.  Braid relators (xyx = yxy) make their two
     generators conjugate, so a generator tied by them to an earlier one draws
-    its image from the conjugacy class of the earliest tied generator's image,
-    ascending; an untied generator draws from every element.  A commutator
-    relator keeps only the candidates that commute with the earlier
-    generator's image, compared by two table gathers for all rows.  Every other
-    relator is evaluated by ``evaluate_word`` on all rows as soon as all its
-    generators are assigned.  A search node, counted against the budget, is a
-    candidate that passes the class and commutator filters.
+    its image from the conjugacy class of the earliest tied generator's image
+    x, ascending; an untied generator draws from every element.  When that
+    earliest generator is also a commutator partner (every Artin generator
+    from sigma_3 on), the generator draws from x's commuting pool instead: the
+    members of x's class that commute with x, built once per x on first use
+    (``_commuting_pools``).  A commutator relator keeps only the candidates
+    that commute with the earlier generator's image; a block's remaining
+    partners are compared in one stacked gather, ``table[y, cand] ==
+    table[cand, y]`` over the partner images y of each candidate's row.  A
+    search node, counted against the budget, is a candidate that passes the
+    class and commutator filters.  Then each braid relator with an earlier
+    generator keeps the nodes whose images satisfy xyx = yxy, four table
+    gathers on (row, candidate), and every other relator is evaluated by
+    ``evaluate_word`` on the new rows as soon as all its generators are
+    assigned.
 
     The parents of a level are extended in blocks of about ``_BLOCK``
-    candidates, and each block's children are carried down to the last
-    generator before the next block starts (a stack of one block iterator per
-    generator, not recursion), so the stream is lazy and at most one block per
-    generator is held at a time.  Nodes are counted a block at
+    candidates (weighing each parent by its class size, also where it draws
+    from a smaller pool), and each block's children are carried down to the
+    last generator before the next block starts (a stack of one block
+    iterator per generator, not recursion), so the stream is lazy and at most
+    one block per generator is held at a time.  Nodes are counted a block at
     a time: ``BudgetExceeded`` is raised as soon as the count passes
     ``budget``, so its ``nodes`` can exceed ``budget + 1``, and its ``found``
     counts the maps already yielded.
@@ -224,52 +287,76 @@ def enumerate_homs(
             i = tied[i]
         return i
 
-    commutes_with: list[list[int]] = [[] for _ in range(k)]
+    commutes_with: list[Sequence[int]] = [[] for _ in range(k)]
+    index = list(range(k))  # one int object per generator, shared by its pairs
+    braids_with: list[list[int]] = [[] for _ in range(k)]
     by_level: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for rel in pres.relators:
         shape = _two_generator_relation(rel)
-        if shape is not None:
-            kind, i, j = shape
-            if kind == "commute":
-                commutes_with[j].append(i)
-                continue
+        if shape is None:
+            by_level[max(abs(letter) for letter in rel) - 1].append(rel)
+            continue
+        kind, i, j = shape
+        if kind == "commute":
+            commutes_with[j].append(index[i])
+        else:
+            braids_with[j].append(i)
             lo, hi = sorted((root(i), root(j)))
             tied[hi] = lo
-        by_level[max(abs(letter) for letter in rel) - 1].append(rel)
     earliest = [root(i) for i in range(k)]
+    # a level whose earliest tied generator is also a commutator partner draws
+    # from that image's commuting pool, which stands for that partner's filter
+    pooled = [earliest[j] < j and earliest[j] in commutes_with[j] for j in range(k)]
+    for j, partners in enumerate(commutes_with):  # to index arrays, in place
+        partners = np.array(partners, dtype=np.intp)
+        commutes_with[j] = partners[partners != earliest[j]] if pooled[j] else partners
 
     table = target.table
     members, _, class_end = _class_layout(target)
     members = members.astype(table.dtype)  # images are held in the table's dtype
     class_size = np.bincount(class_end)[class_end]
     class_start = class_end - class_size
+    pools = _commuting_pools(table, members, class_start, class_size)
     everything = np.arange(target.order, dtype=table.dtype)
     # each class's first member in the layout is its least, its representative
     first_pool = members[np.unique(class_start)] if first_image_up_to_conjugacy else everything
     nodes = found = 0
 
-    def candidates(rows: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pool, and each row's first candidate and candidate count in it."""
+    def candidates(rows: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
+        """The pool, each row's first candidate and candidate count in it, and
+        the weight that cuts the rows into blocks."""
         if level == 0:  # one empty row
-            return first_pool, np.zeros(1, dtype=np.intp), np.array([len(first_pool)])
+            count = np.array([len(first_pool)])
+            return first_pool, np.zeros(1, dtype=np.intp), count, count
         if earliest[level] < level:
             x = rows[:, earliest[level]]
-            return members, class_start[x], class_size[x]
-        return (everything, np.zeros(len(rows), dtype=np.intp),
-                np.full(len(rows), target.order))
+            if pooled[level]:
+                return (*pools(x), class_size[x])
+            return members, class_start[x], class_size[x], class_size[x]
+        count = np.full(len(rows), target.order)
+        return everything, np.zeros(len(rows), dtype=np.intp), count, count
 
     def grow(rows: np.ndarray, level: int, parent: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """The rows one image longer made from a block of candidates: those
-        that pass the commutator filters, counted as nodes, and then every
-        relator of this level."""
+        that pass the commutator filter, counted as nodes, then the braid
+        relators and every other relator of this level."""
         nonlocal nodes
-        for other in commutes_with[level]:
-            x = rows[parent, other]
-            commuting = table[x, cand] == table[cand, x]
-            parent, cand = parent[commuting], cand[commuting]
+        others = commutes_with[level]
+        if len(others):
+            keep = np.empty(len(cand), dtype=bool)
+            step = max(1, _BLOCK // len(others))
+            for lo in range(0, len(cand), step):
+                y = rows[parent[lo:lo + step, None], others]
+                c = cand[lo:lo + step, None]
+                keep[lo:lo + step] = (table[y, c] == table[c, y]).all(axis=1)
+            parent, cand = parent[keep], cand[keep]
         nodes += len(cand)
         if nodes > budget:
             raise BudgetExceeded(nodes, budget, found)
+        for other in braids_with[level]:
+            x = rows[parent, other]
+            keep = table[table[x, cand], x] == table[table[cand, x], cand]
+            parent, cand = parent[keep], cand[keep]
         children = np.concatenate([rows[parent], cand[:, None]], axis=1)
         for rel in by_level[level]:
             children = children[evaluate_word(target, children, rel) == target.identity]
@@ -277,8 +364,9 @@ def enumerate_homs(
 
     def extend(rows: np.ndarray, level: int) -> Iterator[np.ndarray]:
         # rows' children block by block; map lets go of a block once they exist
+        pool, first, count, weight = candidates(rows, level)
         return map(lambda block: grow(rows, level, *block),
-                   _candidate_blocks(*candidates(rows, level), _BLOCK))
+                   _candidate_blocks(pool, first, count, _BLOCK, weight))
 
     stack = [extend(np.empty((1, 0), dtype=table.dtype), 0)]
     while stack:
@@ -290,7 +378,7 @@ def enumerate_homs(
         else:
             for images in children.tolist():
                 found += 1
-                yield GeneratorImageMap(pres, target, tuple(images))
+                yield _image_map(pres, target, tuple(images))
 
 
 def image_subgroup(m: GeneratorImageMap) -> tuple[int, ...]:

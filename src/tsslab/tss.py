@@ -6,7 +6,8 @@ adjacent transpositions only: realized permutations form a subgroup of
 Sym(S), and adjacent transpositions generate it.
 
 One level-wise search, ``tss_by_size``, produces every certified TSS one size
-at a time; ``enumerate_tss`` and ``max_tss_size`` read its levels.  A level is
+at a time; ``enumerate_tss`` and ``max_tss_size`` read its levels as arrays
+(``_levels``) and certify only the level they return.  A level is
 held as an array of sorted rows and the next one is built from all of it at
 once: candidates, commutation filters, witnesses and the orbit minima of
 ``dedup_up_to_conjugacy`` are array operations on blocks of parents or sets,
@@ -157,23 +158,37 @@ def tss_by_size(g: FiniteGroup) -> Iterator[list[TssCertificate]]:
     pairwise conjugate.  Stops after the last nonempty level, or before size k
     when k! does not divide |G| (|S|! | |Stab(S)| | |G| is necessary).
 
-    Each level is an (m, k) array of sorted rows in lexicographic order, and
-    the whole of it is extended at once, in blocks of parents with about
-    ``_BLOCK`` candidates, by ``_extend``; the certificates are made from the
-    arrays.  Witnesses come from ``_least_witnesses``, as in ``certify_tss``.
+    The levels come from ``_levels`` as arrays, and the certificates are made
+    from them.
+    """
+    for level, witnesses in _levels(g):
+        yield _certificates(g, level, witnesses)
+
+
+def _levels(g: FiniteGroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The levels of ``tss_by_size`` as arrays: each an (m, k) array of
+    sorted rows in lexicographic order, and their (m, k-1) witnesses.
+
+    The whole of a level is extended at once, in blocks of parents with about
+    ``_BLOCK`` candidates, by ``_extend``.  Witnesses come from
+    ``_least_witnesses``, as in ``certify_tss``.
     """
     level = np.arange(g.order, dtype=np.intp)[:, None]
     witnesses = np.empty((g.order, 0), dtype=np.intp)
     layout = None
     while len(level):
-        keys = [(i, i + 1) for i in range(level.shape[1] - 1)]
-        yield [TssCertificate(g, tuple(elems), dict(zip(keys, wits)))
-               for elems, wits in zip(level.tolist(), witnesses.tolist())]
+        yield level, witnesses
         if g.order % math.factorial(level.shape[1] + 1) != 0:
             return
         if layout is None:
             layout = _class_layout(g)
         level, witnesses = _extend(g, level, *layout)
+
+
+def _certificates(g: FiniteGroup, level: np.ndarray, witnesses: np.ndarray) -> list[TssCertificate]:
+    keys = [(i, i + 1) for i in range(level.shape[1] - 1)]
+    return [TssCertificate(g, tuple(elems), dict(zip(keys, wits)))
+            for elems, wits in zip(level.tolist(), witnesses.tolist())]
 
 
 def _class_layout(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,21 +232,25 @@ def _extend(g: FiniteGroup, level: np.ndarray, members: np.ndarray, position: np
     return np.concatenate(rows), np.concatenate(wits)
 
 
-def _candidate_blocks(pool: np.ndarray, first: np.ndarray, count: np.ndarray,
-                      block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _candidate_blocks(
+    pool: np.ndarray, first: np.ndarray, count: np.ndarray, block: int,
+    weight: Optional[np.ndarray] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The candidates of a level's parents, block by block.
 
     Parent p's candidates are ``pool[first[p]:first[p] + count[p]]``.  A block
-    holds the candidates of consecutive parents, about ``block`` of them and
-    those of at least one parent, as two flat arrays: each candidate's parent
-    and the candidate itself, parents ascending and each parent's candidates
-    in pool order.
+    holds the candidates of consecutive parents whose weights (by default
+    their counts) sum to about ``block``, and those of at least one parent, as
+    two flat arrays: each candidate's parent and the candidate itself, parents
+    ascending and each parent's candidates in pool order.
     """
+    ends = np.cumsum(count if weight is None else weight)
     total = np.cumsum(count)
     lo = 0
     while lo < len(count):
         done = total[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(total, done + block, side="right")))
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + block, side="right")))
         # parent p's candidates start at total[p - 1] - done in the flat arrays;
         # the frame keeps no reference to the block while it is out
         n_cand = count[lo:hi]
@@ -246,18 +265,20 @@ def enumerate_tss(g: FiniteGroup, size: int) -> list[TssCertificate]:
     the size-th level of ``tss_by_size``."""
     if size < 1:
         raise TssError(f"size must be >= 1, got {size}")
-    for k, level in enumerate(tss_by_size(g), start=1):
-        if k == size:
-            return level
+    for level, witnesses in _levels(g):
+        if level.shape[1] == size:
+            return _certificates(g, level, witnesses)
     return []
 
 
 def max_tss_size(g: FiniteGroup, up_to_conjugacy: bool = False) -> TssReport:
-    """S(G) with all certified maximal sets, from the levels of ``tss_by_size``."""
+    """S(G) with all certified maximal sets, from the levels of ``tss_by_size``;
+    only the last level's certificates are made."""
     counts: dict[int, int] = {}
-    for k, level in enumerate(tss_by_size(g), start=1):
-        counts[k] = len(level)
-        best = level
+    for level, witnesses in _levels(g):
+        counts[level.shape[1]] = len(level)
+        top = level, witnesses
+    best = _certificates(g, *top)
     if up_to_conjugacy:
         best = dedup_up_to_conjugacy(g, best)
     return TssReport(

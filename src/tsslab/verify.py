@@ -644,7 +644,7 @@ _PRODUCT_PAIRS = ";".join(f"{a}+{b}" for i, a in enumerate(_PRODUCT_FACTORS)
 _SPEC_PAIR = (Param("left", "spec"), Param("right", "spec"))
 _BUDGET = Param("budget", low=1)  # enters params only when given, so default runs keep their JSON
 
-# The caps bound what one instance builds or runs: B_n has n(n-1)/2 relators, the
+# The caps bound what one instance builds or runs: B_n has (n-1)(n-2)/2 relators, the
 # free-product ball grows about 5x a syllable, and BS(1,n) pairs a (2 radius + 1)^2 ball.
 THEOREMS: dict[str, TheoremSpec] = {
     "abelian": TheoremSpec(

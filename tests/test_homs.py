@@ -4,8 +4,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tsslab import homs
+from tsslab import homs, tss
 from tsslab.groups import (
+    GroupError,
     conjugacy_classes,
     make_cyclic,
     make_dihedral,
@@ -35,6 +36,7 @@ from tsslab.schemas import HOM_REPORT_SCHEMA, braid_report_to_json
 from tsslab.tss import TssError
 
 from helpers import (
+    commutes,
     dense_corpus,
     image_is_cyclic,
     ref_braid_image_census,
@@ -150,6 +152,18 @@ class TestEnumerate:
         # the levels are walked with a stack of iterators, not recursion
         found = list(enumerate_homs(Presentation(1200, ((1,),)), make_cyclic(1)))
         assert [h.images for h in found] == [(0,) * 1200]
+
+    def test_yielded_maps_equal_checked_maps(self, s4):
+        # the enumerator skips the constructor's checks; the public one keeps them
+        pres = braid_presentation(4)
+        found = list(enumerate_homs(pres, s4))
+        assert found == [GeneratorImageMap(pres, s4, h.images) for h in found]
+        assert len(set(found)) == len(found)
+        assert all(type(x) is int for h in found for x in h.images)
+        with pytest.raises(HomError, match="one image per generator"):
+            GeneratorImageMap(pres, s4, (0, 0))
+        with pytest.raises(GroupError, match="out of range"):
+            GeneratorImageMap(pres, s4, (0, 0, 24))
 
 
 class TestCyclicImage:
@@ -517,7 +531,63 @@ class TestBlockSeams:
         assert info.value.nodes == total
 
 
+# BudgetExceeded (nodes, found) at each budget of _BUDGETS with the default
+# _BLOCK, or the number of maps where the search completes; without and with
+# the symmetry reduction.  Nodes are counted a block at a time, so these pin
+# where the blocks are cut.
+_BUDGETS = (1, 10, 100, 1000, 5000, 10000, 20000)
+_BUDGET_CUTS = {
+    (6, "sym:4"): (
+        [(24, 0), (24, 0), (170, 0), 24, 24, 24, 24],
+        [(5, 0), (29, 0), 5, 5, 5, 5, 5]),
+    (7, "dihedral:200"): (
+        [(400, 0), (400, 0), (400, 0), (16698, 0), (16698, 0), (16698, 0), (23662, 359)],
+        [(103, 0), (103, 0), (103, 0), (1115, 0), 103, 103, 103]),
+    (8, "product:sym:5,cyclic:3"): (
+        [(360, 0), (360, 0), (360, 0), (8166, 0), (8166, 0), (10369, 0), 360],
+        [(21, 0), (21, 0), (381, 0), 21, 21, 21, 21]),
+    (9, "product:sym:5,cyclic:2"): (
+        [(240, 0), (240, 0), (240, 0), (5444, 0), (5444, 0), (11126, 149), 240],
+        [(14, 0), (14, 0), (254, 0), 14, 14, 14, 14]),
+}
+
+
+@pytest.mark.parametrize("strands,spec", list(_BUDGET_CUTS))
+def test_budget_cuts(strands, spec):
+    pres, target = braid_presentation(strands), parse_group_spec(spec)
+    for reduced, want in zip((False, True), _BUDGET_CUTS[strands, spec]):
+        got = []
+        for budget in _BUDGETS:
+            try:
+                got.append(sum(1 for _ in enumerate_homs(
+                    pres, target, budget=budget, first_image_up_to_conjugacy=reduced)))
+            except BudgetExceeded as cut:
+                got.append((cut.nodes, cut.found))
+        assert got == want
+
+
 # --- the array checks against their scalar references -------------------------
+
+class TestCommutingPools:
+    @pytest.mark.parametrize("block", [1, 7, homs._BLOCK])
+    @pytest.mark.parametrize("spec", _ORACLE_TARGETS + ["sym:5"])
+    def test_pools_match_scalar_reference(self, spec, block, monkeypatch):
+        # requested in a few shuffled batches, so pools are built over several
+        # calls and the pool array grows; earlier answers must stay valid
+        monkeypatch.setattr(homs, "_BLOCK", block)
+        g = parse_group_spec(spec)
+        part = conjugacy_classes(g)
+        members, _, class_end = tss._class_layout(g)
+        size = np.bincount(class_end)[class_end]
+        pools = homs._commuting_pools(g.table, members.astype(g.table.dtype),
+                                      class_end - size, size)
+        order = np.random.default_rng(0).permutation(g.order).astype(g.table.dtype)
+        answers = [(x, *pools(x)) for x in np.array_split(np.concatenate([order, order]), 5)]
+        for xs, data, first, count in answers:
+            for x, lo, n in zip(xs.tolist(), first.tolist(), count.tolist()):
+                want = [y for y in part.classes[part.class_of[x]] if commutes(g, x, y)]
+                assert data[lo:lo + n].tolist() == sorted(want)
+
 
 def _center(g):
     return [x for x in range(g.order) if (g.table[x] == g.table[:, x]).all()]
