@@ -8,7 +8,7 @@ format, so write/parse round-trips are byte-identical modulo comments.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -32,17 +32,89 @@ class CayleyTableError(GroupError):
         self.col = col
 
 
+# characters of document text that from_cayley_table reads per slab
+_SLAB = 1 << 18
+
+
 def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     """Parse and validate a Cayley-table document.
 
-    The n row bodies are parsed in one ``np.loadtxt`` call.  A document that
-    call rejects or is not given (an entry outside 0..n-1, a non-ASCII
-    character) is parsed again row by row: that path names the first bad
-    entry and takes every spelling ``int`` takes (``1_0``, full-width
-    digits), so both paths accept the same tables.  Associativity is checked
-    at every order up to the order cap, not only up to ``DEFAULT_ASSOC_CAP``
-    as for constructor-built tables: a document comes from outside.
+    The document is read in slabs of about ``_SLAB`` characters, each cut
+    after a newline and split by ``str.splitlines`` (``_slabs``): the order
+    line, then the row bodies of each slab, parsed by one ``np.loadtxt`` call
+    into the preallocated table, then the label lines.  Only one slab's lines
+    exist at a time.  A document that this path does not take (a bad order
+    line, too few rows, a row that ``np.loadtxt`` rejects or is not given: an
+    entry outside 0..n-1, a non-ASCII character) is read again whole by
+    ``_decode_whole``, which names its first fault; its row-by-row path takes
+    every spelling ``int`` takes (``1_0``, full-width digits), so both paths
+    accept the same tables.  Associativity is checked at every order up to the
+    order cap, not only up to ``DEFAULT_ASSOC_CAP`` as for raw tables: a
+    document comes from outside.
     """
+    decoded = _decode_slabs(text)
+    table, labels = decoded if decoded is not None else _decode_whole(text)
+    try:
+        return make_group(table, labels=labels, name=name, assoc_cap=DEFAULT_ORDER_CAP)
+    except CayleyTableError:
+        raise
+    except GroupError as exc:
+        raise CayleyTableError(str(exc)) from exc
+
+
+def _slabs(text: str) -> Iterator[list[tuple[int, str]]]:
+    """The document in slabs of about ``_SLAB`` characters, each as the (line
+    number, body) of its lines whose body, the text before any ``#``, is not
+    blank.  A slab is cut after a newline, where ``str.splitlines`` of the
+    whole text cuts too, so the lines and their numbers are the same."""
+    lineno = pos = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + _SLAB - 1) + 1 or len(text)
+        bodies = []
+        for lineno, line in enumerate(text[pos:cut].splitlines(), start=lineno + 1):
+            body = line.partition("#")[0]
+            if body and not body.isspace():
+                bodies.append((lineno, body))
+        yield bodies
+        pos = cut
+
+
+def _decode_slabs(text: str) -> Optional[tuple[np.ndarray, Optional[list[str]]]]:
+    """The table and labels of a document read slab by slab, or None when
+    the order line is bad or above the order cap, a slab's rows need the
+    row-by-row path, or rows are missing."""
+    n = None
+    labels: Optional[list[str]] = None
+    for bodies in _slabs(text):
+        if n is None:
+            if not bodies:
+                continue
+            head = bodies[0][1].split()
+            if len(head) != 1 or not head[0].isdecimal():
+                return None
+            n, r = int(head[0]), 0
+            # n rows of n entries take at least n(2n - 1) characters, so the
+            # table allocated before they are read is no larger than the text
+            if not 1 <= n <= DEFAULT_ORDER_CAP or len(text) < n * (2 * n - 1):
+                return None
+            table = np.empty((n, n), dtype=table_dtype(n))
+            bodies = bodies[1:]
+        rows = [body for _, body in bodies[:n - r]]
+        if rows:
+            block = _parse_block(rows, n)
+            if block is None:
+                return None
+            table[r:r + len(rows)] = block
+            r += len(rows)
+        labels = _parse_labels(bodies[len(rows):], n, labels)
+    if n is None or r < n:
+        return None
+    return table, labels
+
+
+def _decode_whole(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
+    """The table and labels of a document from all its lines at once; raises
+    ``CayleyTableError`` naming the first fault."""
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -66,9 +138,14 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         table = np.empty((n, n), dtype=table_dtype(n))
         for r, (lineno, body) in enumerate(rows[1:1 + n]):
             table[r] = _parse_row(body.split(), n, lineno, r)
+    return table, _parse_labels(rows[1 + n:], n, None)
 
-    labels: Optional[list[str]] = None
-    for lineno, body in rows[1 + n:]:
+
+def _parse_labels(bodies: list[tuple[int, str]], n: int,
+                  labels: Optional[list[str]]) -> Optional[list[str]]:
+    """``labels`` (None before the first label line) with the label lines
+    among ``bodies`` applied."""
+    for lineno, body in bodies:
         toks = body.split()
         if toks[0] != "label" or len(toks) < 3:
             raise CayleyTableError(
@@ -83,19 +160,12 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         if labels is None:
             labels = [str(i) for i in range(n)]
         labels[idx] = " ".join(toks[2:])
-
-    del rows  # the row strings are parsed; free them before validation
-    try:
-        return make_group(table, labels=labels, name=name, assoc_cap=DEFAULT_ORDER_CAP)
-    except CayleyTableError:
-        raise
-    except GroupError as exc:
-        raise CayleyTableError(str(exc)) from exc
+    return labels
 
 
 def _parse_block(bodies: list[str], n: int) -> Optional[np.ndarray]:
-    """All n rows in one C-level parse, or None when some entry needs the
-    row-by-row path: a ragged row, an entry outside 0..n-1, or a spelling
+    """Rows of n entries in one C-level parse, or None when some entry needs
+    the row-by-row path: a ragged row, an entry outside 0..n-1, or a spelling
     that ``np.loadtxt`` does not read.
 
     Only ASCII rows reach ``np.loadtxt``: on numpy 2.4 a long run of calls
@@ -107,7 +177,7 @@ def _parse_block(bodies: list[str], n: int) -> Optional[np.ndarray]:
         table = np.loadtxt(bodies, dtype=table_dtype(n), ndmin=2)
     except (ValueError, OverflowError):
         return None
-    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+    if table.shape != (len(bodies), n) or table.min() < 0 or table.max() >= n:
         return None
     return table
 

@@ -25,9 +25,10 @@ DEFAULT_ASSOC_CAP = 512
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_SYMMETRIC_CAP = 8
 # Entries per block of the gathers in Light's test and in the homomorphism
-# checks: a single block up to order 512, so that validation above it peaks no
-# higher than the Latin check.
+# checks: a single block up to order 512.
 _ASSOC_BLOCK = 1 << 18
+# Rows, and columns, per slab of the Latin check, which sorts a slab at a time.
+_LATIN_SLAB = 256
 
 
 class GroupError(ValueError):
@@ -49,12 +50,19 @@ class FiniteGroup:
     array of inverses in the same dtype.  ``mul`` (the rows of ``table`` as
     tuples, read only by free-product word arithmetic), ``element_orders``
     and ``conjugacy_partition`` are derived from them on first use and kept.
+    ``ints`` holds one int object per element, and the element tuples the
+    library returns are gathered from it (``element_tuple``): the rows of
+    ``mul``, the ``ConjugacyPartition`` fields, ``centralizer``,
+    ``generated_subgroup`` and the ``derived_series`` terms, and in ``tss``
+    the certificates' elements and witnesses and the stabilizer, kernel and
+    witnesses of ``realized_permutations``.  Above order 256 each entry of
+    such a tuple then costs a pointer, not a pointer and a fresh int.
     ``assoc_verified`` records whether associativity was verified for all
     triples by Light's test: up to order 512 for the constructors' tables,
-    which are Latin with an identity by construction and are not re-checked
-    (``_built``); ``make_group`` checks decoded Cayley documents in full up
-    to the order cap.  ``generators``, None only for the trivial group,
-    generate it (see ``make_group``).
+    which are Latin with an identity by construction and are checked on
+    their recorded generators only (``_built``); ``make_group`` checks
+    decoded Cayley documents in full up to the order cap.  ``generators``,
+    None only for the trivial group, generate it (see ``make_group``).
     """
 
     order: int
@@ -77,15 +85,23 @@ class FiniteGroup:
         return str(x)
 
     @cached_property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``table`` as tuples, for scalar lookups.
-
-        All rows share one int object per element: each row is gathered from
-        an object array of the ints 0..order-1, so the rows hold references,
-        not fresh ints.
-        """
+    def ints(self) -> np.ndarray:
+        """Read-only object array of the ints 0..order-1, one int object per
+        element, from which ``element_tuple`` gathers."""
         ints = np.array(range(self.order), dtype=object)
-        return tuple(tuple(ints[row].tolist()) for row in self.table)
+        ints.flags.writeable = False
+        return ints
+
+    def element_tuple(self, index: Sequence[int] | np.ndarray) -> tuple[int, ...]:
+        """The elements at ``index`` as a tuple of the shared ints of ``ints``,
+        so that it holds references, not fresh ints."""
+        return tuple(self.ints[index].tolist())
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``table`` as tuples, for scalar lookups, each gathered
+        by ``element_tuple``."""
+        return tuple(self.element_tuple(row) for row in self.table)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -135,13 +151,13 @@ class FiniteGroup:
             least = least[least]
         is_rep = least == np.arange(self.order)
         class_of = (np.cumsum(is_rep) - 1)[least]
-        members = np.argsort(class_of, kind="stable").tolist()
+        members = self.ints[np.argsort(class_of, kind="stable")].tolist()
         ends = np.cumsum(np.bincount(class_of)).tolist()
         classes = tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends))
         return ConjugacyPartition(
-            class_of=tuple(class_of.tolist()),
+            class_of=self.element_tuple(class_of),
             classes=classes,
-            representatives=tuple(np.flatnonzero(is_rep).tolist()),
+            representatives=self.element_tuple(np.flatnonzero(is_rep)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -227,24 +243,30 @@ def _order_cap(what: str, order: int) -> None:
 
 
 def _check_latin(mul: np.ndarray) -> None:
+    """Raise unless every row and column of ``mul`` is a permutation of
+    0..n-1, naming the first bad row, else the first bad column.  Rows, then
+    columns, are sorted ``_LATIN_SLAB`` at a time, so the extra memory is
+    O(n * _LATIN_SLAB) at any order."""
     n = mul.shape[0]
     expect = np.arange(n, dtype=mul.dtype)
-    rows_ok = (np.sort(mul, axis=1) == expect).all(axis=1)
-    if not rows_ok.all():
-        r = int(np.argmin(rows_ok))
-        counts = np.bincount(mul[r], minlength=n)
-        c = int(np.argmax(counts > 1))
-        raise GroupError(f"not a Latin square: row {r} repeats entry {c}")
-    # the columns as the rows of a C-ordered copy (np.sort(mul.T) copies
-    # too), sorted in place: sorting contiguous rows is the faster sort
-    cols = mul.T.copy()
-    cols.sort(axis=1)
-    cols_ok = (cols == expect).all(axis=1)
-    if not cols_ok.all():
-        c = int(np.argmin(cols_ok))
-        counts = np.bincount(mul[:, c], minlength=n)
-        r = int(np.argmax(counts > 1))
-        raise GroupError(f"not a Latin square: column {c} repeats entry {r}")
+    for lo in range(0, n, _LATIN_SLAB):
+        rows_ok = (np.sort(mul[lo:lo + _LATIN_SLAB], axis=1) == expect).all(axis=1)
+        if not rows_ok.all():
+            r = lo + int(np.argmin(rows_ok))
+            counts = np.bincount(mul[r], minlength=n)
+            c = int(np.argmax(counts > 1))
+            raise GroupError(f"not a Latin square: row {r} repeats entry {c}")
+    for lo in range(0, n, _LATIN_SLAB):
+        # a slab of columns as the rows of a C-ordered copy, sorted in place:
+        # sorting contiguous rows is the faster sort
+        cols = mul[:, lo:lo + _LATIN_SLAB].T.copy()
+        cols.sort(axis=1)
+        cols_ok = (cols == expect).all(axis=1)
+        if not cols_ok.all():
+            c = lo + int(np.argmin(cols_ok))
+            counts = np.bincount(mul[:, c], minlength=n)
+            r = int(np.argmax(counts > 1))
+            raise GroupError(f"not a Latin square: column {c} repeats entry {r}")
 
 
 def _find_identity(mul: np.ndarray) -> int:
@@ -257,8 +279,44 @@ def _find_identity(mul: np.ndarray) -> int:
     raise GroupError("table has no two-sided identity")
 
 
-def _check_assoc(mul: np.ndarray, identity: int) -> tuple[int, ...]:
-    """Light's associativity test; returns the elements it checked.
+def _power_inverses(mul: np.ndarray) -> np.ndarray:
+    """x^(2n-1) for every x, in the table's dtype: x^-1 in a group of order n."""
+    n = mul.shape[0]
+    return _power(mul, [np.arange(n)], 2 * n - 1).astype(mul.dtype)
+
+
+def _group_axioms(mul: np.ndarray) -> Optional[tuple[int, np.ndarray, tuple[int, ...]]]:
+    """The identity, inverses and Light's checked elements of a group's
+    table, or None when ``mul`` is not one.
+
+    The identity is found as ``_find_identity`` finds it, and each inverse is
+    taken as x^(2n-1) and confirmed by one O(n) gather, x * x^-1 = e.  Light's
+    test (``_light_test``) then runs on the greedy sequence.  A table
+    that passes is associative with a two-sided identity and right inverses,
+    so it is a group's table (if x y = e and y z = e, then
+    x = x (y z) = (x y) z = z, so y x = e too) and a Latin square, which is
+    not checked.  The work is O(n^2 log n) whatever the table: the reached
+    set is a group by the same argument (the checked elements and their
+    products associate, and x^(2n-1) is one of those products), so each
+    checked element at least doubles it.
+    """
+    n = mul.shape[0]
+    try:
+        identity = _find_identity(mul)
+    except GroupError:
+        return None
+    inv = _power_inverses(mul)
+    if not (mul[np.arange(n), inv] == identity).all():
+        return None
+    checked, failure = _light_test(mul, identity)
+    return None if failure else (identity, inv, checked)
+
+
+def _light_test(mul: np.ndarray,
+                identity: int) -> tuple[tuple[int, ...], Optional[tuple[int, int, int]]]:
+    """Light's associativity test: the elements it checked, and the failing
+    triple (x, y, z) of the first failing y (with its least failing (x, z)),
+    or None.
 
     The y with (x*y)*z == x*(y*z) for all x, z form a set A closed under
     products, and A holds the identity.  So y is checked only while some
@@ -268,22 +326,25 @@ def _check_assoc(mul: np.ndarray, identity: int) -> tuple[int, ...]:
     (``_greedy_generators``), which closes it under products as they lie in
     A: for v = v'*g, g checked, u*v = (u*v')*g.  In a group each checked
     element at least doubles the reached subgroup, so at most log2(order)
-    elements are checked, and they generate the group.  A failing y up to order
-    ``DEFAULT_ASSOC_CAP`` runs the full scan, which names the first failing
-    triple; above it, the scan's order^2 index copy and O(order^3) work are
-    too much, and the triple named is (x, y, z) for the least failing (x, z)
-    of that y.
+    elements are checked, and they generate the group.
     """
     checked = []
     for y in _greedy_generators(mul, identity):
         failure = _light_failure(mul, y)
         if failure is not None:
-            if mul.shape[0] <= DEFAULT_ASSOC_CAP:
-                _assoc_scan(mul)
-            x, z = failure
-            raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
+            return tuple(checked), (failure[0], y, failure[1])
         checked.append(y)
-    return tuple(checked)
+    return tuple(checked), None
+
+
+def _assoc_failure(mul: np.ndarray, x: int, y: int, z: int) -> None:
+    """Raise for a failing triple (x, y, z) of Light's test.  Up to order
+    ``DEFAULT_ASSOC_CAP`` the full scan runs first and names the first
+    failing triple; above it, the scan's order^2 index copy and O(order^3)
+    work are too much, and (x, y, z) is named."""
+    if mul.shape[0] <= DEFAULT_ASSOC_CAP:
+        _assoc_scan(mul)
+    raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
 
 
 def _greedy_generators(mul: np.ndarray, identity: int) -> Iterator[int]:
@@ -360,15 +421,22 @@ def make_group(
 
     Cayley documents, ``file:`` specs, quotients and raw tables come here; the
     constructors' tables hold by construction and skip these checks (``_built``).
-    Latin-square, identity and inverse checks always run.  Associativity is
-    decided for order <= assoc_cap (default ``DEFAULT_ASSOC_CAP``, 512; above
-    it ``assoc_verified`` is False) by Light's test, ``_check_assoc``: two
-    order^2 gathers for each of at most log2(order) elements of a group, so
-    O(n^2 log n) work.  A failing table up to order 512 gets the full O(n^3)
-    scan, which names the first failing triple; a larger one (Cayley
-    documents are checked up to the order cap) names a failing triple of
-    Light's failing element in O(n^2).  The group records the elements Light's
-    test checked, or the same greedy sequence when the test did not run.  An
+    Up to order assoc_cap (default ``DEFAULT_ASSOC_CAP``, 512; Cayley documents
+    pass the order cap) the table is checked by the group axioms
+    (``_group_axioms``): a two-sided identity, the inverses x^(2n-1), and
+    Light's associativity test, two order^2 gathers for each of at most
+    log2(order) elements, so O(n^2 log n) work.  A table that passes is a
+    group's, so it is a Latin square.  A table that fails gets the checks in
+    their fixed order, which name its first fault: the Latin square, the
+    identity, the inverses and their two-sidedness, then Light's test (a
+    failing triple up to order 512 comes from the full O(n^3) scan, which
+    names the first one; above it, it is Light's failing element with its
+    least failing (x, z)).  Above assoc_cap the checks run in that order
+    without Light's test, and ``assoc_verified`` is False.  No check makes an
+    order^2 temporary: the gathers go a block of rows at a time, the Latin
+    check sorts slabs of rows and columns, and the inverses are searched a
+    block of rows at a time.  The group records the elements Light's test
+    checked, or the same greedy sequence when the test did not run.  An
     integer ndarray already of dtype ``table_dtype(order)`` becomes the group's
     read-only ``table`` without a copy.
     """
@@ -386,45 +454,67 @@ def make_group(
         raise GroupError(f"entry out of range at row {bad[0]}, column {bad[1]}")
     table = np.ascontiguousarray(arr, dtype=table_dtype(n))
     del arr
-    _check_latin(table)
-    identity = _find_identity(table)
-    # each row is a permutation, so it holds the identity exactly once
-    inv = np.argmax(table == identity, axis=1).astype(table.dtype)
-    two_sided = table[inv, np.arange(n)] == identity
-    if not two_sided.all():
-        raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
-    return _group(table, identity, inv, labels, None, name, assoc_cap)
+    assoc_verified = n <= assoc_cap
+    axioms = _group_axioms(table) if assoc_verified else None
+    if axioms is not None:
+        identity, inv, generators = axioms
+    else:
+        _check_latin(table)
+        identity = _find_identity(table)
+        # each row is a permutation, so it holds the identity exactly once
+        inv = np.empty(n, dtype=table.dtype)
+        for rows in _row_blocks(n, n):
+            inv[rows] = np.argmax(table[rows] == identity, axis=1)
+        two_sided = table[inv, np.arange(n)] == identity
+        if not two_sided.all():
+            raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
+        if not assoc_verified:
+            generators = tuple(_greedy_generators(table, identity))
+        else:
+            generators, failure = _light_test(table, identity)
+            if failure:
+                _assoc_failure(table, *failure)
+    return _group(table, identity, inv, labels, generators, name, assoc_verified)
 
 
 def _built(table: np.ndarray, labels: list[str], generators: Optional[Sequence[int]],
            name: str) -> FiniteGroup:
     """A constructor's table as a group, not re-checked: it is a Latin square
     with an identity by construction.  The identity is read in O(n), and each
-    inverse as x^(2n-1) = x^-1 in O(n log n) gathers on the table."""
-    inv = _power(table, [np.arange(len(table))], 2 * len(table) - 1).astype(table.dtype)
-    return _group(table, _find_identity(table), inv, labels, generators, name, DEFAULT_ASSOC_CAP)
+    inverse as x^(2n-1) = x^-1 in O(n log n) gathers on the table.  Up to
+    ``DEFAULT_ASSOC_CAP`` Light's test runs on the recorded ``generators``,
+    and one closure confirms that they generate the group: products of
+    checked elements pass the test, so the table is associative."""
+    n = len(table)
+    identity = _find_identity(table)
+    assoc_verified = n <= DEFAULT_ASSOC_CAP
+    if assoc_verified:
+        for y in generators or ():
+            failure = _light_failure(table, y)
+            if failure is not None:
+                _assoc_failure(table, failure[0], y, failure[1])
+        reached = np.arange(n) == identity
+        _close(table, reached, generators or ())
+        if not reached.all():
+            raise GroupError(f"the recorded generators of {name} do not generate it")
+    return _group(table, identity, _power_inverses(table), labels, generators, name,
+                  assoc_verified)
 
 
 def _group(table: np.ndarray, identity: int, inv: np.ndarray, labels: Optional[Sequence[str]],
-           generators: Optional[Sequence[int]], name: str, assoc_cap: int) -> FiniteGroup:
-    """Run Light's test up to ``assoc_cap`` and freeze the arrays into a group
-    that records ``generators``, else the elements the test checked."""
-    n = table.shape[0]
-    assoc_verified = n <= assoc_cap
-    checked = _check_assoc(table, identity) if assoc_verified else None
-    if generators is None:
-        generators = checked if assoc_verified else tuple(_greedy_generators(table, identity))
-    if labels is not None and len(labels) != n:
+           generators: Optional[Sequence[int]], name: str, assoc_verified: bool) -> FiniteGroup:
+    """Freeze the checked arrays into a group that records ``generators``."""
+    if labels is not None and len(labels) != table.shape[0]:
         raise GroupError("label count does not match group order")
     table.flags.writeable = False
     inv.flags.writeable = False
     return FiniteGroup(
-        order=n,
+        order=table.shape[0],
         identity=identity,
         inv=inv,
         table=table,
         labels=tuple(labels) if labels is not None else None,
-        generators=tuple(generators) or None,
+        generators=tuple(generators or ()) or None,
         name=name,
         assoc_verified=assoc_verified,
     )
@@ -609,7 +699,7 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
 def centralizer(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """All y commuting with x, sorted."""
     g.check_index(x)
-    return tuple(np.flatnonzero(g.table[x] == g.table[:, x]).tolist())
+    return g.element_tuple(np.flatnonzero(g.table[x] == g.table[:, x]))
 
 
 def generated_subgroup(g: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -619,7 +709,7 @@ def generated_subgroup(g: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
         raise GroupError("generator set must be nonempty")
     reached = np.arange(g.order) == g.identity
     _close(g.table, reached, gen_list)
-    return tuple(reached.nonzero()[0].tolist())
+    return g.element_tuple(reached.nonzero()[0])
 
 
 def derived_series(g: FiniteGroup) -> DerivedSeries:
@@ -630,7 +720,7 @@ def derived_series(g: FiniteGroup) -> DerivedSeries:
     generator, and those generators are the X of the next term."""
     table, inv = g.table, g.inv
     gens = np.array(g.generators or (), dtype=np.intp)
-    terms = [tuple(range(g.order))]
+    terms = [tuple(g.ints.tolist())]
     while gens.size:
         xy = table[np.ix_(gens, gens)]
         pending = table[xy, inv[xy.T]].ravel().tolist()
@@ -642,7 +732,7 @@ def derived_series(g: FiniteGroup) -> DerivedSeries:
                 nxt.append(c)
                 _close(table, reached, nxt)
                 pending += table[table[gens, c], inv[gens]].tolist()
-        term = tuple(reached.nonzero()[0].tolist())
+        term = g.element_tuple(reached.nonzero()[0])
         if len(term) == len(terms[-1]):
             break
         terms.append(term)

@@ -101,8 +101,8 @@ def realized_permutations(g: FiniteGroup, s: Iterable[int]) -> StabilizerDecompo
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     first = np.sort(by_perm[starts])  # each permutation's least q, ascending
-    realized = {tuple(perm): q for perm, q in zip(rows[first].tolist(), stab[first].tolist())}
-    return StabilizerDecomposition(tuple(stab.tolist()), tuple(kernel.tolist()), realized)
+    realized = dict(zip(map(tuple, rows[first].tolist()), g.element_tuple(stab[first])))
+    return StabilizerDecomposition(g.element_tuple(stab), g.element_tuple(kernel), realized)
 
 
 def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
@@ -117,12 +117,11 @@ def certify_tss(g: FiniteGroup, s: Iterable[int]) -> Optional[TssCertificate]:
         for y in elems[i + 1:]:
             if m[x, y] != m[y, x]:
                 return None
-    if len(elems) == 1:
-        return TssCertificate(g, elems, {})
-    witnesses = _least_witnesses(g, np.array([elems], dtype=np.intp))[0].tolist()
-    if -1 in witnesses:
+    sets = np.array([elems], dtype=np.intp)
+    witnesses = _least_witnesses(g, sets) if len(elems) > 1 else sets[:, :0]  # none for a singleton
+    if (witnesses < 0).any():
         return None
-    return TssCertificate(g, elems, {(i, i + 1): q for i, q in enumerate(witnesses)})
+    return _certificates(g, sets, witnesses)[0]
 
 
 def _least_witnesses(g: FiniteGroup, sets: np.ndarray) -> np.ndarray:
@@ -186,9 +185,10 @@ def _levels(g: FiniteGroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _certificates(g: FiniteGroup, level: np.ndarray, witnesses: np.ndarray) -> list[TssCertificate]:
+    """Certificates whose elements and witnesses are the group's shared ints."""
     keys = [(i, i + 1) for i in range(level.shape[1] - 1)]
     return [TssCertificate(g, tuple(elems), dict(zip(keys, wits)))
-            for elems, wits in zip(level.tolist(), witnesses.tolist())]
+            for elems, wits in zip(g.ints[level].tolist(), g.ints[witnesses].tolist())]
 
 
 def _class_layout(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -239,6 +239,27 @@ def ref_check_assoc(mul: np.ndarray) -> None:
             raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
 
 
+def ref_check_table(mul: np.ndarray) -> None:
+    """The checks of a table from outside in their fixed order, each on the
+    whole table: the Latin square (``ref_check_latin``), the least two-sided
+    identity, a two-sided inverse for every element, then, up to order 512,
+    associativity by the full scan (``ref_check_assoc``)."""
+    mul = np.asarray(mul)
+    n = mul.shape[0]
+    every = np.arange(n)
+    ref_check_latin(mul)
+    identities = np.flatnonzero((mul == every).all(axis=1) & (mul.T == every).all(axis=1))
+    if not identities.size:
+        raise GroupError("table has no two-sided identity")
+    e = int(identities[0])
+    inv = np.argmax(mul == e, axis=1)
+    for x in range(n):
+        if mul[inv[x], x] != e:
+            raise GroupError(f"element {x} has no two-sided inverse")
+    if n <= 512:
+        ref_check_assoc(mul)
+
+
 # --- scalar references for the conjugation-table searches --------------------
 
 def ref_realized_permutations(g: FiniteGroup, elems: tuple[int, ...]):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tsslab import cayley
@@ -216,6 +218,32 @@ DOCUMENTS = _canonical_documents() + [
     "3\n1 2 0\n0 1 2\n2 0 1\n",
     # the header and label lines
     "", "3 3\n", "-3\n", "0\n", "1\n0\nnote 0 e\n", "1\n0\nlabel x e\n",
+    # a bad entry in the last row
+    _with_row(Z12, 11, "11 0 1 2 3 4 5 6 7 8 9 12"),
+    _with_row(Z12, 11, "11 0 1 2 3 4 5 6 7 8 9 1O"),
+    # every line break of str.splitlines, in and between rows
+    Z3.replace("\n", "\r\n"),
+    Z12.replace("\n", "\r\n"),
+    Z3.replace("\n", "\r"),
+    Z3.replace("\n", "\x85"),
+    Z3.replace("\n", "\u2028"),
+    Z3.replace("\n", "\u2029"),
+    "3\x0b0 1 2\x0c1 2 0\x1c2 0 1\x1d\x1elabel 0 e\n",
+    _with_row(Z3, 1, "1 2\r0"),
+    _with_row(Z3, 1, "1 2 0\r"),
+    _with_row(Z3, 1, "1 2\x850"),
+    _with_row(Z3, 1, "1 2\u20280"),
+    # comments inside the rows
+    _with_row(Z12, 5, "5 6 7 8 9 10 11 0 1 2 3 4#every entry, then a comment"),
+    _with_row(Z12, 5, "5 6 7 8 9 10 # 11 0 1 2 3 4"),
+    Z12.replace("\n6 7", "\n# a comment line between rows\n\n6 7"),
+    # line numbers after \r\n and after a slab cut
+    (Z3 + "label 1 g\nlabel x e\n").replace("\n", "\r\n"),
+    # a missing last row in a document long enough to hold it
+    "\n".join(Z12.splitlines()[:12]) + "\n# " + "x" * 400 + "\n",
+    # rows split across default slabs by two comment lines of a slab each
+    Z12.replace("\n3 4", "\n#" + "x" * cayley._SLAB + "\n3 4").replace(
+        "\n9 10", "\n#" + "y" * cayley._SLAB + "\n9 10"),
 ]
 
 
@@ -228,8 +256,15 @@ def _outcome(decode, text):
             g.labels, g.assoc_verified)
 
 
+@pytest.mark.parametrize("slab", ["1-row", "2-rows", "default"])
 @pytest.mark.parametrize("text", DOCUMENTS, ids=range(len(DOCUMENTS)))
-def test_block_decode_matches_token_decoder(text):
+def test_block_decode_matches_token_decoder(text, slab, monkeypatch):
+    # a slab ends at the first newline at or after _SLAB - 1 characters, so
+    # 1 cuts after every line, and the longest line plus 2 after every other
+    if slab == "1-row":
+        monkeypatch.setattr(cayley, "_SLAB", 1)
+    elif slab == "2-rows":
+        monkeypatch.setattr(cayley, "_SLAB", max(map(len, text.split("\n"))) + 2)
     assert _outcome(from_cayley_table, text) == _outcome(ref_from_cayley_table, text)
 
 
@@ -261,3 +296,67 @@ def test_block_decode_fills_the_table_dtype():
     g = from_cayley_table(to_cayley_table(make_dihedral(6)))
     assert g.table.dtype == "int16" and not g.table.flags.writeable
     assert "mul" not in g.__dict__
+
+
+SPLIT = DOCUMENTS[-1]  # rows split across default slabs by long comment lines
+
+
+GOOD = _canonical_documents() + [
+    Z12.replace("\n", "\r\n"), Z3.replace("\n", "\x1c"), SPLIT,
+    _with_row(Z12, 5, "5 6 7 8 9 10 11 0 1 2 3 4#every entry, then a comment"),
+    "# leading comment\n\n3 # the order\n0 1 2\n1 2 0\n2 0 1\nlabel 1 g # one\n",
+]
+
+
+@pytest.mark.parametrize("text", GOOD, ids=range(len(GOOD)))
+@pytest.mark.parametrize("slab", [1, 1 << 18])
+def test_good_documents_take_the_slab_path(text, slab, monkeypatch):
+    def whole(text):
+        raise AssertionError("the whole-document path ran on a good document")
+
+    monkeypatch.setattr(cayley, "_SLAB", slab)
+    monkeypatch.setattr(cayley, "_decode_whole", whole)
+    assert _outcome(from_cayley_table, text)[0] == "group"
+
+
+def test_one_loadtxt_call_per_slab_of_rows(monkeypatch):
+    calls = []
+    loadtxt = cayley.np.loadtxt
+
+    def counting(bodies, **kwargs):
+        calls.append(len(bodies))
+        return loadtxt(bodies, **kwargs)
+
+    monkeypatch.setattr(cayley.np, "loadtxt", counting)
+    from_cayley_table(SPLIT)
+    assert calls == [3, 6, 3]  # rows 0-2, 3-8 and 9-11 around the two comments
+    calls.clear()
+    from_cayley_table(Z12)
+    assert calls == [12]
+
+
+def test_order_line_alone_allocates_no_table():
+    # the rows a document's text can hold bound the table allocated for them
+    tracemalloc.start()
+    try:
+        with pytest.raises(CayleyTableError, match="^expected 20000 table rows, found 1$"):
+            from_cayley_table("20000\n" + " ".join(map(str, range(20000))) + "\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+
+
+def test_decode_holds_one_slab_beside_the_table(monkeypatch):
+    # the table and O(_SLAB) more: no list of every line, no whole-table parse
+    text = to_cayley_table(make_dihedral(300))  # 1.4 million characters
+    monkeypatch.setattr(cayley, "_SLAB", 1 << 16)
+    monkeypatch.setattr(cayley, "make_group", lambda table, **kwargs: table)
+    tracemalloc.start()
+    try:
+        table = from_cayley_table(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (600, 600)
+    assert peak - table.nbytes < 6 * cayley._SLAB

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from tsslab import groups
 from tsslab.cayley import CayleyTableError, from_cayley_table, to_cayley_table
-from tsslab import homs, verify
+from tsslab import homs, tss, verify
 from tsslab.cli import main
 from tsslab.groups import (
     GroupError,
@@ -39,6 +39,7 @@ from helpers import (
     is_subgroup,
     ref_check_assoc,
     ref_check_latin,
+    ref_check_table,
     ref_conjugacy_partition,
     ref_derived_series,
     ref_eager_mul,
@@ -342,6 +343,45 @@ class TestValidation:
     def test_error_messages(self, table, message):
         with pytest.raises(GroupError, match=f"^{message}$"):
             groups.make_group(table)
+
+    @pytest.mark.parametrize("table,message", [
+        # two-sided identity 0, x * x = 0 and x * y = 0 for every x, y != 0:
+        # the inverses x^(2n-1) = x are two-sided, and only Light's test fails
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "not a Latin square: row 1 repeats entry 0"),
+        ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 0]],
+         "not a Latin square: row 2 repeats entry 0"),
+        ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]],
+         "not a Latin square: column 2 repeats entry 1"),
+        ([[1, 0, 2], [0, 1, 2], [2, 2, 2]], "not a Latin square: row 2 repeats entry 2"),
+    ])
+    def test_non_latin_tables_with_an_identity(self, table, message):
+        groups._find_identity(np.array(table))  # has a two-sided identity
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            groups.make_group(table)
+        assert _assoc_outcome(ref_check_table, table) == message
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_damaged_group_tables_keep_their_messages(self, seed):
+        # one entry changed (rows or columns stop being permutations; the
+        # identity row and column kept), or two entries of a row swapped, or
+        # an intercalate swap (a loop that is not a group): the message is
+        # the one of the checks in their fixed order
+        rng = random.Random(seed)
+        g = parse_group_spec(rng.choice(["dihedral:6", "sym:4", "cyclic:10",
+                                         "semidirect:5,4,2", "product:cyclic:2,sym:3"]))
+        table = np.array(g.table)
+        damage = seed % 3
+        if damage == 0:
+            r, c = rng.randrange(1, g.order), rng.randrange(1, g.order)
+            table[r, c] = (table[r, c] + rng.randrange(1, g.order)) % g.order
+        elif damage == 1:
+            r, a, b = rng.randrange(g.order), *rng.sample(range(g.order), 2)
+            table[r, [a, b]] = table[r, [b, a]]
+        else:
+            table = _intercalate_swap(table, rng)
+        want = _assoc_outcome(ref_check_table, table)
+        assert want is not None
+        assert _assoc_outcome(groups.make_group, table) == want
 
 
 def _reduced_latin_squares(n):
@@ -677,6 +717,41 @@ class TestDenseCore:
                     assert conjugating_witness(g, x, y) == brute_conjugate_witness(g, x, y)
 
 
+class TestSharedInts:
+    """Element tuples the library returns hold the group's one int object per
+    element, the objects of ``mul``'s rows, not fresh ints."""
+
+    @staticmethod
+    def _shared(g, values):
+        values = list(values)
+        return all(v is g.mul[0][v] for v in values)  # row 0 is the identity's
+
+    def test_dihedral_500(self):
+        g = parse_group_spec("dihedral:500")  # order 1000: ints above 256 are not interned
+        assert g.identity == 0
+        report = max_tss_size(g)
+        cert = report.maximal_sets[-1]
+        decs = [realized_permutations(g, c.elements) for c in report.maximal_sets[-2:]]
+        tuples = [cert.elements, cert.witnesses.values(), centralizer(g, 999),
+                  decs[0].stabilizer, decs[1].stabilizer, decs[1].kernel,
+                  decs[0].realized.values()]
+        assert all(max(t) > 256 for t in tuples[:1] + tuples[2:-1])
+        for t in tuples:
+            assert self._shared(g, t)
+        part = conjugacy_classes(g)
+        assert self._shared(g, part.class_of) and self._shared(g, part.representatives)
+        assert all(self._shared(g, cls) for cls in part.classes)
+
+    def test_certificates_and_closures(self):
+        g = parse_group_spec("dihedral:500")
+        elems = max_tss_size(g).maximal_sets[-1].elements
+        cert = tss.certify_tss(g, [int(str(x)) for x in elems])  # fresh ints in
+        assert cert.elements == elems and self._shared(g, cert.elements)
+        assert self._shared(g, tss.certify_tss(g, [999]).elements)
+        assert self._shared(g, generated_subgroup(g, [1, 999]))
+        assert all(self._shared(g, term) for term in derived_series(g).terms)
+
+
 class TestPartitionByColumnMinima:
     """``conjugacy_partition`` (least member of each orbit of conjugation by
     the generators, ranked by a cumsum) against the per-class ``np.unique``
@@ -729,8 +804,9 @@ class TestSymmetricByComposition:
 
 
 class TestLatinColumns:
-    """The column check sorts a copy of the transpose in place: the same
-    verdicts and messages as sorting the transposed view, input untouched."""
+    """The column check sorts copies of slabs of the transpose in place: the
+    same verdicts and messages as sorting the transposed view, input
+    untouched."""
 
     @pytest.mark.parametrize("spec", ["dihedral:10", "sym:4", "semidirect:7,6,3"])
     def test_row_swaps_name_the_same_column(self, spec):
@@ -746,6 +822,42 @@ class TestLatinColumns:
                 assert want is not None and want.startswith("not a Latin square: column")
                 assert _assoc_outcome(groups._check_latin, arr) == want
                 assert np.array_equal(arr, kept)
+
+    @pytest.mark.parametrize("slab,block", [(1, 1), (7, 7 * 600), (None, None)],
+                             ids=["slab-1", "slab-7", "default"])
+    def test_raw_tables_above_512_in_slabs(self, slab, block, monkeypatch):
+        # no Light's test above the raw-table cap: the checks run in their
+        # fixed order, the Latin check slab by slab and the inverse search a
+        # row block at a time, with the messages of the whole-table checks
+        if slab is not None:
+            monkeypatch.setattr(groups, "_LATIN_SLAB", slab)
+            monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+        g = parse_group_spec("dihedral:300")
+        h = groups.make_group(np.array(g.table))
+        assert not h.assoc_verified and np.array_equal(h.inv, g.inv)
+        assert h.generators == g.generators
+        rng = random.Random(slab)
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+                [4, 2, 0, 1, 3]]  # 2 * 3 = e but 3 * 2 != e
+        tables = [np.array(g.table)[np.r_[1:600, 0]],  # Latin, no identity
+                  _loop_times_group(loop, make_cyclic(103).table)]
+        for _ in range(6):
+            bad = np.array(g.table)
+            r, a, b = rng.randrange(600), *rng.sample(range(600), 2)
+            bad[r, [a, b]] = bad[r, [b, a]]
+            tables.append(bad)
+            bad = np.array(g.table)
+            bad[r, a] = (bad[r, a] + 1) % 600
+            tables.append(bad)
+        messages = []
+        for table in tables:
+            assert len(table) > groups.DEFAULT_ASSOC_CAP
+            messages.append(_assoc_outcome(groups.make_group, table))
+            assert messages[-1] == _assoc_outcome(ref_check_table, table)
+        assert messages[0] == "table has no two-sided identity"
+        assert messages[1] == "element 206 has no two-sided inverse"
+        assert all(m.startswith("not a Latin square: column") for m in messages[2::2])
+        assert all(m.startswith("not a Latin square: row") for m in messages[3::2])
 
     def test_valid_tables_pass_unchanged(self):
         for g, _ in DENSE_CORPUS:
@@ -909,6 +1021,17 @@ class TestConstructedTables:
         monkeypatch.setattr(groups, "_check_latin", refuse)
         return LatinCheckCalled
 
+    @pytest.fixture
+    def axiom_check_raises(self, monkeypatch):
+        class AxiomCheckCalled(Exception):
+            pass
+
+        def refuse(table):
+            raise AxiomCheckCalled
+
+        monkeypatch.setattr(groups, "_group_axioms", refuse)
+        return AxiomCheckCalled
+
     @pytest.mark.parametrize("spec", [
         "cyclic:1", "cyclic:12", "dihedral:1", "dihedral:7", "sym:1", "sym:4",
         "semidirect:2,1,1", "semidirect:7,3,2", "product:cyclic:1,sym:1",
@@ -918,7 +1041,24 @@ class TestConstructedTables:
         g = parse_group_spec(spec)
         assert g.table[g.identity].tolist() == list(range(g.order))
 
-    def test_tables_from_outside_are_checked(self, latin_check_raises, tmp_path):
+    def test_recorded_generators_are_checked(self):
+        # Light's test on the recorded generators, then one closure over them
+        g = make_dihedral(6)
+        table, labels = np.array(g.table), list(g.labels)
+        assert groups._built(np.array(table), labels, (1, 6), "D12").assoc_verified
+        for gens in [(1,), (2, 6), (6,), ()]:
+            with pytest.raises(GroupError, match="^the recorded generators of D12 do not "
+                                                 "generate it$"):
+                groups._built(np.array(table), labels, gens, "D12")
+        loop = _intercalate_swap(table, random.Random(12))
+        want = _assoc_outcome(ref_check_assoc, loop)
+        assert want is not None
+        assert _assoc_outcome(lambda t: groups._built(t, labels, (1, 6), "D12"), loop) == want
+        # above the cap nothing is checked, as for any constructor there
+        big = make_dihedral(300)
+        assert not groups._built(np.array(big.table), list(big.labels), (1,), "D600").assoc_verified
+
+    def test_tables_from_outside_are_checked(self, axiom_check_raises, tmp_path):
         g = make_dihedral(4)
         path = tmp_path / "d8.txt"
         path.write_text(to_cayley_table(g))
@@ -926,5 +1066,5 @@ class TestConstructedTables:
                       lambda: parse_group_spec(f"file:{path}"),
                       lambda: groups.make_group(g.table.tolist()),
                       lambda: homs.quotient_hom(g, [g.identity])):
-            with pytest.raises(latin_check_raises):
+            with pytest.raises(axiom_check_raises):
                 build()
