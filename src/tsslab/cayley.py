@@ -8,6 +8,7 @@ format, so write/parse round-trips are byte-identical modulo comments.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional
 
 import numpy as np
@@ -40,15 +41,15 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     """Parse and validate a Cayley-table document.
 
     The document is read in slabs of about ``_SLAB`` characters, each cut
-    after a newline and split by ``str.splitlines`` (``_slabs``): the order
-    line, then the row bodies of each slab, parsed by one ``np.loadtxt`` call
-    into the preallocated table, then the label lines.  Only one slab's lines
-    exist at a time.  A document that this path does not take (a bad order
-    line, too few rows, a row that ``np.loadtxt`` rejects or is not given: an
-    entry outside 0..n-1, a non-ASCII character) is read again whole by
-    ``_decode_whole``, which names its first fault; its row-by-row path takes
-    every spelling ``int`` takes (``1_0``, full-width digits), so both paths
-    accept the same tables.  Associativity is checked at every order up to the
+    after a ``\\n`` or a lone ``\\r`` and split by ``str.splitlines``
+    (``_slabs``): the order line, then the row bodies of each slab, parsed by
+    one ``np.loadtxt`` call into the preallocated table, then the label
+    lines.  Only one slab's lines exist at a time.  A document that this path
+    does not take (a bad order line, too few rows, a row that ``np.loadtxt``
+    rejects or is not given: an entry outside 0..n-1, a non-ASCII character)
+    is read again whole by ``_decode_whole``, which names its first fault; its
+    row-by-row path takes every spelling ``int`` takes (``1_0``, full-width
+    digits), so both paths accept the same tables.  Associativity is checked at every order up to the
     order cap, not only up to ``DEFAULT_ASSOC_CAP`` as for raw tables: a
     document comes from outside.
     """
@@ -62,14 +63,21 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         raise CayleyTableError(str(exc)) from exc
 
 
+# where a slab may end: after a newline, or after a carriage return that
+# does not start a \r\n pair
+_SLAB_END = re.compile(r"\n|\r(?!\n)")
+
+
 def _slabs(text: str) -> Iterator[list[tuple[int, str]]]:
     """The document in slabs of about ``_SLAB`` characters, each as the (line
     number, body) of its lines whose body, the text before any ``#``, is not
-    blank.  A slab is cut after a newline, where ``str.splitlines`` of the
-    whole text cuts too, so the lines and their numbers are the same."""
+    blank.  A slab is cut after the first ``\\n``, or ``\\r`` not followed
+    by ``\\n``, at or after ``_SLAB - 1`` characters: ``str.splitlines`` of the
+    whole text cuts there too, so the lines and their numbers are the same."""
     lineno = pos = 0
     while pos < len(text):
-        cut = text.find("\n", pos + _SLAB - 1) + 1 or len(text)
+        end = _SLAB_END.search(text, pos + _SLAB - 1)
+        cut = end.end() if end else len(text)
         bodies = []
         for lineno, line in enumerate(text[pos:cut].splitlines(), start=lineno + 1):
             body = line.partition("#")[0]

@@ -47,9 +47,10 @@ class FiniteGroup:
 
     ``table`` is the read-only order x order array, a Latin square over
     0..order-1 of dtype ``table_dtype(order)``, and ``inv`` the read-only
-    array of inverses in the same dtype.  ``mul`` (the rows of ``table`` as
-    tuples, read only by free-product word arithmetic), ``element_orders``
-    and ``conjugacy_partition`` are derived from them on first use and kept.
+    array of inverses in the same dtype.  ``mul`` and ``inverses`` (the rows
+    of ``table`` and ``inv`` as tuples, read only by free-product word
+    arithmetic), ``element_orders`` and ``conjugacy_partition`` are derived
+    from them on first use and kept.
     ``ints`` holds one int object per element, and the element tuples the
     library returns are gathered from it (``element_tuple``): the rows of
     ``mul``, the ``ConjugacyPartition`` fields, ``centralizer``,
@@ -102,6 +103,11 @@ class FiniteGroup:
         """The rows of ``table`` as tuples, for scalar lookups, each gathered
         by ``element_tuple``."""
         return tuple(self.element_tuple(row) for row in self.table)
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        """``inv`` as a tuple, for scalar lookups, gathered by ``element_tuple``."""
+        return self.element_tuple(self.inv)
 
     @cached_property
     def is_abelian(self) -> bool:

@@ -200,24 +200,29 @@ def _run_free_product(params: dict) -> SuiteInstance:
     bound = max(tss.max_tss_size(g).s_of_g, tss.max_tss_size(h).s_of_g)
     certified = 0
     biggest = 1
-    for clique in fp.fp_commuting_cliques(g, h, max_syllables):
-        verdict = fp.fp_tss_analyze(clique)
-        if not verdict.is_tss:
+    for family in fp.fp_families(g, h, max_syllables):
+        if family.roots is not None:
+            # distinct powers of one element, checked once: no clique is a TSS
+            fp.fp_check_power_family(family)
             continue
-        certified += 1
-        biggest = max(biggest, verdict.size)
-        if verdict.size > bound:
-            bad = f"TSS of size {verdict.size} > max factor bound {bound}"
-        elif verdict.classification != "factor_conjugate":
-            bad = f"certified TSS does not reduce to a factor: {verdict.classification}"
-        else:
-            continue
-        words = [fp.format_fp(w) for w in clique]
-        return SuiteInstance(
-            params, "fail", bad, counterexample={"words": words},
-            repro=f"tsslab word fp --factors '{left_spec},{right_spec}' analyze "
-                  + " ".join(f"'{w}'" for w in words),
-        )
+        for clique in fp.fp_family_cliques(family):
+            verdict = fp.fp_tss_analyze(clique)
+            if not verdict.is_tss:
+                continue
+            certified += 1
+            biggest = max(biggest, verdict.size)
+            if verdict.size > bound:
+                bad = f"TSS of size {verdict.size} > max factor bound {bound}"
+            elif verdict.classification != "factor_conjugate":
+                bad = f"certified TSS does not reduce to a factor: {verdict.classification}"
+            else:
+                continue
+            words = [fp.format_fp(w) for w in clique]
+            return SuiteInstance(
+                params, "fail", bad, counterexample={"words": words},
+                repro=f"tsslab word fp --factors '{left_spec},{right_spec}' analyze "
+                      + " ".join(f"'{w}'" for w in words),
+            )
     return SuiteInstance(
         params, "pass",
         f"ball {max_syllables}: {certified} multi-element TSS, "

@@ -11,20 +11,32 @@ Input is checked where it enters: the public ``FpWord(...)`` constructor,
 by the arithmetic here (products, inverses, cyclic cores, conjugators, roots,
 ball words) are normal by construction and skip that check.  A product of two
 normal words changes only where they meet, so ``fp_multiply`` works at the
-junction and never re-normalizes whole words.  Each word keeps its cyclic
-reduction and primitive root once computed, so every caller that sees the
-word shares one result.
+junction and never re-normalizes whole words.  The arithmetic works on
+syllable tuples (``_join``, ``_invert``, ``_reduce``, ``_root``); the FpWord
+operations wrap it, and each word keeps its cyclic reduction and primitive
+root once computed, so every caller that sees the word shares one result.
+
+A ball's commuting cliques are found one commuting family at a time
+(``fp_families``).  Each word is keyed on its syllable tuple, without an
+FpWord: a conjugate of a factor element by its conjugator, any other word by
+the lesser of its primitive root and that root's inverse.  A root family is
+checked once, by exact products (``fp_check_power_family``): its members
+commute pairwise, each is its root to its exponent, and the exponents over
+one root are distinct.  That is the rule ``fp_tss_analyze`` applies to powers,
+so none of the family's cliques is a TSS.  The cliques of a factor family are
+listed by exact commutation (``fp_family_cliques``) and analyzed one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..groups import FiniteGroup
 from ..tss import TssCertificate, certify_tss
 
 Syllable = tuple[int, int]
+Syllables = tuple[Syllable, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +139,104 @@ def _same_factors(u: FpWord, v: FpWord) -> None:
         raise ValueError("words come from different free products")
 
 
+# --- arithmetic on syllable tuples ---------------------------------------------
+# The FpWord operations below and the family pass share these; they take the
+# two factors and normal syllable tuples and return normal syllable tuples.
+
+def _join(left: FiniteGroup, right: FiniteGroup, a: Syllables, b: Syllables) -> Syllables:
+    i, j, n = len(a), 0, len(b)
+    while i and j < n:
+        tag, x = a[i - 1]
+        if tag != b[j][0]:
+            break
+        factor = right if tag else left
+        merged = factor.mul[x][b[j][1]]
+        if merged != factor.identity:
+            return a[:i - 1] + ((tag, merged),) + b[j + 1:]
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def _invert(left: FiniteGroup, right: FiniteGroup, a: Syllables) -> Syllables:
+    invs = (left.inverses, right.inverses)
+    return tuple([(tag, invs[tag][elem]) for tag, elem in reversed(a)])
+
+
+def _power(left: FiniteGroup, right: FiniteGroup, a: Syllables, k: int) -> Syllables:
+    acc = a if k else ()
+    for _ in range(k - 1):
+        acc = _join(left, right, acc, a)
+    return acc
+
+
+def _reduce(left: FiniteGroup, right: FiniteGroup, syls: Syllables) -> tuple[Syllables, Syllables]:
+    # Peeling only ever removes the front, so the conjugator is a prefix of w;
+    # the back absorbs each peeled syllable, and a merge that is not the
+    # identity leaves a core whose ends differ in factor.
+    lo, hi = 0, len(syls)
+    tail: Syllables = ()
+    while hi - lo >= 2 and syls[lo][0] == syls[hi - 1][0]:
+        tag = syls[lo][0]
+        factor = left if tag == 0 else right
+        merged = factor.mul[syls[hi - 1][1]][syls[lo][1]]
+        lo += 1
+        hi -= 1
+        if merged != factor.identity:
+            tail = ((tag, merged),)
+            break
+    return syls[lo:hi] + tail, syls[:lo]
+
+
+def _root(left: FiniteGroup, right: FiniteGroup, core: Syllables, conj: Syllables) -> tuple[Syllables, int]:
+    # Cyclically reduced words of even syllable length concatenate cleanly,
+    # so the root core is the smallest period prefix of the core.
+    size = len(core)
+    for p in range(2, size + 1, 2):
+        if size % p == 0 and core == core[:p] * (size // p):
+            root = core[:p]
+            if conj:
+                root = _join(left, right, _join(left, right, conj, root), _invert(left, right, conj))
+            return root, size // p
+    raise RuntimeError(f"no period found for {_format(core)}")  # pragma: no cover
+
+
+def _check_root(left: FiniteGroup, right: FiniteGroup, w: Syllables, root: Syllables, exp: int) -> None:
+    """The guard on every extracted root: root^exp == w by exact products."""
+    if _power(left, right, root, exp) != w:
+        raise RuntimeError(f"root extraction failed for {_format(w)}")
+
+
+def _check_commuting(left: FiniteGroup, right: FiniteGroup, words: Sequence[Syllables]) -> None:
+    for i, a in enumerate(words):
+        for b in words[i + 1:]:
+            if _join(left, right, a, b) != _join(left, right, b, a):
+                raise ValueError(f"elements do not commute: {_format(a)} and {_format(b)}")
+
+
+def _power_exponents(
+    left: FiniteGroup, right: FiniteGroup, roots: Sequence[tuple[Syllables, int]]
+) -> list[int]:
+    """The powers rule: words w_i = r_i^e_i are powers of one element when
+    every r_i is r_0 or r_0^-1.  Returns the signed exponents over r_0, which
+    must be distinct; raises RuntimeError otherwise."""
+    root = roots[0][0]
+    inv_root = _invert(left, right, root)
+    exps = []
+    for r, e in roots:
+        if r == root:
+            exps.append(e)
+        elif r == inv_root:
+            exps.append(-e)
+        else:
+            raise RuntimeError("commuting non-factor words with different roots")
+    if len(set(exps)) != len(exps):
+        raise RuntimeError("duplicate powers slipped past the distinctness check")
+    return exps
+
+
+# --- words --------------------------------------------------------------------
+
 def fp_multiply(u: FpWord, v: FpWord) -> FpWord:
     """The normal form of u v, worked out where the two words meet.
 
@@ -136,32 +246,17 @@ def fp_multiply(u: FpWord, v: FpWord) -> FpWord:
     merge, or a change of factor, ends the cascade.
     """
     _same_factors(u, v)
-    a, b = u.syllables, v.syllables
-    i, j, n = len(a), 0, len(b)
-    while i and j < n and a[i - 1][0] == b[j][0]:
-        tag = b[j][0]
-        factor = u.left if tag == 0 else u.right
-        merged = factor.mul[a[i - 1][1]][b[j][1]]
-        if merged != factor.identity:
-            return _fp_word(u.left, u.right, a[:i - 1] + ((tag, merged),) + b[j + 1:])
-        i -= 1
-        j += 1
-    return _fp_word(u.left, u.right, a[:i] + b[j:])
+    return _fp_word(u.left, u.right, _join(u.left, u.right, u.syllables, v.syllables))
 
 
 def fp_inverse(u: FpWord) -> FpWord:
-    invs = (u.left.inv, u.right.inv)
-    syls = tuple((tag, invs[tag].item(elem)) for tag, elem in reversed(u.syllables))
-    return _fp_word(u.left, u.right, syls)
+    return _fp_word(u.left, u.right, _invert(u.left, u.right, u.syllables))
 
 
 def fp_power(u: FpWord, k: int) -> FpWord:
     if k < 0:
         return fp_power(fp_inverse(u), -k)
-    acc = fp_identity(u.left, u.right)
-    for _ in range(k):
-        acc = fp_multiply(acc, u)
-    return acc
+    return _fp_word(u.left, u.right, _power(u.left, u.right, u.syllables, k))
 
 
 def fp_conjugate(h: FpWord, x: FpWord) -> FpWord:
@@ -180,61 +275,27 @@ def fp_cyclic_reduce(w: FpWord) -> tuple[FpWord, FpWord]:
     if len(syls) < 2 or syls[0][0] != syls[-1][0]:
         return w, fp_identity(w.left, w.right)
     if w._reduced is None:
-        _set_reduced(w, _cyclic_reduce(w))
+        core, conj = _reduce(w.left, w.right, syls)
+        _set_reduced(w, (_fp_word(w.left, w.right, core), _fp_word(w.left, w.right, conj)))
     return w._reduced
-
-
-def _cyclic_reduce(w: FpWord) -> tuple[FpWord, FpWord]:
-    # Peeling only ever removes the front, so the conjugator is a prefix of w;
-    # the back absorbs each peeled syllable, and a merge that is not the
-    # identity leaves a core whose ends differ in factor.
-    syls = w.syllables
-    lo, hi = 0, len(syls)
-    tail: tuple[Syllable, ...] = ()
-    while hi - lo >= 2 and syls[lo][0] == syls[hi - 1][0]:
-        tag = syls[lo][0]
-        factor = w.factor(tag)
-        merged = factor.mul[syls[hi - 1][1]][syls[lo][1]]
-        lo += 1
-        hi -= 1
-        if merged != factor.identity:
-            tail = ((tag, merged),)
-            break
-    core = _fp_word(w.left, w.right, syls[lo:hi] + tail)
-    return core, _fp_word(w.left, w.right, syls[:lo])
 
 
 def fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
     """Primitive root of a word whose core has syllable length >= 2.
 
-    Cyclically reduced words of even syllable length concatenate cleanly, so
-    the root core is the smallest period prefix.  Computed, and checked
-    against w, once per word and kept on it.
+    The root core is the smallest period prefix of the core.  Computed, and
+    checked against w, once per word and kept on it.
     """
     if w._root is None:
-        root, exp = _primitive_root(w)
+        core, conj = fp_cyclic_reduce(w)
+        if len(core) < 2:
+            raise ValueError("primitive roots are extracted for non-factor words only")
+        root, exp = _root(w.left, w.right, core.syllables, conj.syllables)
+        _check_root(w.left, w.right, w.syllables, root, exp)
         # a word that is its own root keeps no second copy of itself
-        _set_root(w, (None if root == w else root, exp))
+        _set_root(w, (None if root == w.syllables else _fp_word(w.left, w.right, root), exp))
     root, exp = w._root
     return (w if root is None else root), exp
-
-
-def _primitive_root(w: FpWord) -> tuple[FpWord, int]:
-    core, conj = fp_cyclic_reduce(w)
-    size = len(core)
-    if size < 2:
-        raise ValueError("primitive roots are extracted for non-factor words only")
-    for p in range(2, size + 1, 2):
-        if size % p != 0:
-            continue
-        if core.syllables == core.syllables[:p] * (size // p):
-            root_core = _fp_word(w.left, w.right, core.syllables[:p])
-            root = fp_multiply(fp_multiply(conj, root_core), fp_inverse(conj))
-            exp = size // p
-            if fp_power(root, exp) != w:  # pragma: no cover - sanity guard
-                raise RuntimeError(f"root extraction failed for {w}")
-            return root, exp
-    raise RuntimeError(f"no period found for {w}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -267,10 +328,7 @@ def fp_tss_analyze(words: Sequence[FpWord]) -> FpTssVerdict:
         _same_factors(first, w)
     if len(set(w.syllables for w in words)) != len(words):
         raise ValueError("candidate set has repeated elements")
-    for i, u in enumerate(words):
-        for v in words[i + 1:]:
-            if fp_multiply(u, v) != fp_multiply(v, u):
-                raise ValueError(f"elements do not commute: {u} and {v}")
+    _check_commuting(first.left, first.right, [w.syllables for w in words])
 
     if len(words) == 1:
         return FpTssVerdict(True, "singleton", 1, reason="singletons are always TSS")
@@ -314,19 +372,8 @@ def fp_tss_analyze(words: Sequence[FpWord]) -> FpTssVerdict:
         raise RuntimeError("commuting set mixes factor conjugates with infinite-order words")
 
     # Powers of a common element: extract roots and exponents for the record.
-    roots = [fp_primitive_root(w) for w in words]
-    root = roots[0][0]
-    inv_root = fp_inverse(root)
-    exps = []
-    for r, e in roots:
-        if r == root:
-            exps.append(e)
-        elif r == inv_root:
-            exps.append(-e)
-        else:  # pragma: no cover - impossible for exact-commuting input
-            raise RuntimeError("commuting non-factor words with different roots")
-    if sorted(exps) != sorted(set(exps)):  # pragma: no cover
-        raise RuntimeError("duplicate powers slipped past the distinctness check")
+    roots = [(root.syllables, exp) for root, exp in map(fp_primitive_root, words)]
+    exps = _power_exponents(first.left, first.right, roots)
     pair = {exps[0], -exps[0]}
     if set(exps) != pair or len(words) > 2:
         reason = "swap forces exponents +-k; extra powers are excluded"
@@ -341,15 +388,13 @@ def fp_tss_analyze(words: Sequence[FpWord]) -> FpTssVerdict:
     )
 
 
-def fp_ball(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[FpWord]:
-    """All words of syllable length <= max_syllables, ordered by length then
-    lexicographically by syllables."""
+def _ball(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[Syllables]:
     if max_syllables < 1:
         raise ValueError(f"max_syllables must be >= 1, got {max_syllables}")
-    out = [fp_identity(left, right)]
-    level: list[tuple[Syllable, ...]] = [()]
+    out: list[Syllables] = [()]
+    level: list[Syllables] = [()]
     for _ in range(max_syllables):
-        nxt: list[tuple[Syllable, ...]] = []
+        nxt: list[Syllables] = []
         for syls in level:
             for tag in (0, 1):
                 if syls and syls[-1][0] == tag:
@@ -360,25 +405,103 @@ def fp_ball(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[F
                         continue
                     nxt.append(syls + ((tag, elem),))
         nxt.sort()
-        out.extend(_fp_word(left, right, s) for s in nxt)
+        out.extend(nxt)
         level = nxt
     return out
 
 
-def _family_key(w: FpWord) -> tuple:
-    """Key identifying the maximal commuting context of a ball element.
+def fp_ball(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[FpWord]:
+    """All words of syllable length <= max_syllables, ordered by length then
+    lexicographically by syllables."""
+    return [_fp_word(left, right, syls) for syls in _ball(left, right, max_syllables)]
 
-    Conjugates of factor elements commute only within the same w F w^-1;
-    other words commute exactly with powers of their primitive root.
+
+# --- commuting families -------------------------------------------------------
+
+class FpFamily(NamedTuple):
+    """The members of one commuting family of a ball, as syllable tuples in
+    ball order.
+
+    Conjugates of factor elements commute only within one c F c^-1; other
+    words commute exactly with the powers of their primitive root.  A factor
+    family (``roots`` None) is keyed ("factor", tag of F, syllables of c).
+    A root family is keyed ("root", r) with r the lesser of a primitive root
+    and its inverse, and ``roots`` holds each member's root and exponent as
+    the keying found them; ``fp_check_power_family`` checks them.
     """
-    core, conj = fp_cyclic_reduce(w)
-    if len(core) <= 1:
-        tag = core.syllables[0][0]
-        return ("factor", tag, conj.syllables)
-    root, _ = fp_primitive_root(w)
-    inv_root = fp_inverse(root)
-    canon = min(root.syllables, inv_root.syllables)
-    return ("root", canon)
+
+    left: FiniteGroup
+    right: FiniteGroup
+    key: tuple
+    members: tuple[Syllables, ...]
+    roots: Optional[tuple[tuple[Syllables, int], ...]] = None
+
+
+def fp_families(left: FiniteGroup, right: FiniteGroup, max_syllables: int) -> list[FpFamily]:
+    """The commuting families of the identity-free ball, ordered by the text
+    of their keys.  Every word is keyed on its syllable tuple, with no FpWord
+    made: its cyclic reduction, and for a non-factor word its primitive root
+    and that root's inverse."""
+    members: dict[tuple, list[Syllables]] = {}
+    roots: dict[tuple, list[tuple[Syllables, int]]] = {}
+    for syls in _ball(left, right, max_syllables)[1:]:
+        core, conj = (syls, ()) if syls[0][0] != syls[-1][0] else _reduce(left, right, syls)
+        if len(core) <= 1:
+            key: tuple = ("factor", core[0][0], conj)
+        else:
+            root, exp = _root(left, right, core, conj)
+            key = ("root", min(root, _invert(left, right, root)))
+            roots.setdefault(key, []).append((root, exp))
+        members.setdefault(key, []).append(syls)
+    return [
+        FpFamily(left, right, key, tuple(members[key]),
+                 tuple(roots[key]) if key in roots else None)
+        for key in sorted(members, key=str)
+    ]
+
+
+def fp_check_power_family(family: FpFamily) -> list[int]:
+    """Check a root family by exact products: its members commute pairwise,
+    each is its recorded root to its recorded exponent, and those roots are
+    one element or its inverse with distinct signed exponents (the powers
+    rule ``fp_tss_analyze`` applies).  Returns the signed exponents; raises
+    ValueError or RuntimeError on a family that fails.
+
+    Every subset of two or more members of a family that passes is a set of
+    distinct powers of one infinite-order element, for which
+    ``fp_tss_analyze`` returns ``powers_of_common_element``, not a TSS.
+    """
+    left, right, members = family.left, family.right, family.members
+    if family.roots is None:
+        raise ValueError(f"{family.key} is not a root family")
+    _check_commuting(left, right, members)
+    for w, (root, exp) in zip(members, family.roots, strict=True):
+        _check_root(left, right, w, root, exp)
+    return _power_exponents(left, right, family.roots)
+
+
+def fp_family_cliques(family: FpFamily) -> Iterator[list[FpWord]]:
+    """The pairwise-commuting subsets of size >= 2 of a family's members, in
+    depth-first order over ball order, with commutation decided by exact
+    products."""
+    left, right, members = family.left, family.right, family.members
+    words = [_fp_word(left, right, syls) for syls in members]
+    commute = {
+        (i, j): _join(left, right, a, b) == _join(left, right, b, a)
+        for i, a in enumerate(members)
+        for j, b in enumerate(members[i + 1:], start=i + 1)
+    }
+
+    def extend(chosen: list[int], start: int) -> Iterator[list[FpWord]]:
+        if len(chosen) >= 2:
+            yield [words[i] for i in chosen]
+        for idx in range(start, len(words)):
+            if all(commute[(c, idx)] for c in chosen):
+                chosen.append(idx)
+                yield from extend(chosen, idx + 1)
+                chosen.pop()
+
+    return extend([], 0)
 
 
 def fp_commuting_cliques(
@@ -387,42 +510,23 @@ def fp_commuting_cliques(
     max_syllables: int,
 ) -> Iterator[list[FpWord]]:
     """All pairwise-commuting subsets of size >= 2 of the ball of
-    identity-free words, grouped by commuting family.
+    identity-free words, family by family (``fp_families``).
 
-    Families are factor conjugates and power families; commutation inside a
-    candidate is not assumed, it is re-verified by exact multiplication.
+    Commutation inside a candidate is not assumed from the family; it is
+    decided by exact multiplication.
     """
-    families: dict[tuple, list[FpWord]] = {}
-    for w in fp_ball(left, right, max_syllables):
-        if w.is_identity():
-            continue
-        families.setdefault(_family_key(w), []).append(w)
-    for key in sorted(families, key=str):
-        members = families[key]
-        adjacency = {
-            (i, j): fp_multiply(members[i], members[j]) == fp_multiply(members[j], members[i])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        }
-
-        def extend(chosen: list[int], start: int) -> Iterator[list[FpWord]]:
-            if len(chosen) >= 2:
-                yield [members[i] for i in chosen]
-            for idx in range(start, len(members)):
-                if all(adjacency[(c, idx)] for c in chosen):
-                    chosen.append(idx)
-                    yield from extend(chosen, idx + 1)
-                    chosen.pop()
-
-        yield from extend([], 0)
+    for family in fp_families(left, right, max_syllables):
+        yield from fp_family_cliques(family)
 
 
 def format_fp(w: FpWord) -> str:
-    if w.is_identity():
+    return _format(w.syllables)
+
+
+def _format(syls: Syllables) -> str:
+    if not syls:
         return "e"
-    return "".join(
-        f"[{'G' if tag == 0 else 'H'}:{elem}]" for tag, elem in w.syllables
-    )
+    return "".join(f"[{'G' if tag == 0 else 'H'}:{elem}]" for tag, elem in syls)
 
 
 def parse_fp(text: str, left: FiniteGroup, right: FiniteGroup) -> FpWord:

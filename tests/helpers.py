@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own algorithms: conjugacy is decided
 by naive witness search over all pairs, centralizers by direct scans.  The
-helpers that only tests call sit here too, though one of them reads the
+helpers that only tests call sit here too, though some of them read the
 library: ``factorial_divisibility`` calls ``certify_tss`` and
-``realized_permutations``.
+``realized_permutations``, and ``ref_free_product_scan`` is the free-product
+suite's clique-by-clique loop over ``fp_tss_analyze``.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from tsslab.groups import (
     table_dtype,
     _cycle_notation,
 )
+from tsslab import tss
 from tsslab.homs import (
     GeneratorImageMap,
     HomError,
@@ -38,10 +40,18 @@ from tsslab.homs import (
     _two_generator_relation,
     is_homomorphism,
 )
+from tsslab.specs import parse_group_spec
 from tsslab.tss import TssError, certify_tss, realized_permutations
 from tsslab.words.baumslag import BS_IDENTITY, BsElement, bs_ab, bs_inverse, bs_multiply
 from tsslab.words.freegroup import FreeWord, f2_reduce
-from tsslab.words.freeproduct import FpWord
+from tsslab.words.freeproduct import (
+    FpWord,
+    format_fp,
+    fp_ball,
+    fp_inverse,
+    fp_multiply,
+    fp_tss_analyze,
+)
 
 
 def conj(g: FiniteGroup, q: int, x: int) -> int:
@@ -477,6 +487,75 @@ def ref_fp_primitive_root(w: FpWord) -> tuple[FpWord, int]:
     inv_conj = [(tag, int(w.factor(tag).inv[elem])) for tag, elem in reversed(conj.syllables)]
     root = ref_fp_normalize(w.left, w.right, [*conj.syllables, *syls[:p], *inv_conj])
     return root, len(syls) // p
+
+
+def ref_fp_commuting_cliques(left: FiniteGroup, right: FiniteGroup, max_syllables: int):
+    """The pairwise-commuting subsets of size >= 2 of the identity-free ball,
+    listed one word at a time: each ``FpWord`` is keyed by its reference
+    cyclic reduction and primitive root, the families follow the text of
+    their keys, and each family's cliques are listed depth-first over an
+    adjacency of exact products."""
+    families: dict[tuple, list[FpWord]] = {}
+    for w in fp_ball(left, right, max_syllables):
+        if w.is_identity():
+            continue
+        core, conj = ref_fp_cyclic_reduce(w)
+        if len(core) <= 1:
+            key = ("factor", core.syllables[0][0], conj.syllables)
+        else:
+            root, _ = ref_fp_primitive_root(w)
+            key = ("root", min(root.syllables, fp_inverse(root).syllables))
+        families.setdefault(key, []).append(w)
+    for key in sorted(families, key=str):
+        members = families[key]
+        adjacency = {
+            (i, j): fp_multiply(members[i], members[j]) == fp_multiply(members[j], members[i])
+            for i in range(len(members))
+            for j in range(i + 1, len(members))
+        }
+
+        def extend(chosen: list[int], start: int):
+            if len(chosen) >= 2:
+                yield [members[i] for i in chosen]
+            for idx in range(start, len(members)):
+                if all(adjacency[(c, idx)] for c in chosen):
+                    chosen.append(idx)
+                    yield from extend(chosen, idx + 1)
+                    chosen.pop()
+
+        yield from extend([], 0)
+
+
+def ref_free_product_scan(params: dict):
+    """(verdict, detail, value, counterexample, repro) of the free-product
+    suite by analyzing every clique of ``ref_fp_commuting_cliques`` with
+    ``fp_tss_analyze``, root-family cliques included."""
+    left_spec, right_spec = params["left"], params["right"]
+    max_syllables = params["max_syllables"]
+    g = parse_group_spec(left_spec)
+    h = parse_group_spec(right_spec)
+    bound = max(tss.max_tss_size(g).s_of_g, tss.max_tss_size(h).s_of_g)
+    certified = 0
+    biggest = 1
+    for clique in ref_fp_commuting_cliques(g, h, max_syllables):
+        verdict = fp_tss_analyze(clique)
+        if not verdict.is_tss:
+            continue
+        certified += 1
+        biggest = max(biggest, verdict.size)
+        if verdict.size > bound:
+            bad = f"TSS of size {verdict.size} > max factor bound {bound}"
+        elif verdict.classification != "factor_conjugate":
+            bad = f"certified TSS does not reduce to a factor: {verdict.classification}"
+        else:
+            continue
+        words = [format_fp(w) for w in clique]
+        repro = (f"tsslab word fp --factors '{left_spec},{right_spec}' analyze "
+                 + " ".join(f"'{w}'" for w in words))
+        return "fail", bad, None, {"words": words}, repro
+    detail = (f"ball {max_syllables}: {certified} multi-element TSS, "
+              f"largest {biggest} <= max factor bound {bound}")
+    return "pass", detail, biggest, None, None
 
 
 def ref_f2_multiply(u: FreeWord, v: FreeWord) -> FreeWord:

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from tsslab import cayley
@@ -239,6 +240,10 @@ DOCUMENTS = _canonical_documents() + [
     Z12.replace("\n6 7", "\n# a comment line between rows\n\n6 7"),
     # line numbers after \r\n and after a slab cut
     (Z3 + "label 1 g\nlabel x e\n").replace("\n", "\r\n"),
+    # ... and after lone \r, and \r beside \r\n
+    (Z3 + "label 1 g\nlabel x e\n").replace("\n", "\r"),
+    _with_row(Z12, 11, "11 0 1 2 3 4 5 6 7 8 9 12").replace("\n", "\r"),
+    "3\r0 1 2\r\n1 2 0\r\r\n2 0 1\rlabel 3 e\r\n",
     # a missing last row in a document long enough to hold it
     "\n".join(Z12.splitlines()[:12]) + "\n# " + "x" * 400 + "\n",
     # rows split across default slabs by two comment lines of a slab each
@@ -333,6 +338,10 @@ def test_one_loadtxt_call_per_slab_of_rows(monkeypatch):
     calls.clear()
     from_cayley_table(Z12)
     assert calls == [12]
+    for ending in ("\r", "\r\n"):  # a slab is cut after a lone \r too
+        calls.clear()
+        from_cayley_table(SPLIT.replace("\n", ending))
+        assert calls == [3, 6, 3]
 
 
 def test_order_line_alone_allocates_no_table():
@@ -360,3 +369,39 @@ def test_decode_holds_one_slab_beside_the_table(monkeypatch):
         tracemalloc.stop()
     assert table.shape == (600, 600)
     assert peak - table.nbytes < 6 * cayley._SLAB
+
+
+@pytest.mark.parametrize("ending", ["\r", "\r\n"])
+def test_line_ends_decode_alike_within_the_newline_bound(ending, monkeypatch):
+    # a document whose lines end in \r alone is cut into slabs like one with
+    # \n: the same table and labels, and one slab beside the table
+    text = to_cayley_table(make_dihedral(500))  # 4.4 million characters
+    monkeypatch.setattr(cayley, "make_group", lambda table, labels, **kwargs: (table, labels))
+    decoded = {}
+    for end in ("\n", ending):
+        doc = text.replace("\n", end)
+        tracemalloc.start()
+        try:
+            table, labels = from_cayley_table(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes < 6 * cayley._SLAB
+        decoded[end] = table, labels
+    assert np.array_equal(decoded[ending][0], decoded["\n"][0])
+    assert decoded[ending][1] == decoded["\n"][1] and len(decoded["\n"][1]) == 1000
+
+
+@pytest.mark.parametrize("slab", [1, 1 << 18])
+@pytest.mark.parametrize("text", [
+    (Z3 + "label 1 g\nlabel x e\n"),
+    _with_row(Z12, 11, "11 0 1 2 3 4 5 6 7 8 9 12"),
+    _with_row(Z12, 4, "4 5 6"),
+    Z12.replace("\n3 4", "\n#" + "x" * 300 + "\n3 4") + "note 1 g\n",
+], ids=range(4))
+def test_lone_cr_keeps_error_line_numbers(text, slab, monkeypatch):
+    monkeypatch.setattr(cayley, "_SLAB", slab)
+    want = _outcome(from_cayley_table, text)
+    assert want[0] == "error" and want[2] is not None
+    for ending in ("\r", "\r\n"):
+        assert _outcome(from_cayley_table, text.replace("\n", ending)) == want

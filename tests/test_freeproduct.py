@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tsslab import tss, verify
 from tsslab.groups import make_cyclic, make_dihedral, make_symmetric
+from tsslab.specs import parse_group_spec
 from tsslab.tss import max_tss_size
 from tsslab.words.freeproduct import (
     FpWord,
@@ -13,7 +15,10 @@ from tsslab.words.freeproduct import (
     fp_ball,
     fp_commuting_cliques,
     fp_conjugate,
+    fp_check_power_family,
     fp_cyclic_reduce,
+    fp_families,
+    fp_family_cliques,
     fp_from_syllables,
     fp_identity,
     fp_inverse,
@@ -27,11 +32,14 @@ from tsslab.words.freeproduct import (
 from tsslab.groups import GroupError
 
 from helpers import (
+    ref_free_product_scan,
+    ref_fp_commuting_cliques,
     ref_fp_cyclic_reduce,
     ref_fp_multiply,
     ref_fp_primitive_root,
 )
 
+Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
 Z3B = make_cyclic(3)
 D8 = make_dihedral(4)
@@ -208,31 +216,35 @@ class TestBallAndCliques:
         assert len(fp_ball(Z3, Z3B, 3)) == 29
 
     def test_family_cliques_match_exact_graph(self):
-        # oracle: exact pairwise-commutation graph on the Z3 * Z3 ball
-        ball = [w for w in fp_ball(Z3, Z3B, 3) if not w.is_identity()]
-        commuting = {
-            (i, j)
-            for i, u in enumerate(ball)
-            for j, v in enumerate(ball)
-            if i < j and fp_multiply(u, v) == fp_multiply(v, u)
-        }
+        # oracle: exact pairwise-commutation graph on the Z3 * Z3 ball, and on
+        # the non-abelian mixed D8 * Z2 ball of 79 words
+        for left, right, words in ((Z3, Z3B, 29), (D8, Z2, 79)):
+            ball = fp_ball(left, right, 3)
+            assert len(ball) == words
+            ball = [w for w in ball if not w.is_identity()]
+            commuting = {
+                (i, j)
+                for i, u in enumerate(ball)
+                for j, v in enumerate(ball)
+                if i < j and fp_multiply(u, v) == fp_multiply(v, u)
+            }
 
-        def cliques(chosen, start, out):
-            if len(chosen) >= 2:
-                out.append(tuple(sorted(ball[i].syllables for i in chosen)))
-            for idx in range(start, len(ball)):
-                if all((min(c, idx), max(c, idx)) in commuting for c in chosen):
-                    chosen.append(idx)
-                    cliques(chosen, idx + 1, out)
-                    chosen.pop()
+            def cliques(chosen, start, out):
+                if len(chosen) >= 2:
+                    out.append(tuple(sorted(ball[i].syllables for i in chosen)))
+                for idx in range(start, len(ball)):
+                    if all((min(c, idx), max(c, idx)) in commuting for c in chosen):
+                        chosen.append(idx)
+                        cliques(chosen, idx + 1, out)
+                        chosen.pop()
 
-        exact: list = []
-        cliques([], 0, exact)
-        family = [
-            tuple(sorted(w.syllables for w in clique))
-            for clique in fp_commuting_cliques(Z3, Z3B, 3)
-        ]
-        assert sorted(exact) == sorted(family)
+            exact: list = []
+            cliques([], 0, exact)
+            family = [
+                tuple(sorted(w.syllables for w in clique))
+                for clique in fp_commuting_cliques(left, right, 3)
+            ]
+            assert sorted(exact) == sorted(family)
 
     def test_no_tss_beyond_factor_bound(self):
         bound = max(max_tss_size(Z3).s_of_g, max_tss_size(Z3B).s_of_g)
@@ -425,3 +437,116 @@ class TestBallSize:
 
     def test_one_syllable_ball(self):
         assert len(fp_ball(D8, S3, 1)) == 1 + 7 + 5
+
+
+def _suite_instance(params):
+    inst = verify._run_free_product(params)
+    return inst.verdict, inst.detail, inst.value, inst.counterexample, inst.repro
+
+
+def _syllables(cliques):
+    return [[w.syllables for w in clique] for clique in cliques]
+
+
+SMALL_FACTORS = ["cyclic:2", "cyclic:3", "dihedral:3", "dihedral:4", "sym:3"]
+
+
+class TestFamiliesAgainstTheCliqueScan:
+    """The suite checks root families once and analyzes factor cliques; the
+    reference analyzes every clique of the word-by-word listing."""
+
+    @pytest.mark.parametrize("left,right", itertools.product(SMALL_FACTORS, repeat=2))
+    def test_every_small_pair_at_balls_1_to_3(self, left, right):
+        g, h = parse_group_spec(left), parse_group_spec(right)
+        for n in (1, 2, 3):
+            params = {"left": left, "right": right, "max_syllables": n}
+            assert _suite_instance(params) == ref_free_product_scan(params)
+            assert (_syllables(fp_commuting_cliques(g, h, n))
+                    == _syllables(ref_fp_commuting_cliques(g, h, n)))
+
+    @pytest.mark.parametrize("left,right,n,value", [
+        ("cyclic:3", "cyclic:3", 4, 1),
+        ("dihedral:4", "sym:3", 4, 2),
+        ("cyclic:3", "sym:4", 3, 3),  # the S4 Klein triple
+    ])
+    def test_default_grid_and_a_size_3_tss(self, left, right, n, value):
+        params = {"left": left, "right": right, "max_syllables": n}
+        got = _suite_instance(params)
+        assert got == ref_free_product_scan(params)
+        assert got[0] == "pass" and got[2] == value
+        g, h = parse_group_spec(left), parse_group_spec(right)
+        assert (_syllables(fp_commuting_cliques(g, h, n))
+                == _syllables(ref_fp_commuting_cliques(g, h, n)))
+
+    @pytest.mark.parametrize("left,right,n", [
+        ("dihedral:4", "sym:3", 3), ("cyclic:3", "sym:4", 3), ("sym:3", "dihedral:3", 2),
+    ])
+    def test_same_first_counterexample_under_a_lowered_bound(self, left, right, n, monkeypatch):
+        low = tss.max_tss_size(make_cyclic(2))
+        monkeypatch.setattr(tss, "max_tss_size", lambda g, *args, **kwargs: low)
+        params = {"left": left, "right": right, "max_syllables": n}
+        got = _suite_instance(params)
+        assert got[0] == "fail" and got == ref_free_product_scan(params)
+
+
+class TestRootFamilies:
+    def test_every_root_family_clique_is_powers_of_one_element(self):
+        families = fp_families(D8, S3, 4)
+        kinds = {"factor": 0, "root": 0}
+        cliques = {"factor": 0, "root": 0}
+        for family in families:
+            kind = "factor" if family.roots is None else "root"
+            assert family.key[0] == kind
+            kinds[kind] += 1
+            for clique in fp_family_cliques(family):
+                cliques[kind] += 1
+                if kind == "root":
+                    verdict = fp_tss_analyze(clique)
+                    assert verdict.classification == "powers_of_common_element"
+                    assert not verdict.is_tss
+        assert sum(len(f.members) for f in families) == 2952
+        assert kinds == {"factor": 14, "root": 1400}
+        assert cliques == {"factor": 80, "root": 1750}
+
+    def test_checked_exponents_are_the_powers_of_the_first_root(self):
+        for family in fp_families(D8, S3, 4):
+            if family.roots is None:
+                continue
+            exps = fp_check_power_family(family)
+            root = family.roots[0][0]
+            for w, k in zip(family.members, exps):
+                assert fp_power(FpWord(D8, S3, root), k).syllables == w
+
+    def _root_family(self, size):
+        return next(f for f in fp_families(D8, S3, 4) if f.roots and len(f.members) == size)
+
+    def test_merged_root_families_fail_the_check(self):
+        a, b = [f for f in fp_families(D8, S3, 4) if f.roots][:2]
+        merged = a._replace(members=a.members + b.members, roots=a.roots + b.roots)
+        with pytest.raises(ValueError, match="^elements do not commute"):
+            fp_check_power_family(merged)
+
+    def test_a_member_that_is_not_its_roots_power_fails_the_check(self):
+        family, other = [f for f in fp_families(D8, S3, 4) if f.roots][:2]
+        swapped = family._replace(members=other.members[:1], roots=family.roots[:1])
+        with pytest.raises(RuntimeError, match="^root extraction failed for "):
+            fp_check_power_family(swapped)
+
+    def test_a_root_that_is_not_the_familys_fails_the_check(self):
+        # v^2 recorded as its own root: a true power, but of another element
+        family = self._root_family(4)
+        planted = tuple((w, 1) if e == 2 else (r, e)
+                        for w, (r, e) in zip(family.members, family.roots))
+        with pytest.raises(RuntimeError, match="different roots"):
+            fp_check_power_family(family._replace(roots=planted))
+
+    def test_repeated_exponents_fail_the_check(self):
+        family = self._root_family(2)
+        twice = family._replace(members=family.members[:1] * 2, roots=family.roots[:1] * 2)
+        with pytest.raises(RuntimeError, match="duplicate powers"):
+            fp_check_power_family(twice)
+
+    def test_factor_families_are_not_checked_as_powers(self):
+        family = next(f for f in fp_families(D8, S3, 2) if f.roots is None)
+        with pytest.raises(ValueError, match="is not a root family"):
+            fp_check_power_family(family)

@@ -10,6 +10,8 @@ library's own searches stay correct.
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
 from tsslab import tss, verify
 from tsslab.specs import parse_group_spec
 from tsslab.tss import StabilizerDecomposition, TssCertificate
@@ -164,3 +166,18 @@ class TestFreeProduct:
             "fail", "certified TSS does not reduce to a factor: powers",
             {"words": ["[G:1]", "[G:3]"]},
             "tsslab word fp --factors 'dihedral:4,cyclic:2' analyze '[G:1]' '[G:3]'")
+
+    def test_root_family_that_fails_its_check(self, monkeypatch):
+        # two root families merged into one: the suite raises, it does not pass
+        real = verify.fp.fp_families
+
+        def merged(*args):
+            families = real(*args)
+            i = next(i for i, f in enumerate(families) if f.roots is not None)
+            a, b = families[i:i + 2]
+            both = a._replace(members=a.members + b.members, roots=a.roots + b.roots)
+            return families[:i] + [both] + families[i + 2:]
+
+        plant(monkeypatch, "fp", fp_families=merged)
+        with pytest.raises(ValueError, match="^elements do not commute: "):
+            run("free-product", {**self.PARAMS, "max_syllables": 2})
