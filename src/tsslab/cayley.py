@@ -41,20 +41,17 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     """Parse and validate a Cayley-table document.
 
     The document is read in slabs of about ``_SLAB`` characters, each cut
-    after a ``\\n`` or a lone ``\\r`` and split by ``str.splitlines``
-    (``_slabs``): the order line, then the row bodies of each slab, parsed by
-    one ``np.loadtxt`` call into the preallocated table, then the label
-    lines.  Only one slab's lines exist at a time.  A document that this path
-    does not take (a bad order line, too few rows, a row that ``np.loadtxt``
-    rejects or is not given: an entry outside 0..n-1, a non-ASCII character)
-    is read again whole by ``_decode_whole``, which names its first fault; its
-    row-by-row path takes every spelling ``int`` takes (``1_0``, full-width
-    digits), so both paths accept the same tables.  Associativity is checked at every order up to the
-    order cap, not only up to ``DEFAULT_ASSOC_CAP`` as for raw tables: a
-    document comes from outside.
+    after a line break and split by ``str.splitlines`` (``_slabs``): the
+    order line, then the row bodies of each slab, parsed by one
+    ``np.loadtxt`` call into the preallocated table, then the label lines.
+    Only one slab's lines exist at a time.  A slab whose rows ``np.loadtxt``
+    rejects or is not given (an entry outside 0..n-1, a non-ASCII character)
+    is read row by row, which names its first fault and takes every spelling
+    ``int`` takes (``1_0``, full-width digits).  Associativity is checked at
+    every order up to the order cap, not only up to ``DEFAULT_ASSOC_CAP`` as
+    for raw tables: a document comes from outside.
     """
-    decoded = _decode_slabs(text)
-    table, labels = decoded if decoded is not None else _decode_whole(text)
+    table, labels = _decode_slabs(text)
     try:
         return make_group(table, labels=labels, name=name, assoc_cap=DEFAULT_ORDER_CAP)
     except CayleyTableError:
@@ -63,17 +60,17 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
         raise CayleyTableError(str(exc)) from exc
 
 
-# where a slab may end: after a newline, or after a carriage return that
-# does not start a \r\n pair
-_SLAB_END = re.compile(r"\n|\r(?!\n)")
+# where a slab may end: after a line break of str.splitlines, a carriage
+# return only where it does not start a \r\n pair
+_SLAB_END = re.compile(r"[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]|\r(?!\n)")
 
 
 def _slabs(text: str) -> Iterator[list[tuple[int, str]]]:
     """The document in slabs of about ``_SLAB`` characters, each as the (line
     number, body) of its lines whose body, the text before any ``#``, is not
-    blank.  A slab is cut after the first ``\\n``, or ``\\r`` not followed
-    by ``\\n``, at or after ``_SLAB - 1`` characters: ``str.splitlines`` of the
-    whole text cuts there too, so the lines and their numbers are the same."""
+    blank.  A slab is cut after the first line break (``_SLAB_END``) at or
+    after ``_SLAB - 1`` characters: ``str.splitlines`` of the whole text cuts
+    there too, so the lines and their numbers are the same."""
     lineno = pos = 0
     while pos < len(text):
         end = _SLAB_END.search(text, pos + _SLAB - 1)
@@ -87,66 +84,51 @@ def _slabs(text: str) -> Iterator[list[tuple[int, str]]]:
         pos = cut
 
 
-def _decode_slabs(text: str) -> Optional[tuple[np.ndarray, Optional[list[str]]]]:
-    """The table and labels of a document read slab by slab, or None when
-    the order line is bad or above the order cap, a slab's rows need the
-    row-by-row path, or rows are missing."""
-    n = None
-    labels: Optional[list[str]] = None
+def _decode_slabs(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
+    """The table and labels of a document read slab by slab; raises
+    ``CayleyTableError`` naming the first fault: the order line, then too
+    few rows, then the first bad row, then the label lines.  A bad row is
+    raised once every row is counted, and the table is allocated only when
+    the text can hold it."""
+    n = table = fault = labels = None
+    r = 0
     for bodies in _slabs(text):
         if n is None:
             if not bodies:
                 continue
-            head = bodies[0][1].split()
+            lineno, head = bodies[0][0], bodies[0][1].split()
             if len(head) != 1 or not head[0].isdecimal():
-                return None
-            n, r = int(head[0]), 0
+                raise CayleyTableError("first line must hold the group order", line=lineno)
+            n = int(head[0])
+            if n < 1:
+                raise CayleyTableError("group order must be >= 1", line=lineno)
             # n rows of n entries take at least n(2n - 1) characters, so the
-            # table allocated before they are read is no larger than the text
-            if not 1 <= n <= DEFAULT_ORDER_CAP or len(text) < n * (2 * n - 1):
-                return None
-            table = np.empty((n, n), dtype=table_dtype(n))
+            # table allocated before they are read is no larger than the text;
+            # a shorter text has a short row or too few rows
+            if len(text) >= n * (2 * n - 1):
+                table = np.empty((n, n), dtype=table_dtype(n))
             bodies = bodies[1:]
-        rows = [body for _, body in bodies[:n - r]]
-        if rows:
-            block = _parse_block(rows, n)
-            if block is None:
-                return None
-            table[r:r + len(rows)] = block
-            r += len(rows)
-        labels = _parse_labels(bodies[len(rows):], n, labels)
-    if n is None or r < n:
-        return None
-    return table, labels
-
-
-def _decode_whole(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
-    """The table and labels of a document from all its lines at once; raises
-    ``CayleyTableError`` naming the first fault."""
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body))
-
-    if not rows:
+        rows = bodies[:n - r]
+        if rows and fault is None:
+            try:
+                block = _parse_block([body for _, body in rows], n)
+                if block is None:
+                    block = [_parse_row(body.split(), n, line, i)
+                             for i, (line, body) in enumerate(rows, start=r)]
+                if table is not None:
+                    table[r:r + len(rows)] = block
+            except CayleyTableError as exc:
+                fault = exc
+        r += len(rows)
+        if fault is None:
+            labels = _parse_labels(bodies[len(rows):], n, labels)
+    if n is None:
         raise CayleyTableError("empty table document")
-    lineno, body = rows[0]
-    head = body.split()
-    if len(head) != 1 or not head[0].isdecimal():
-        raise CayleyTableError("first line must hold the group order", line=lineno)
-    n = int(head[0])
-    if n < 1:
-        raise CayleyTableError("group order must be >= 1", line=lineno)
-    if len(rows) < 1 + n:
-        raise CayleyTableError(f"expected {n} table rows, found {len(rows) - 1}")
-
-    table = _parse_block([body for _, body in rows[1:1 + n]], n)
-    if table is None:
-        table = np.empty((n, n), dtype=table_dtype(n))
-        for r, (lineno, body) in enumerate(rows[1:1 + n]):
-            table[r] = _parse_row(body.split(), n, lineno, r)
-    return table, _parse_labels(rows[1 + n:], n, None)
+    if r < n:
+        raise CayleyTableError(f"expected {n} table rows, found {r}")
+    if fault is not None:
+        raise fault
+    return table, labels
 
 
 def _parse_labels(bodies: list[tuple[int, str]], n: int,

@@ -25,7 +25,8 @@ DEFAULT_ASSOC_CAP = 512
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_SYMMETRIC_CAP = 8
 # Entries per block of the gathers in Light's test and in the homomorphism
-# checks: a single block up to order 512.
+# checks (a single block up to order 512), and of the index arrays of the
+# commuting graph's build.
 _ASSOC_BLOCK = 1 << 18
 # Rows, and columns, per slab of the Latin check, which sorts a slab at a time.
 _LATIN_SLAB = 256
@@ -49,8 +50,9 @@ class FiniteGroup:
     0..order-1 of dtype ``table_dtype(order)``, and ``inv`` the read-only
     array of inverses in the same dtype.  ``mul`` and ``inverses`` (the rows
     of ``table`` and ``inv`` as tuples, read only by free-product word
-    arithmetic), ``element_orders`` and ``conjugacy_partition`` are derived
-    from them on first use and kept.
+    arithmetic), ``element_orders``, ``conjugacy_partition`` and the
+    commuting graph that the TSS levels and the homomorphism search read
+    (``_commuting_graph``) are derived from them on first use and kept.
     ``ints`` holds one int object per element, and the element tuples the
     library returns are gathered from it (``element_tuple``): the rows of
     ``mul``, the ``ConjugacyPartition`` fields, ``centralizer``,
@@ -166,8 +168,67 @@ class FiniteGroup:
             representatives=self.element_tuple(np.flatnonzero(is_rep)),
         )
 
+    @cached_property
+    def _commuting_graph(self) -> _CommutingGraph:
+        """The class layout and commuting rows of ``_CommutingGraph``, built on
+        first use and kept.  A stable argsort of ``class_of`` lays the classes
+        out; then each unordered pair of class members x, y is compared once,
+        xy = yx, and each edge found is entered in both rows: one sort of the
+        keys row n + column, the diagonal included, makes the rows.  A pair
+        takes about eight index entries, so a block of about
+        ``_ASSOC_BLOCK // 8`` pairs holds about ``_ASSOC_BLOCK`` of them."""
+        t, n = self.table, self.order
+        class_of = np.array(self.conjugacy_partition.class_of, dtype=np.intp)
+        members = class_of.argsort(kind="stable")
+        sizes = np.bincount(class_of)
+        class_end = sizes.cumsum()[class_of]
+        class_start = class_end - sizes[class_of]
+        # layout position p pairs with the positions after it in its class
+        at = np.arange(n)
+        keys = [at * (n + 1)]
+        for p, y in _candidate_blocks(members, at + 1, class_end[members] - at - 1,
+                                      _ASSOC_BLOCK // 8):
+            x = members[p]
+            hit = t[x, y] == t[y, x]
+            x, y = x[hit], y[hit]
+            keys += [x * n + y, y * n + x]
+        keys = np.concatenate(keys)
+        keys.sort(kind="stable")  # a merge sort, along the ascending runs of keys
+        bounds = keys.searchsorted(np.arange(n + 1) * n)
+        return _CommutingGraph(
+            members=members.astype(t.dtype),
+            class_start=class_start,
+            class_end=class_end,
+            rows=(keys % n).astype(t.dtype),
+            row_start=bounds[:-1],
+            row_end=bounds[1:],
+            row_self=keys.searchsorted(at * (n + 1)),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+@dataclass(frozen=True)
+class _CommutingGraph:
+    """The conjugacy classes laid out one after another, and the graph on each
+    class in which every TSS is a clique: x -- y when they commute.
+
+    ``members`` holds the classes' members class by class, ascending within
+    each, and x's class is ``members[class_start[x]:class_end[x]]``.  Row x,
+    ``rows[row_start[x]:row_end[x]]``, holds the members of x's class that
+    commute with x, ascending, x included at ``row_self[x]``.  ``members`` and
+    ``rows`` are in the dtype of ``table``; the row of x lies in C_G(x), so it
+    has at most |G| / |class(x)| entries.
+    """
+
+    members: np.ndarray
+    class_start: np.ndarray
+    class_end: np.ndarray
+    rows: np.ndarray
+    row_start: np.ndarray
+    row_end: np.ndarray
+    row_self: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -390,6 +451,34 @@ def _row_blocks(rows: int, width: int) -> Iterator[slice]:
     for rows of ``width`` entries each."""
     step = max(1, _ASSOC_BLOCK // width)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _candidate_blocks(
+    pool: np.ndarray, first: np.ndarray, count: np.ndarray, block: int,
+    weight: Optional[np.ndarray] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The candidates of a level's parents, block by block.
+
+    Parent p's candidates are ``pool[first[p]:first[p] + count[p]]``.  A block
+    holds the candidates of consecutive parents whose weights (by default
+    their counts) sum to about ``block``, and those of at least one parent, as
+    two flat arrays: each candidate's parent and the candidate itself, parents
+    ascending and each parent's candidates in pool order.
+    """
+    total = np.cumsum(count)
+    ends = total if weight is None else np.cumsum(weight)
+    lo = 0
+    while lo < len(count):
+        done = total[lo - 1] if lo else 0
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(start + block, side="right")))
+        # parent p's candidates start at total[p - 1] - done in the flat arrays;
+        # the frame keeps no reference to the block while it is out
+        n_cand = count[lo:hi]
+        shift = first[lo:hi] - (total[lo:hi] - n_cand - done)
+        yield (np.arange(lo, hi, dtype=np.int32).repeat(n_cand),
+               pool[np.arange(total[hi - 1] - done) + shift.repeat(n_cand)])
+        lo = hi
 
 
 def _light_failure(mul: np.ndarray, y: int) -> Optional[tuple[int, int]]:

@@ -22,19 +22,14 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     GroupError,
+    _candidate_blocks,
     _conjugates,
     _row_blocks,
+    conjugacy_classes,
     generated_subgroup,
     make_group,
 )
-from .tss import (
-    TssCertificate,
-    TssError,
-    _candidate_blocks,
-    _class_layout,
-    certify_tss,
-    max_tss_size,
-)
+from .tss import TssCertificate, TssError, certify_tss, max_tss_size
 
 # Candidates per block of the homomorphism search: half the TSS search's
 # block, because this search holds one block's children at every generator
@@ -190,52 +185,6 @@ def _image_map(pres: Presentation, target: FiniteGroup,
     return m
 
 
-def _commuting_pools(
-    table: np.ndarray, members: np.ndarray, class_start: np.ndarray, class_size: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The commuting pools of a group, built on first request: x's pool is
-    the members of x's class y with xy = yx, ascending.
-
-    The returned function takes an array of elements and returns the pools
-    built so far, back to back in one array, and each element's first
-    position and count in it.  The pools it lacks are built first, from the
-    class layout (``members`` with each element's ``class_start`` and
-    ``class_size`` there), by the table comparison of the commutator filter,
-    in blocks of about ``_BLOCK`` pairs.
-    """
-    first = count = None  # allocated by the first request
-    data, used = members[:0], 0
-
-    def pools(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        nonlocal first, count, data, used
-        if count is None:
-            first = np.zeros(len(table), dtype=np.intp)
-            count = np.zeros(len(table), dtype=np.intp)  # 0 until built: x is in its own pool
-        missing = x[count[x] == 0]
-        if len(missing):
-            new = np.flatnonzero(np.bincount(missing, minlength=len(table)))
-            kept, owner = [], []
-            for idx, cand in _candidate_blocks(members, class_start[new], class_size[new],
-                                               _BLOCK):
-                y = new[idx]
-                commuting = table[y, cand] == table[cand, y]
-                kept.append(cand[commuting])
-                owner.append(idx[commuting])
-            sizes = np.bincount(np.concatenate(owner), minlength=len(new))
-            first[new] = used + np.cumsum(sizes) - sizes
-            count[new] = sizes
-            size = used + int(sizes.sum())
-            if size > len(data):  # a new array; the blocks still out keep the old one
-                grown = np.empty(max(size, 2 * len(data)), dtype=data.dtype)
-                grown[:used] = data[:used]
-                data = grown
-            data[used:size] = np.concatenate(kept)
-            used = size
-        return data, first[x], count[x]
-
-    return pools
-
-
 def enumerate_homs(
     pres: Presentation,
     target: FiniteGroup,
@@ -253,8 +202,9 @@ def enumerate_homs(
     x, ascending; an untied generator draws from every element.  When that
     earliest generator is also a commutator partner (every Artin generator
     from sigma_3 on), the generator draws from x's commuting pool instead: the
-    members of x's class that commute with x, built once per x on first use
-    (``_commuting_pools``).  A commutator relator keeps only the candidates
+    members of x's class that commute with x, x's row of the target's
+    commuting graph (``FiniteGroup._commuting_graph``, built once per group
+    and shared with the TSS levels).  A commutator relator keeps only the candidates
     that commute with the earlier generator's image; a block's remaining
     partners are compared in one stacked gather, ``table[y, cand] ==
     table[cand, y]`` over the partner images y of each candidate's row.  A
@@ -312,14 +262,9 @@ def enumerate_homs(
         commutes_with[j] = partners[partners != earliest[j]] if pooled[j] else partners
 
     table = target.table
-    members, _, class_end = _class_layout(target)
-    members = members.astype(table.dtype)  # images are held in the table's dtype
-    class_size = np.bincount(class_end)[class_end]
-    class_start = class_end - class_size
-    pools = _commuting_pools(table, members, class_start, class_size)
-    everything = np.arange(target.order, dtype=table.dtype)
-    # each class's first member in the layout is its least, its representative
-    first_pool = members[np.unique(class_start)] if first_image_up_to_conjugacy else everything
+    everything = np.arange(target.order, dtype=table.dtype)  # images in the table's dtype
+    first_pool = (np.array(conjugacy_classes(target).representatives, dtype=table.dtype)
+                  if first_image_up_to_conjugacy else everything)
     nodes = found = 0
 
     def candidates(rows: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
@@ -329,10 +274,13 @@ def enumerate_homs(
             count = np.array([len(first_pool)])
             return first_pool, np.zeros(1, dtype=np.intp), count, count
         if earliest[level] < level:
+            graph = target._commuting_graph
             x = rows[:, earliest[level]]
+            size = graph.class_end[x] - graph.class_start[x]
             if pooled[level]:
-                return (*pools(x), class_size[x])
-            return members, class_start[x], class_size[x], class_size[x]
+                start = graph.row_start[x]
+                return graph.rows, start, graph.row_end[x] - start, size
+            return graph.members, graph.class_start[x], size, size
         count = np.full(len(rows), target.order)
         return everything, np.zeros(len(rows), dtype=np.intp), count, count
 

@@ -7,7 +7,10 @@ Sym(S), and adjacent transpositions generate it.
 
 One level-wise search, ``tss_by_size``, produces every certified TSS one size
 at a time; ``enumerate_tss`` and ``max_tss_size`` read its levels as arrays
-(``_levels``) and certify only the level they return.  A level is
+(``_levels``) and certify only the level they return.  Every TSS is a
+clique of the group's commuting graph (``FiniteGroup._commuting_graph``, kept
+on the group and shared with the homomorphism search), and a set's candidates
+are read from its rows.  A level is
 held as an array of sorted rows and the next one is built from all of it at
 once: candidates, commutation filters, witnesses and the orbit minima of
 ``dedup_up_to_conjugacy`` are array operations on blocks of parents or sets,
@@ -26,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError, _conjugates, conjugacy_classes
+from .groups import FiniteGroup, GroupError, _candidate_blocks, _conjugates, conjugacy_classes
 
 # Block size of the level search and of dedup_up_to_conjugacy: a block of
 # parents has about this many candidates, and a block of sets gathers about
@@ -174,14 +177,11 @@ def _levels(g: FiniteGroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """
     level = np.arange(g.order, dtype=np.intp)[:, None]
     witnesses = np.empty((g.order, 0), dtype=np.intp)
-    layout = None
     while len(level):
         yield level, witnesses
         if g.order % math.factorial(level.shape[1] + 1) != 0:
             return
-        if layout is None:
-            layout = _class_layout(g)
-        level, witnesses = _extend(g, level, *layout)
+        level, witnesses = _extend(g, level)
 
 
 def _certificates(g: FiniteGroup, level: np.ndarray, witnesses: np.ndarray) -> list[TssCertificate]:
@@ -191,36 +191,24 @@ def _certificates(g: FiniteGroup, level: np.ndarray, witnesses: np.ndarray) -> l
             for elems, wits in zip(g.ints[level].tolist(), g.ints[witnesses].tolist())]
 
 
-def _class_layout(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes' members, class by class and ascending within each, and for
-    each element x its position in that array and the end of its class there."""
-    part = conjugacy_classes(g)
-    members = np.fromiter(itertools.chain.from_iterable(part.classes), dtype=np.intp,
-                          count=g.order)
-    position = np.empty(g.order, dtype=np.intp)
-    position[members] = np.arange(g.order)
-    sizes = np.array([len(cls) for cls in part.classes], dtype=np.intp)
-    class_end = np.cumsum(sizes)[np.array(part.class_of, dtype=np.intp)]
-    return members, position, class_end
-
-
-def _extend(g: FiniteGroup, level: np.ndarray, members: np.ndarray, position: np.ndarray,
-            class_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _extend(g: FiniteGroup, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Level k+1 and its witnesses from level k.
 
-    Every member of a parent lies in the class of its last member x, so the
-    parent's candidates are the members after x in ``members`` up to the end
-    of that class: all larger class members, none for a class of size 1.
-    Parents are taken in order and their candidates in ascending order, so the
-    extensions come out lexicographically sorted.
+    Every member of a parent lies in the class of its last member x and
+    commutes with x, so the parent's candidates are the entries after x in
+    x's row of the group's commuting graph (``FiniteGroup._commuting_graph``):
+    the larger class members that commute with x.  Each is compared with the
+    other k-1 members only, so level 2 makes no comparison.  Parents are
+    taken in order and their candidates in ascending order, so the extensions
+    come out lexicographically sorted.
     """
-    t = g.table
+    t, graph = g.table, g._commuting_graph
     k = level.shape[1]
-    first = position[level[:, -1]] + 1
-    count = class_end[level[:, -1]] - first
+    first = graph.row_self[level[:, -1]] + 1
+    count = graph.row_end[level[:, -1]] - first
     rows, wits = [], []
-    for parent, cand in _candidate_blocks(members, first, count, _BLOCK):
-        for j in range(k):
+    for parent, cand in _candidate_blocks(graph.rows, first, count, _BLOCK):
+        for j in range(k - 1):
             y = level[parent, j]
             commuting = t[y, cand] == t[cand, y]
             parent, cand = parent[commuting], cand[commuting]
@@ -230,34 +218,6 @@ def _extend(g: FiniteGroup, level: np.ndarray, members: np.ndarray, position: np
         rows.append(ext[certified])
         wits.append(found[certified])
     return np.concatenate(rows), np.concatenate(wits)
-
-
-def _candidate_blocks(
-    pool: np.ndarray, first: np.ndarray, count: np.ndarray, block: int,
-    weight: Optional[np.ndarray] = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The candidates of a level's parents, block by block.
-
-    Parent p's candidates are ``pool[first[p]:first[p] + count[p]]``.  A block
-    holds the candidates of consecutive parents whose weights (by default
-    their counts) sum to about ``block``, and those of at least one parent, as
-    two flat arrays: each candidate's parent and the candidate itself, parents
-    ascending and each parent's candidates in pool order.
-    """
-    ends = np.cumsum(count if weight is None else weight)
-    total = np.cumsum(count)
-    lo = 0
-    while lo < len(count):
-        done = total[lo - 1] if lo else 0
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + block, side="right")))
-        # parent p's candidates start at total[p - 1] - done in the flat arrays;
-        # the frame keeps no reference to the block while it is out
-        n_cand = count[lo:hi]
-        shift = first[lo:hi] - (total[lo:hi] - n_cand - done)
-        yield (np.repeat(np.arange(lo, hi, dtype=np.int32), n_cand),
-               pool[np.arange(total[hi - 1] - done) + np.repeat(shift, n_cand)])
-        lo = hi
 
 
 def enumerate_tss(g: FiniteGroup, size: int) -> list[TssCertificate]:

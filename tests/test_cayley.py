@@ -316,11 +316,11 @@ GOOD = _canonical_documents() + [
 @pytest.mark.parametrize("text", GOOD, ids=range(len(GOOD)))
 @pytest.mark.parametrize("slab", [1, 1 << 18])
 def test_good_documents_take_the_slab_path(text, slab, monkeypatch):
-    def whole(text):
-        raise AssertionError("the whole-document path ran on a good document")
+    def row_path(*args):
+        raise AssertionError("the row-by-row path ran on a good document")
 
     monkeypatch.setattr(cayley, "_SLAB", slab)
-    monkeypatch.setattr(cayley, "_decode_whole", whole)
+    monkeypatch.setattr(cayley, "_parse_row", row_path)
     assert _outcome(from_cayley_table, text)[0] == "group"
 
 
@@ -371,10 +371,11 @@ def test_decode_holds_one_slab_beside_the_table(monkeypatch):
     assert peak - table.nbytes < 6 * cayley._SLAB
 
 
-@pytest.mark.parametrize("ending", ["\r", "\r\n"])
+@pytest.mark.parametrize("ending", ["\r", "\r\n", "\x85", "\u2028"])
 def test_line_ends_decode_alike_within_the_newline_bound(ending, monkeypatch):
-    # a document whose lines end in \r alone is cut into slabs like one with
-    # \n: the same table and labels, and one slab beside the table
+    # a document whose lines end in \r alone, \x85 or \u2028 is cut into
+    # slabs like one with \n: the same table and labels, and one slab beside
+    # the table
     text = to_cayley_table(make_dihedral(500))  # 4.4 million characters
     monkeypatch.setattr(cayley, "make_group", lambda table, labels, **kwargs: (table, labels))
     decoded = {}

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tsslab import homs, tss
+from tsslab import groups, homs
 from tsslab.groups import (
     GroupError,
     conjugacy_classes,
@@ -568,25 +568,43 @@ def test_budget_cuts(strands, spec):
 
 # --- the array checks against their scalar references -------------------------
 
-class TestCommutingPools:
-    @pytest.mark.parametrize("block", [1, 7, homs._BLOCK])
+def _assert_graph_matches_definition(g):
+    # row x: the sorted members of x's class that commute with x, x among them
+    graph, part = g._commuting_graph, conjugacy_classes(g)
+    assert graph.rows.dtype == graph.members.dtype == g.table.dtype
+    for x in range(g.order):
+        cls = part.classes[part.class_of[x]]
+        assert graph.members[graph.class_start[x]:graph.class_end[x]].tolist() == list(cls)
+        row = graph.rows[graph.row_start[x]:graph.row_end[x]].tolist()
+        assert row == sorted(y for y in cls if commutes(g, x, y))
+        assert row[graph.row_self[x] - graph.row_start[x]] == x
+
+
+class TestCommutingGraph:
+    @pytest.mark.parametrize("block", [8, 56, groups._ASSOC_BLOCK])
     @pytest.mark.parametrize("spec", _ORACLE_TARGETS + ["sym:5"])
-    def test_pools_match_scalar_reference(self, spec, block, monkeypatch):
-        # requested in a few shuffled batches, so pools are built over several
-        # calls and the pool array grows; earlier answers must stay valid
-        monkeypatch.setattr(homs, "_BLOCK", block)
-        g = parse_group_spec(spec)
-        part = conjugacy_classes(g)
-        members, _, class_end = tss._class_layout(g)
-        size = np.bincount(class_end)[class_end]
-        pools = homs._commuting_pools(g.table, members.astype(g.table.dtype),
-                                      class_end - size, size)
-        order = np.random.default_rng(0).permutation(g.order).astype(g.table.dtype)
-        answers = [(x, *pools(x)) for x in np.array_split(np.concatenate([order, order]), 5)]
-        for xs, data, first, count in answers:
-            for x, lo, n in zip(xs.tolist(), first.tolist(), count.tolist()):
-                want = [y for y in part.classes[part.class_of[x]] if commutes(g, x, y)]
-                assert data[lo:lo + n].tolist() == sorted(want)
+    def test_rows_match_scalar_reference(self, spec, block, monkeypatch):
+        # the build compares class pairs in blocks of _ASSOC_BLOCK // 8 pairs
+        monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+        _assert_graph_matches_definition(parse_group_spec(spec))
+
+    @pytest.mark.parametrize("g", [g for g, _ in dense_corpus()], ids=lambda g: g.name)
+    def test_dense_corpus(self, g):
+        _assert_graph_matches_definition(g)
+
+    @pytest.mark.parametrize("strands,spec,applicable", [
+        (6, "dihedral:10", True),  # level 2 of S(G), then the pools of the homs
+        (5, "semidirect:7,3,2", True),  # odd order: no level 2, the homs build it
+        (5, "sym:3", False),  # S(G) = 2 is not below 2: no homs
+    ])
+    def test_braid_check_builds_it_once_per_target(self, strands, spec, applicable,
+                                                   monkeypatch):
+        built = []
+        graph = groups._CommutingGraph
+        monkeypatch.setattr(groups, "_CommutingGraph",
+                            lambda **fields: built.append(spec) or graph(**fields))
+        assert braid_cyclic_corollary_check(strands, parse_group_spec(spec)).applicable == applicable
+        assert built == [spec]
 
 
 def _center(g):
