@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, make_group, table_dtype
+from .groups import FiniteGroup, GroupError, _order_cap, make_group, table_dtype
 
 
 class CayleyTableError(GroupError):
@@ -47,13 +47,12 @@ def from_cayley_table(text: str, name: str = "table-group") -> FiniteGroup:
     Only one slab's lines exist at a time.  A slab whose rows ``np.loadtxt``
     rejects or is not given (an entry outside 0..n-1, a non-ASCII character)
     is read row by row, which names its first fault and takes every spelling
-    ``int`` takes (``1_0``, full-width digits).  Associativity is checked at
-    every order up to the order cap, not only up to ``DEFAULT_ASSOC_CAP`` as
-    for raw tables: a document comes from outside.
+    ``int`` takes (``1_0``, full-width digits).  ``make_group`` then checks
+    the table, as it checks every table from outside.
     """
     table, labels = _decode_slabs(text)
     try:
-        return make_group(table, labels=labels, name=name, assoc_cap=DEFAULT_ORDER_CAP)
+        return make_group(table, labels=labels, name=name)
     except CayleyTableError:
         raise
     except GroupError as exc:
@@ -86,10 +85,10 @@ def _slabs(text: str) -> Iterator[list[tuple[int, str]]]:
 
 def _decode_slabs(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
     """The table and labels of a document read slab by slab; raises
-    ``CayleyTableError`` naming the first fault: the order line, then too
-    few rows, then the first bad row, then the label lines.  A bad row is
-    raised once every row is counted, and the table is allocated only when
-    the text can hold it."""
+    ``CayleyTableError`` naming the first fault: the order line (the order
+    cap included), then too few rows, then the first bad row, then the label
+    lines.  A bad row is raised once every row is counted, and the table is
+    allocated only when the text can hold it."""
     n = table = fault = labels = None
     r = 0
     for bodies in _slabs(text):
@@ -102,6 +101,10 @@ def _decode_slabs(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
             n = int(head[0])
             if n < 1:
                 raise CayleyTableError("group order must be >= 1", line=lineno)
+            try:
+                _order_cap("the table", n)
+            except GroupError as exc:
+                raise CayleyTableError(str(exc), line=lineno) from None
             # n rows of n entries take at least n(2n - 1) characters, so the
             # table allocated before they are read is no larger than the text;
             # a shorter text has a short row or too few rows

@@ -542,6 +542,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.budget != homs.DEFAULT_HOM_BUDGET and args.command not in ("hom", "verify"):
             # only homomorphism enumeration counts nodes; verify suites refuse it one by one
             raise GroupError(f"{args.command} takes no --budget")
+        if args.out is not None and args.command != "verify" and (
+                getattr(args, "hom_command", None) != "braid-check"):
+            # only verify suites and hom braid-check write artifacts
+            command = "hom enumerate" if args.command == "hom" else args.command
+            raise GroupError(f"{command} takes no --out")
         if args.command == "group":
             return _cmd_group(args)
         if args.command == "tss":

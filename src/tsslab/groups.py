@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -61,10 +61,10 @@ class FiniteGroup:
     witnesses of ``realized_permutations``.  Above order 256 each entry of
     such a tuple then costs a pointer, not a pointer and a fresh int.
     ``assoc_verified`` records whether associativity was verified for all
-    triples by Light's test: up to order 512 for the constructors' tables,
-    which are Latin with an identity by construction and are checked on
-    their recorded generators only (``_built``); ``make_group`` checks
-    decoded Cayley documents in full up to the order cap.  ``generators``,
+    triples by Light's test: always for tables from outside (``make_group``),
+    and up to order ``DEFAULT_ASSOC_CAP`` for the constructors' tables, which
+    are Latin with an identity by construction and are checked on their
+    recorded generators only (``_built``).  ``generators``,
     None only for the trivial group, generate it (see ``make_group``).
     """
 
@@ -316,24 +316,17 @@ def _check_latin(mul: np.ndarray) -> None:
     O(n * _LATIN_SLAB) at any order."""
     n = mul.shape[0]
     expect = np.arange(n, dtype=mul.dtype)
-    for lo in range(0, n, _LATIN_SLAB):
-        rows_ok = (np.sort(mul[lo:lo + _LATIN_SLAB], axis=1) == expect).all(axis=1)
-        if not rows_ok.all():
-            r = lo + int(np.argmin(rows_ok))
-            counts = np.bincount(mul[r], minlength=n)
-            c = int(np.argmax(counts > 1))
-            raise GroupError(f"not a Latin square: row {r} repeats entry {c}")
-    for lo in range(0, n, _LATIN_SLAB):
-        # a slab of columns as the rows of a C-ordered copy, sorted in place:
-        # sorting contiguous rows is the faster sort
-        cols = mul[:, lo:lo + _LATIN_SLAB].T.copy()
-        cols.sort(axis=1)
-        cols_ok = (cols == expect).all(axis=1)
-        if not cols_ok.all():
-            c = lo + int(np.argmin(cols_ok))
-            counts = np.bincount(mul[:, c], minlength=n)
-            r = int(np.argmax(counts > 1))
-            raise GroupError(f"not a Latin square: column {c} repeats entry {r}")
+    for kind, lines in (("row", mul), ("column", mul.T)):
+        for lo in range(0, n, _LATIN_SLAB):
+            # a slab as the rows of a C-ordered copy, sorted in place: sorting
+            # contiguous rows is the faster sort
+            slab = lines[lo:lo + _LATIN_SLAB].copy()
+            slab.sort(axis=1)
+            ok = (slab == expect).all(axis=1)
+            if not ok.all():
+                i = lo + int(np.argmin(ok))
+                j = int(np.argmax(np.bincount(lines[i], minlength=n) > 1))
+                raise GroupError(f"not a Latin square: {kind} {i} repeats entry {j}")
 
 
 def _find_identity(mul: np.ndarray) -> int:
@@ -354,18 +347,14 @@ def _power_inverses(mul: np.ndarray) -> np.ndarray:
 
 def _group_axioms(mul: np.ndarray) -> Optional[tuple[int, np.ndarray, tuple[int, ...]]]:
     """The identity, inverses and Light's checked elements of a group's
-    table, or None when ``mul`` is not one.
-
-    The identity is found as ``_find_identity`` finds it, and each inverse is
-    taken as x^(2n-1) and confirmed by one O(n) gather, x * x^-1 = e.  Light's
-    test (``_light_test``) then runs on the greedy sequence.  A table
+    table, or None when ``mul`` is not one: a two-sided identity
+    (``_find_identity``), each inverse taken as x^(2n-1) and confirmed by one
+    O(n) gather, x * x^-1 = e, then Light's test (``_light_test``).  A table
     that passes is associative with a two-sided identity and right inverses,
     so it is a group's table (if x y = e and y z = e, then
-    x = x (y z) = (x y) z = z, so y x = e too) and a Latin square, which is
-    not checked.  The work is O(n^2 log n) whatever the table: the reached
-    set is a group by the same argument (the checked elements and their
-    products associate, and x^(2n-1) is one of those products), so each
-    checked element at least doubles it.
+    x = x (y z) = (x y) z = z, so y x = e too) and a Latin square.  The work
+    is O(n^2 log n) whatever the table: the reached set is a group by the
+    same argument, so each checked element at least doubles it.
     """
     n = mul.shape[0]
     try:
@@ -390,21 +379,24 @@ def _light_test(mul: np.ndarray,
     element is not yet a product of checked elements: the least such element
     is checked with two order^2 gathers, made ``_ASSOC_BLOCK`` entries at a
     time, then the reached set is closed over the checked elements
-    (``_greedy_generators``), which closes it under products as they lie in
-    A: for v = v'*g, g checked, u*v = (u*v')*g.  In a group each checked
-    element at least doubles the reached subgroup, so at most log2(order)
-    elements are checked, and they generate the group.
+    (``_close``), which closes it under products as they lie in A: for
+    v = v'*g, g checked, u*v = (u*v')*g.  In a group each checked element at
+    least doubles the reached subgroup, so at most log2(order) elements are
+    checked, and they generate the group.
     """
+    reached = np.arange(mul.shape[0]) == identity
     checked = []
-    for y in _greedy_generators(mul, identity):
+    while not reached.all():
+        y = int(reached.argmin())
         failure = _light_failure(mul, y)
         if failure is not None:
             return tuple(checked), (failure[0], y, failure[1])
         checked.append(y)
+        _close(mul, reached, checked)
     return tuple(checked), None
 
 
-def _assoc_failure(mul: np.ndarray, x: int, y: int, z: int) -> None:
+def _assoc_failure(mul: np.ndarray, x: int, y: int, z: int) -> NoReturn:
     """Raise for a failing triple (x, y, z) of Light's test.  Up to order
     ``DEFAULT_ASSOC_CAP`` the full scan runs first and names the first
     failing triple; above it, the scan's order^2 index copy and O(order^3)
@@ -412,16 +404,6 @@ def _assoc_failure(mul: np.ndarray, x: int, y: int, z: int) -> None:
     if mul.shape[0] <= DEFAULT_ASSOC_CAP:
         _assoc_scan(mul)
     raise GroupError(f"associativity fails at triple ({x}, {y}, {z})")
-
-
-def _greedy_generators(mul: np.ndarray, identity: int) -> Iterator[int]:
-    """The least element outside the closure of the earlier ones, until none is left."""
-    reached = np.arange(mul.shape[0]) == identity
-    gens = []
-    while not reached.all():
-        gens.append(int(reached.argmin()))
-        yield gens[-1]
-        _close(mul, reached, gens)
 
 
 def _close(mul: np.ndarray, reached: np.ndarray, gens: Sequence[int]) -> None:
@@ -496,7 +478,7 @@ def _light_failure(mul: np.ndarray, y: int) -> Optional[tuple[int, int]]:
 
 def _assoc_scan(mul: np.ndarray) -> None:
     # (x*y)*z == x*(y*z), vectorized row by row to bound memory; the intp copy
-    # (at most assoc_cap^2 entries) saves converting the index on every row
+    # (at most DEFAULT_ASSOC_CAP^2 entries) saves converting the index on every row
     index = mul.astype(np.intp)
     for x in range(mul.shape[0]):
         lhs = mul[index[x]]         # lhs[y, z] = (x*y)*z
@@ -510,66 +492,71 @@ def make_group(
     mul: Sequence[Sequence[int]] | np.ndarray,
     labels: Optional[Sequence[str]] = None,
     name: str = "group",
-    assoc_cap: int = DEFAULT_ASSOC_CAP,
 ) -> FiniteGroup:
     """Validate a table from outside the library and build a FiniteGroup.
 
     Cayley documents, ``file:`` specs, quotients and raw tables come here; the
     constructors' tables hold by construction and skip these checks (``_built``).
-    Up to order assoc_cap (default ``DEFAULT_ASSOC_CAP``, 512; Cayley documents
-    pass the order cap) the table is checked by the group axioms
-    (``_group_axioms``): a two-sided identity, the inverses x^(2n-1), and
-    Light's associativity test, two order^2 gathers for each of at most
-    log2(order) elements, so O(n^2 log n) work.  A table that passes is a
-    group's, so it is a Latin square.  A table that fails gets the checks in
-    their fixed order, which name its first fault: the Latin square, the
-    identity, the inverses and their two-sidedness, then Light's test (a
-    failing triple up to order 512 comes from the full O(n^3) scan, which
-    names the first one; above it, it is Light's failing element with its
-    least failing (x, z)).  Above assoc_cap the checks run in that order
-    without Light's test, and ``assoc_verified`` is False.  No check makes an
-    order^2 temporary: the gathers go a block of rows at a time, the Latin
-    check sorts slabs of rows and columns, and the inverses are searched a
-    block of rows at a time.  The group records the elements Light's test
-    checked, or the same greedy sequence when the test did not run.  An
-    integer ndarray already of dtype ``table_dtype(order)`` becomes the group's
-    read-only ``table`` without a copy.
+    Every such table, at every order, must hold integers (``_integer_table``)
+    and pass the group axioms (``_group_axioms``), in O(n^2 log n) work with
+    no order^2 temporary; the group records the elements Light's test
+    checked, and ``assoc_verified`` is True.  A table that fails the axioms
+    gets the checks in their fixed order only to name its first fault
+    (``_first_fault``).  An integer ndarray already of dtype
+    ``table_dtype(order)`` becomes the group's read-only ``table`` without a
+    copy.
     """
-    if isinstance(mul, np.ndarray) and mul.dtype.kind in "iu":
-        arr = mul
-    else:
-        arr = np.asarray(mul, dtype=np.int64)
+    table = _integer_table(mul)
+    axioms = _group_axioms(table)
+    if axioms is None:
+        _first_fault(table)
+    identity, inv, generators = axioms
+    return _group(table, identity, inv, labels, generators, name, True)
+
+
+def _integer_table(mul: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """``mul`` as a square array of dtype ``table_dtype(order)``, or a
+    GroupError naming the first fault: the shape, an entry that is not an
+    int (none is truncated or parsed), then an entry outside 0..order-1."""
+    try:
+        arr = np.asarray(mul)
+    except ValueError:
+        raise GroupError("multiplication table rows differ in length") from None
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise GroupError("multiplication table must be a nonempty square matrix")
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise GroupError("multiplication table is not square")
+    if arr.dtype.kind not in "iu":
+        arr = np.array(mul, dtype=object)  # ints past int64 stay ints
+        for (r, c), v in np.ndenumerate(arr):
+            if not isinstance(v, (int, np.integer)):
+                raise GroupError(f"non-integer entry {v!r} at row {r}, column {c}")
     if arr.min() < 0 or arr.max() >= n:
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
         raise GroupError(f"entry out of range at row {bad[0]}, column {bad[1]}")
-    table = np.ascontiguousarray(arr, dtype=table_dtype(n))
-    del arr
-    assoc_verified = n <= assoc_cap
-    axioms = _group_axioms(table) if assoc_verified else None
-    if axioms is not None:
-        identity, inv, generators = axioms
-    else:
-        _check_latin(table)
-        identity = _find_identity(table)
-        # each row is a permutation, so it holds the identity exactly once
-        inv = np.empty(n, dtype=table.dtype)
-        for rows in _row_blocks(n, n):
-            inv[rows] = np.argmax(table[rows] == identity, axis=1)
-        two_sided = table[inv, np.arange(n)] == identity
-        if not two_sided.all():
-            raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
-        if not assoc_verified:
-            generators = tuple(_greedy_generators(table, identity))
-        else:
-            generators, failure = _light_test(table, identity)
-            if failure:
-                _assoc_failure(table, *failure)
-    return _group(table, identity, inv, labels, generators, name, assoc_verified)
+    return np.ascontiguousarray(arr, dtype=table_dtype(n))
+
+
+def _first_fault(table: np.ndarray) -> NoReturn:
+    """Raise naming the first fault of a table that fails the group axioms,
+    by the checks in their fixed order: the Latin square (``_check_latin``),
+    the two-sided identity, the two-sided inverses, then Light's test
+    (``_assoc_failure``).  A Latin square with a two-sided identity that
+    passes Light's test is a group's, so the last check fails if none before
+    it does."""
+    _check_latin(table)
+    identity = _find_identity(table)
+    n = table.shape[0]
+    # each row is a permutation, so it holds the identity exactly once
+    inv = np.empty(n, dtype=table.dtype)
+    for rows in _row_blocks(n, n):
+        inv[rows] = np.argmax(table[rows] == identity, axis=1)
+    two_sided = table[inv, np.arange(n)] == identity
+    if not two_sided.all():
+        raise GroupError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
+    _, failure = _light_test(table, identity)
+    _assoc_failure(table, *failure)
 
 
 def _built(table: np.ndarray, labels: list[str], generators: Optional[Sequence[int]],

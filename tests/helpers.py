@@ -239,7 +239,7 @@ def ref_check_assoc(mul: np.ndarray) -> None:
     """The full associativity scan, x-major: raises GroupError naming the first
     failing triple (x, y, z)."""
     # (x*y)*z == x*(y*z), vectorized row by row to bound memory; the intp copy
-    # (at most assoc_cap^2 entries) saves converting the index on every row
+    # (at most 512^2 entries here) saves converting the index on every row
     index = mul.astype(np.intp)
     for x in range(mul.shape[0]):
         lhs = mul[index[x]]         # lhs[y, z] = (x*y)*z
@@ -253,7 +253,10 @@ def ref_check_table(mul: np.ndarray) -> None:
     """The checks of a table from outside in their fixed order, each on the
     whole table: the Latin square (``ref_check_latin``), the least two-sided
     identity, a two-sided inverse for every element, then, up to order 512,
-    associativity by the full scan (``ref_check_assoc``)."""
+    associativity by the full scan (``ref_check_assoc``), which names the
+    first failing triple.  Above 512 ``make_group`` names Light's failing
+    triple instead, which this reference does not compute, so it is compared
+    only on tables that fail an earlier check."""
     mul = np.asarray(mul)
     n = mul.shape[0]
     every = np.arange(n)

@@ -584,7 +584,8 @@ class TestOrderCapSweep:
 
 class TestInputChecks:
     """Caps checked in the library before anything is built, integers read
-    as ``int`` reads them, and ``--budget`` refused where nothing counts it."""
+    as ``int`` reads them, ``--budget`` refused where nothing counts it, and
+    ``--out`` where nothing is written."""
 
     @pytest.mark.parametrize("argv,message", [
         (["hom", "braid-check", "--strands", "100000", "--target", "cyclic:2"],
@@ -600,6 +601,14 @@ class TestInputChecks:
          "stab takes no --budget"),
         (["--budget", "10", "word", "f2", "reduce", "ab"], "word takes no --budget"),
         (["--budget", "10", "table"], "table takes no --budget"),
+        (["--out", "out", "tss", "max", "--group", "sym:3"], "tss takes no --out"),
+        (["--out", "out", "group", "info", "--spec", "sym:3"], "group takes no --out"),
+        (["--out", "out", "stab", "decompose", "--group", "sym:3", "--elements", "1"],
+         "stab takes no --out"),
+        (["--out", "out", "word", "f2", "reduce", "ab"], "word takes no --out"),
+        (["--out", "out", "table"], "table takes no --out"),
+        (["--out", "out", "hom", "enumerate", "--presentation", "braid:3",
+          "--target", "cyclic:2"], "hom enumerate takes no --out"),
     ])
     def test_exit_2_before_any_work(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

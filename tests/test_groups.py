@@ -310,9 +310,17 @@ class TestValidation:
         with pytest.raises(GroupError, match="associativity"):
             groups.make_group(table)
 
-    def test_assoc_cap_records_unverified(self):
-        g = groups.make_group([[0, 1], [1, 0]], assoc_cap=1)
-        assert not g.assoc_verified
+    def test_tables_from_outside_are_verified_at_every_order(self):
+        # a non-associative Latin table of order 576 gets Light's test, and a
+        # quotient of order 600 is verified like any table from outside
+        loop = _intercalate_swap(parse_group_spec("product:sym:4,sym:4").table,
+                                 random.Random(576))
+        with pytest.raises(GroupError, match=r"^associativity fails at triple \("):
+            groups.make_group(loop)
+        quotient = homs.quotient_hom(parse_group_spec("product:dihedral:300,cyclic:2"),
+                                     [0, 1]).target
+        assert quotient.assoc_verified
+        assert quotient.table.tobytes() == parse_group_spec("dihedral:300").table.tobytes()
         assert make_cyclic(6).assoc_verified
 
     @given(st.integers(min_value=1, max_value=12))
@@ -332,6 +340,12 @@ class TestValidation:
         ([[0, 1], [1, -1]], "entry out of range at row 1, column 1"),
         ([[0, 1, 2], [1, 2, 0]], "multiplication table is not square"),
         ([], "multiplication table must be a nonempty square matrix"),
+        ([[0, 1], [1]], "multiplication table rows differ in length"),
+        ([[0.5]], "non-integer entry 0.5 at row 0, column 0"),
+        ([[0, 1.7], [1, 0]], "non-integer entry 1.7 at row 0, column 1"),
+        ([["0", "1"], ["1", "0"]], "non-integer entry '0' at row 0, column 0"),
+        ([[0, 2**70], [1, 0]], "entry out of range at row 0, column 1"),
+        ([[0, 1], [2**63, 0]], "entry out of range at row 1, column 0"),
         ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "not a Latin square: row 1 repeats entry 1"),
         ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], "not a Latin square: column 0 repeats entry 1"),
         # a loop in which 2 * 3 = e but 3 * 2 != e
@@ -826,15 +840,16 @@ class TestLatinColumns:
     @pytest.mark.parametrize("slab,block", [(1, 1), (7, 7 * 600), (None, None)],
                              ids=["slab-1", "slab-7", "default"])
     def test_raw_tables_above_512_in_slabs(self, slab, block, monkeypatch):
-        # no Light's test above the raw-table cap: the checks run in their
-        # fixed order, the Latin check slab by slab and the inverse search a
-        # row block at a time, with the messages of the whole-table checks
+        # a group's table passes the axioms; a bad table gets the checks in
+        # their fixed order, the Latin check slab by slab and the inverse
+        # search a row block at a time, with the messages of the whole-table
+        # checks
         if slab is not None:
             monkeypatch.setattr(groups, "_LATIN_SLAB", slab)
             monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
         g = parse_group_spec("dihedral:300")
         h = groups.make_group(np.array(g.table))
-        assert not h.assoc_verified and np.array_equal(h.inv, g.inv)
+        assert h.assoc_verified and np.array_equal(h.inv, g.inv)
         assert h.generators == g.generators
         rng = random.Random(slab)
         loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
@@ -966,6 +981,19 @@ class TestOrderCap:
         assert main(["group", "build", "--spec", "dihedral:100000"]) == 2
         assert "order 200000, above the global order cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [to_cayley_table(make_cyclic(12)), "12\n"],
+                             ids=["cyclic-12", "order-line"])
+    def test_cayley_documents_meet_the_cap(self, text, monkeypatch, tmp_path, capsys):
+        # the order line is held to the cap before the table is allocated
+        monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+        message = "the table has order 12, above the global order cap 10 (line 1)"
+        with pytest.raises(CayleyTableError, match=f"^{re.escape(message)}$"):
+            from_cayley_table(text)
+        path = tmp_path / "c12.cayley"
+        path.write_text(text)
+        assert main(["group", "info", "--spec", f"file:{path}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 def _semidirect_triples(max_order):
     """Every (p, m, k) with p prime, p*m <= max_order, 1 <= k < p and k^m = 1 mod p."""
@@ -1002,7 +1030,8 @@ class TestConstructedTables:
             assert h.inv.dtype == g.inv.dtype and np.array_equal(h.inv, g.inv), spec
             assert h.table.dtype == g.table.dtype, spec
             assert h.table.tobytes() == g.table.tobytes(), spec
-            assert h.labels == g.labels and h.assoc_verified == g.assoc_verified, spec
+            assert h.labels == g.labels and h.assoc_verified, spec
+            assert g.assoc_verified == (g.order <= groups.DEFAULT_ASSOC_CAP), spec
 
     def test_corpus_reaches_the_edges(self):
         assert {p * m for p, m, _ in _semidirect_triples(120)} >= {2, 119, 120}
