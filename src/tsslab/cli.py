@@ -315,13 +315,10 @@ def _cmd_hom(args: argparse.Namespace) -> int:
         _emit(doc, args, lines,
               [["images"]] + [[" ".join(map(str, h.images))] for h in found])
         return EXIT_PASS
-    streamed: list[str] = []
 
     def on_noncyclic(hom: homs.GeneratorImageMap) -> None:
-        line = f"non-cyclic image: generator images {hom.images}"
-        streamed.append(line)
         if args.format == "text":
-            print(line)
+            print(f"non-cyclic image: generator images {hom.images}")
 
     report = homs.braid_cyclic_corollary_check(
         args.strands, target, budget=args.budget, on_noncyclic=on_noncyclic

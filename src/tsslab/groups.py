@@ -497,14 +497,14 @@ def make_group(
 
     Cayley documents, ``file:`` specs, quotients and raw tables come here; the
     constructors' tables hold by construction and skip these checks (``_built``).
-    Every such table, at every order, must hold integers (``_integer_table``)
-    and pass the group axioms (``_group_axioms``), in O(n^2 log n) work with
-    no order^2 temporary; the group records the elements Light's test
-    checked, and ``assoc_verified`` is True.  A table that fails the axioms
-    gets the checks in their fixed order only to name its first fault
-    (``_first_fault``).  An integer ndarray already of dtype
-    ``table_dtype(order)`` becomes the group's read-only ``table`` without a
-    copy.
+    Every such table is held to the order cap by its row count, and at every
+    order must hold integers (``_integer_table``) and pass the group axioms
+    (``_group_axioms``), in O(n^2 log n) work with no order^2 temporary; the
+    group records the elements Light's test checked, and ``assoc_verified``
+    is True.  A table that fails the axioms gets the checks in their fixed
+    order only to name its first fault (``_first_fault``).  An integer
+    ndarray already of dtype ``table_dtype(order)`` becomes the group's
+    read-only ``table`` without a copy.
     """
     table = _integer_table(mul)
     axioms = _group_axioms(table)
@@ -516,8 +516,15 @@ def make_group(
 
 def _integer_table(mul: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """``mul`` as a square array of dtype ``table_dtype(order)``, or a
-    GroupError naming the first fault: the shape, an entry that is not an
-    int (none is truncated or parsed), then an entry outside 0..order-1."""
+    GroupError naming the first fault: a row count above the order cap
+    (``_order_cap``, before anything is allocated), the shape, an entry that
+    is not an int (none is truncated or parsed, and a bool is not an int),
+    then an entry outside 0..order-1."""
+    try:
+        rows = len(mul)
+    except TypeError:  # a scalar: refused below as no square matrix
+        rows = 0
+    _order_cap("the table", rows)
     try:
         arr = np.asarray(mul)
     except ValueError:
@@ -527,10 +534,12 @@ def _integer_table(mul: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise GroupError("multiplication table is not square")
-    if arr.dtype.kind not in "iu":
+    # np.asarray turns bools among ints into ints, so rows holding one are read here
+    if arr.dtype.kind not in "iu" or (not isinstance(mul, np.ndarray) and any(
+            not {bool, np.bool_}.isdisjoint(map(type, row)) for row in mul)):
         arr = np.array(mul, dtype=object)  # ints past int64 stay ints
         for (r, c), v in np.ndenumerate(arr):
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise GroupError(f"non-integer entry {v!r} at row {r}, column {c}")
     if arr.min() < 0 or arr.max() >= n:
         bad = np.argwhere((arr < 0) | (arr >= n))[0]

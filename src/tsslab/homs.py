@@ -7,8 +7,10 @@ element maps verified on all pairs.
 
 Every check runs as gathers on the groups' ``table`` and ``inv`` arrays, never
 on the scalar rows ``mul``: relators, products, cosets and Schreier trees are
-handled a level or a block of rows at a time.  A braid image is cyclic exactly
-when all generator images are equal (``_braid_image_census``).
+handled a level or a block of rows at a time.  The braid corollary check
+searches sigma_1's image over conjugacy class representatives only and weighs
+each map by its class size; a braid image is cyclic exactly when all generator
+images are equal (``_braid_class_census``).
 """
 
 from __future__ import annotations
@@ -227,7 +229,9 @@ def enumerate_homs(
 
     The optional symmetry reduction restricts the first generator image to one
     representative per conjugacy class (off by default; the stream then
-    contains one member of each conjugation orbit of homomorphisms).
+    contains at least one member of each conjugation orbit of homomorphisms,
+    and ``braid_cyclic_corollary_check`` reads it through
+    ``_braid_class_census``).
     """
     k = pres.generator_count
     tied = list(range(k))  # union-find over braid relators; roots are least members
@@ -492,33 +496,52 @@ class BraidCorollaryReport:
     elapsed_s: float
 
 
-def _braid_image_census(
+def _braid_class_census(
     homs: Iterable[GeneratorImageMap],
+    target: FiniteGroup,
     on_noncyclic: Optional[Callable[[GeneratorImageMap], None]] = None,
 ) -> tuple[int, dict[int, int], tuple[tuple[int, ...], ...]]:
     """The count, the image-order histogram (sorted) and the non-cyclic
-    images of a stream of homomorphisms from a braid group.
+    images of every homomorphism from a braid group to ``target``, read from
+    the stream that sends sigma_1 to one representative per conjugacy class
+    (``enumerate_homs(..., first_image_up_to_conjugacy=True)``).
+
+    Conjugation by g maps the homomorphisms with sigma_1 -> x one-to-one onto
+    those with sigma_1 -> g x g^-1, and keeps each image's order and whether
+    it is cyclic.  So each map of the stream stands for |x^G| maps, its class
+    size in the target's commuting graph, in the count and the histogram.
 
     Adjacent Artin generators satisfy xyx = yxy, so if their images commute
     then x^2 y = x y^2, that is x = y.  So an image is cyclic iff it is
     abelian iff all generator images are equal, and its order is then that
     image's, from ``element_orders``.  Only non-cyclic images are closed.
+    Each non-cyclic map is expanded to its conjugates, q images q^-1 for
+    every q (``_conjugates``): their distinct rows, in lexicographic order,
+    are the non-cyclic images of the full stream, and ``on_noncyclic`` is
+    called on them in that order once the stream ends.
     """
+    graph = target._commuting_graph
     histogram: dict[int, int] = {}
     count = 0
-    noncyclic: list[tuple[int, ...]] = []
+    conjugates: list[np.ndarray] = []
     for hom in homs:
-        count += 1
         first = hom.images[0]
+        weight = int(graph.class_end[first] - graph.class_start[first])
+        count += weight
         if hom.images.count(first) == len(hom.images):
-            size = int(hom.target.element_orders[first])
+            size = int(target.element_orders[first])
         else:
             size = len(image_subgroup(hom))
-            noncyclic.append(hom.images)
-            if on_noncyclic is not None:
-                on_noncyclic(hom)
-        histogram[size] = histogram.get(size, 0) + 1
-    return count, dict(sorted(histogram.items())), tuple(noncyclic)
+            conjugates.append(_conjugates(target, hom.images))
+        histogram[size] = histogram.get(size, 0) + weight
+    noncyclic: tuple[tuple[int, ...], ...] = ()
+    if conjugates:
+        rows = np.unique(np.concatenate(conjugates), axis=0)
+        noncyclic = tuple(map(tuple, rows.tolist()))
+    if on_noncyclic is not None:
+        for images in noncyclic:
+            on_noncyclic(_image_map(hom.presentation, target, images))
+    return count, dict(sorted(histogram.items())), noncyclic
 
 
 def braid_cyclic_corollary_check(
@@ -531,7 +554,9 @@ def braid_cyclic_corollary_check(
     image, under the hypothesis S(target) < floor(n/2).
 
     A violated hypothesis is reported as not applicable, never as a failure.
-    Each image is classified by ``_braid_image_census``.
+    The search sends sigma_1 to one representative per conjugacy class, and
+    ``budget`` bounds its nodes; ``_braid_class_census`` reports from it on
+    every homomorphism and calls ``on_noncyclic`` once the search ends.
     """
     if n < 5:
         raise HomError(f"the cyclic-image corollary is stated for n >= 5 strands, got {n}")
@@ -540,8 +565,9 @@ def braid_cyclic_corollary_check(
     s_target = max_tss_size(target).s_of_g
     count, histogram, noncyclic = 0, {}, ()
     if s_target < threshold:
-        homs = enumerate_homs(braid_presentation(n), target, budget=budget)
-        count, histogram, noncyclic = _braid_image_census(homs, on_noncyclic)
+        homs = enumerate_homs(braid_presentation(n), target, budget=budget,
+                              first_image_up_to_conjugacy=True)
+        count, histogram, noncyclic = _braid_class_census(homs, target, on_noncyclic)
     return BraidCorollaryReport(
         strands=n,
         target_name=target.name,

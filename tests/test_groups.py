@@ -344,6 +344,10 @@ class TestValidation:
         ([[0.5]], "non-integer entry 0.5 at row 0, column 0"),
         ([[0, 1.7], [1, 0]], "non-integer entry 1.7 at row 0, column 1"),
         ([["0", "1"], ["1", "0"]], "non-integer entry '0' at row 0, column 0"),
+        ([[0, 1], [True, 0]], "non-integer entry True at row 1, column 0"),
+        ([[True]], "non-integer entry True at row 0, column 0"),
+        ([[0, 1], [np.True_, 0]], "non-integer entry np.True_ at row 1, column 0"),
+        (np.array([[True]]), "non-integer entry True at row 0, column 0"),
         ([[0, 2**70], [1, 0]], "entry out of range at row 0, column 1"),
         ([[0, 1], [2**63, 0]], "entry out of range at row 1, column 0"),
         ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "not a Latin square: row 1 repeats entry 1"),
@@ -980,6 +984,16 @@ class TestOrderCap:
 
         assert main(["group", "build", "--spec", "dihedral:100000"]) == 2
         assert "order 200000, above the global order cap" in capsys.readouterr().err
+
+    def test_raw_tables_and_quotients_meet_the_cap(self, monkeypatch):
+        table, z24 = make_cyclic(12).table, make_cyclic(24)
+        monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+        message = "the table has order 12, above the global order cap 10"
+        for build in (lambda: groups.make_group(table),
+                      lambda: groups.make_group(table.tolist()),
+                      lambda: homs.quotient_hom(z24, [0, 12])):  # Z24/Z2 has order 12
+            with pytest.raises(GroupError, match=f"^{message}$"):
+                build()
 
     @pytest.mark.parametrize("text", [to_cayley_table(make_cyclic(12)), "12\n"],
                              ids=["cyclic-12", "order-line"])

@@ -307,10 +307,11 @@ class TestNonInjectivity:
 
 
 class TestBraidCorollary:
+    # every image is cyclic, so the maps are sigma_i -> x for all i, one per x
     def test_b5_to_z6(self, z6):
         report = braid_cyclic_corollary_check(5, z6)
         assert report.applicable and report.all_cyclic
-        assert report.hom_count == 6
+        assert report.hom_count == z6.order == 6
 
     def test_b5_to_order21(self):
         from tsslab.groups import SemidirectParams, make_semidirect_cyclic
@@ -318,8 +319,15 @@ class TestBraidCorollary:
         target = make_semidirect_cyclic(SemidirectParams(7, 3, 2))
         report = braid_cyclic_corollary_check(5, target)
         assert report.applicable and report.all_cyclic
-        assert report.hom_count == 21
+        assert report.hom_count == target.order == 21
         assert report.image_order_histogram == {1: 1, 3: 14, 7: 6}
+
+    def test_budget_counts_the_search_up_to_conjugacy(self):
+        # the full stream takes 2900 nodes; one first image per class, fewer
+        target = parse_group_spec("semidirect:11,10,2")
+        report = braid_cyclic_corollary_check(11, target, budget=1000)
+        assert report.applicable and report.all_cyclic
+        assert report.hom_count == target.order == 110
 
     def test_hypothesis_gate(self):
         report = braid_cyclic_corollary_check(5, make_symmetric(5))
@@ -331,8 +339,9 @@ class TestBraidCorollary:
             braid_cyclic_corollary_check(4, z6)
 
     def test_report_schema(self, z6):
-        doc = braid_report_to_json(braid_cyclic_corollary_check(5, z6))
-        jsonschema.validate(doc, HOM_REPORT_SCHEMA)
+        report = braid_cyclic_corollary_check(5, z6)
+        assert report.applicable and report.hom_count == z6.order
+        jsonschema.validate(braid_report_to_json(report), HOM_REPORT_SCHEMA)
 
     def test_abelianization_invariant(self):
         # all Artin generators are conjugate, so abelian images coincide
@@ -639,20 +648,24 @@ class TestTableHomsMatchReference:
 
 
 class TestBraidCensusMatchesReference:
-    """The closed-form image rule (cyclic iff all generator images are equal)
-    against closing every image and scanning it for a generator."""
+    """The class census of the stream up to conjugacy (class-size weights,
+    cyclic iff all generator images are equal, non-cyclic maps expanded to
+    their conjugates) against closing every image of the full stream and
+    scanning it for a generator."""
 
     @pytest.mark.parametrize("spec", _ORACLE_TARGETS + ["sym:5"])
     @pytest.mark.parametrize("strands", range(3, 8))
     def test_histogram_and_noncyclic_images(self, strands, spec):
         target = parse_group_spec(spec)
         seen, want_seen = [], []
-        got = homs._braid_image_census(
-            enumerate_homs(braid_presentation(strands), target),
-            lambda hom: seen.append(hom.images))
+        got = homs._braid_class_census(
+            enumerate_homs(braid_presentation(strands), target,
+                           first_image_up_to_conjugacy=True),
+            target, lambda hom: seen.append(hom.images))
         want = ref_braid_image_census(
             enumerate_homs(braid_presentation(strands), target),
             lambda hom: want_seen.append(hom.images))
         assert got == want
         assert seen == want_seen == list(want[2])
         assert all(type(k) is int for k in got[1])
+        assert all(type(x) is int for images in seen for x in images)
