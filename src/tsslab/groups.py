@@ -8,7 +8,10 @@ generating set: subgroup closures are breadth-first searches over it
 Other searches are gathers on ``table`` and ``inv``, conjugates included
 (``_conjugates``).  ``mul``, the rows of ``table`` as tuples, is derived on
 first use for the one scalar walk over small groups, free-product word
-arithmetic on the factors.  Labels are advisory display strings only.
+arithmetic on the factors.  Labels are advisory display strings only,
+formatted on first read.  A constructor pays only for writing its table: a
+direct product takes its identity, inverses and verified associativity from
+its factors, and makes no pass over its own table.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +37,11 @@ _LATIN_SLAB = 256
 
 class GroupError(ValueError):
     """Raised for invalid group constructions or out-of-range elements."""
+
+
+# What a group's labels are read from: None (each element's index), the
+# labels themselves, or a picklable callable that formats them.
+LabelSource = Union[None, tuple[str, ...], Callable[[], tuple[str, ...]]]
 
 
 def table_dtype(order: int) -> np.dtype:
@@ -62,17 +70,21 @@ class FiniteGroup:
     such a tuple then costs a pointer, not a pointer and a fresh int.
     ``assoc_verified`` records whether associativity was verified for all
     triples by Light's test: always for tables from outside (``make_group``),
-    and up to order ``DEFAULT_ASSOC_CAP`` for the constructors' tables, which
-    are Latin with an identity by construction and are checked on their
-    recorded generators only (``_built``).  ``generators``,
-    None only for the trivial group, generate it (see ``make_group``).
+    and up to order ``DEFAULT_ASSOC_CAP`` for the primitive constructors'
+    tables, which are Latin with an identity by construction and are checked
+    on their recorded generators only (``_built``); a direct product is
+    verified when both factors are and it is within that cap.
+    ``generators``, None only for the trivial group, generate it (see
+    ``make_group``).  ``labels`` are formatted from ``_label_source`` on
+    first read and kept (``LabelSource``): tables from outside and quotients
+    pass the labels, the constructors a picklable formatter.
     """
 
     order: int
     identity: int
     inv: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
-    labels: Optional[tuple[str, ...]] = None
+    _label_source: LabelSource = field(default=None, repr=False)
     generators: Optional[tuple[int, ...]] = None
     name: str = "group"
     assoc_verified: bool = True
@@ -81,6 +93,11 @@ class FiniteGroup:
         if not (0 <= x < self.order):
             raise GroupError(f"element index {x} out of range for {self.name} (order {self.order})")
         return x
+
+    @cached_property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        """The display labels, or None when the elements are shown by index."""
+        return _read_labels(self._label_source)
 
     def label(self, x: int) -> str:
         if self.labels is not None:
@@ -568,14 +585,16 @@ def _first_fault(table: np.ndarray) -> NoReturn:
     _assoc_failure(table, *failure)
 
 
-def _built(table: np.ndarray, labels: list[str], generators: Optional[Sequence[int]],
-           name: str) -> FiniteGroup:
-    """A constructor's table as a group, not re-checked: it is a Latin square
-    with an identity by construction.  The identity is read in O(n), and each
-    inverse as x^(2n-1) = x^-1 in O(n log n) gathers on the table.  Up to
-    ``DEFAULT_ASSOC_CAP`` Light's test runs on the recorded ``generators``,
-    and one closure confirms that they generate the group: products of
-    checked elements pass the test, so the table is associative."""
+def _built(table: np.ndarray, labels: LabelSource | Sequence[str],
+           generators: Optional[Sequence[int]], name: str) -> FiniteGroup:
+    """A primitive constructor's table as a group, not re-checked: it is a
+    Latin square with an identity by construction.  The identity is read in
+    O(n), and each inverse as x^(2n-1) = x^-1 in O(n log n) gathers on the
+    table.  Up to ``DEFAULT_ASSOC_CAP`` Light's test runs on the recorded
+    ``generators``, and one closure confirms that they generate the group:
+    products of checked elements pass the test, so the table is associative.
+    A direct product takes all of these from its factors instead
+    (``direct_product``)."""
     n = len(table)
     identity = _find_identity(table)
     assoc_verified = n <= DEFAULT_ASSOC_CAP
@@ -592,11 +611,16 @@ def _built(table: np.ndarray, labels: list[str], generators: Optional[Sequence[i
                   assoc_verified)
 
 
-def _group(table: np.ndarray, identity: int, inv: np.ndarray, labels: Optional[Sequence[str]],
-           generators: Optional[Sequence[int]], name: str, assoc_verified: bool) -> FiniteGroup:
-    """Freeze the checked arrays into a group that records ``generators``."""
-    if labels is not None and len(labels) != table.shape[0]:
-        raise GroupError("label count does not match group order")
+def _group(table: np.ndarray, identity: int, inv: np.ndarray,
+           labels: LabelSource | Sequence[str], generators: Optional[Sequence[int]],
+           name: str, assoc_verified: bool) -> FiniteGroup:
+    """Freeze the checked arrays into a group that records ``generators``.
+    Labels given as strings are counted and kept as a tuple; a formatter is
+    kept to run on first read (``FiniteGroup.labels``)."""
+    if labels is not None and not callable(labels):
+        if len(labels) != table.shape[0]:
+            raise GroupError("label count does not match group order")
+        labels = tuple(labels)
     table.flags.writeable = False
     inv.flags.writeable = False
     return FiniteGroup(
@@ -604,7 +628,7 @@ def _group(table: np.ndarray, identity: int, inv: np.ndarray, labels: Optional[S
         identity=identity,
         inv=inv,
         table=table,
-        labels=tuple(labels) if labels is not None else None,
+        _label_source=labels,
         generators=tuple(generators or ()) or None,
         name=name,
         assoc_verified=assoc_verified,
@@ -617,14 +641,22 @@ def _cyclic_sums(n: int, dtype: np.dtype) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(twice, n)[:n]
 
 
+def _read_labels(source: LabelSource) -> Optional[tuple[str, ...]]:
+    return source() if callable(source) else source
+
+
+def _cyclic_labels(n: int) -> tuple[str, ...]:
+    """Z_n's elements as powers of a generator g."""
+    return ("e",) + tuple(f"g^{i}" if i > 1 else "g" for i in range(1, n))
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Z_n with labels as powers of a generator g."""
     if n < 1:
         raise GroupError(f"cyclic group order must be >= 1, got {n}")
     _order_cap(f"Z_{n}", n)
     mul = np.ascontiguousarray(_cyclic_sums(n, table_dtype(n)))
-    labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return _built(mul, labels, (1,) if n > 1 else None, f"Z{n}")
+    return _built(mul, partial(_cyclic_labels, n), (1,) if n > 1 else None, f"Z{n}")
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -645,13 +677,14 @@ def make_dihedral(n: int) -> FiniteGroup:
     mul[n, n:] = sums[0]  # row i1: i2 - i1, row n - i1 of sums; a view copy needs no temporary
     mul[n + 1:, n:] = sums[:0:-1]
     np.add(mul[n:, n:], n, out=mul[:n, n:])
+    return _built(mul, partial(_dihedral_labels, n), (1, n) if n > 1 else (n,), f"D{order}")
 
-    def rot_label(i: int) -> str:
-        return "e" if i == 0 else ("r" if i == 1 else f"r^{i}")
 
-    labels = [rot_label(i) for i in range(n)]
-    labels += ["s" if i == 0 else ("sr" if i == 1 else f"sr^{i}") for i in range(n)]
-    return _built(mul, labels, (1, n) if n > 1 else (n,), f"D{order}")
+def _dihedral_labels(n: int) -> tuple[str, ...]:
+    """D_2n's elements s^eps r^i in the index layout eps*n + i."""
+    rotations = ["e" if i == 0 else ("r" if i == 1 else f"r^{i}") for i in range(n)]
+    reflections = ["s" if i == 0 else ("sr" if i == 1 else f"sr^{i}") for i in range(n)]
+    return tuple(rotations + reflections)
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -672,6 +705,11 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
+def _symmetric_labels(n: int) -> tuple[str, ...]:
+    """S_n's elements in lexicographic one-line order, in cycle notation."""
+    return tuple(map(_cycle_notation, itertools.permutations(range(n))))
+
+
 def make_symmetric(n: int) -> FiniteGroup:
     """S_n with elements in lexicographic one-line order, labels in cycle notation.
 
@@ -687,7 +725,7 @@ def make_symmetric(n: int) -> FiniteGroup:
     order = math.factorial(n)
     _order_cap(f"S_{n}", order)
     perms = list(itertools.permutations(range(n)))
-    labels = [_cycle_notation(p) for p in perms]
+    labels = partial(_symmetric_labels, n)
     mul = np.empty((order, order), dtype=table_dtype(order))
     mul[0] = np.arange(order)  # the identity is first in lexicographic order
     if n == 1:
@@ -733,7 +771,12 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
     for a1 in range(p):
         r_part = (a1 + twisted) % p * m
         np.add(r_part[:, :, None], s_sums[:, None, :], out=blocks[a1])
+    gens = (m, 1)  # r = (a=1,b=0), s = (a=0,b=1)
+    return _built(mul, partial(_semidirect_labels, p, m), gens, f"SD({p},{m},{k})")
 
+
+def _semidirect_labels(p: int, m: int) -> tuple[str, ...]:
+    """Z_p x| Z_m's elements r^a s^b in the index layout a*m + b."""
     def lab(a: int, b: int) -> str:
         if a == 0 and b == 0:
             return "e"
@@ -741,13 +784,20 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
         sb = "" if b == 0 else ("s" if b == 1 else f"s^{b}")
         return ra + sb
 
-    labels = [lab(a, b) for a in range(p) for b in range(m)]
-    gens = (m, 1)  # r = (a=1,b=0), s = (a=0,b=1)
-    return _built(mul, labels, gens, f"SD({p},{m},{k})")
+    return tuple(lab(a, b) for a in range(p) for b in range(m))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; element (x,y) is indexed as x*|H| + y."""
+    """Componentwise product; element (x,y) is indexed as x*|H| + y.
+
+    Only the table is written.  The rest is read from the factors in
+    O(order), with no pass over the table: the identity (e, e), the inverses
+    (x^-1, y^-1), the generators (x, e) and (e, y), and the labels "(x,y)",
+    formatted from the factors' label sources on first read.  The product is
+    associative iff both factors are, so ``assoc_verified`` holds when it
+    holds for both and the order is within ``DEFAULT_ASSOC_CAP``, the cap of
+    the primitive constructors (``_built``).
+    """
     order, name = g.order * h.order, f"{g.name}x{h.name}"
     _order_cap(name, order)
     oh = h.order
@@ -756,11 +806,26 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     # [x1, y1, x2, y2] -> g(x1, x2) * |H| + h(y1, y2)
     np.add((g.table.astype(dtype) * oh)[:, None, :, None], h.table[None, :, None, :],
            out=mul.reshape(g.order, oh, g.order, oh))
-    labels = [f"({g.label(x)},{h.label(y)})" for x in range(g.order) for y in range(oh)]
+    inv = (g.inv.astype(dtype)[:, None] * oh + h.inv).ravel()
+    labels = partial(_product_labels, g._label_source, g.order, h._label_source, oh)
     # (x, e) for each generator x of G, then (e, y) for each y of H
     gens = ([x * oh + h.identity for x in g.generators or ()]
             + [g.identity * oh + y for y in h.generators or ()])
-    return _built(mul, labels, gens, name)
+    assoc_verified = order <= DEFAULT_ASSOC_CAP and g.assoc_verified and h.assoc_verified
+    return _group(mul, g.identity * oh + h.identity, inv, labels, gens, name, assoc_verified)
+
+
+def _product_labels(g_source: LabelSource, g_order: int,
+                    h_source: LabelSource, h_order: int) -> tuple[str, ...]:
+    """G x H's elements "(x,y)" in the index layout x*|H| + y, each factor's
+    element shown as ``FiniteGroup.label`` shows it."""
+    g_labels, h_labels = _shown(g_source, g_order), _shown(h_source, h_order)
+    return tuple(f"({x},{y})" for x in g_labels for y in h_labels)
+
+
+def _shown(source: LabelSource, order: int) -> tuple[str, ...]:
+    labels = _read_labels(source)
+    return labels if labels is not None else tuple(map(str, range(order)))
 
 
 def split_product_index(idx: int, h_order: int) -> tuple[int, int]:

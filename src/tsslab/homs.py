@@ -31,7 +31,7 @@ from .groups import (
     generated_subgroup,
     make_group,
 )
-from .tss import TssCertificate, TssError, certify_tss, max_tss_size
+from .tss import TssCertificate, TssError, _levels, certify_tss
 
 # Candidates per block of the homomorphism search: half the TSS search's
 # block, because this search holds one block's children at every generator
@@ -562,7 +562,7 @@ def braid_cyclic_corollary_check(
         raise HomError(f"the cyclic-image corollary is stated for n >= 5 strands, got {n}")
     start = time.perf_counter()
     threshold = n // 2
-    s_target = max_tss_size(target).s_of_g
+    s_target = sum(1 for _ in _levels(target))  # S(target), with no certificates made
     count, histogram, noncyclic = 0, {}, ()
     if s_target < threshold:
         homs = enumerate_homs(braid_presentation(n), target, budget=budget,

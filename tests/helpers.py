@@ -40,7 +40,7 @@ from tsslab.homs import (
     _two_generator_relation,
     is_homomorphism,
 )
-from tsslab.specs import parse_group_spec
+from tsslab.specs import parse_group_spec, split_spec_pair
 from tsslab.tss import TssError, certify_tss, realized_permutations
 from tsslab.words.baumslag import BS_IDENTITY, BsElement, bs_ab, bs_inverse, bs_multiply
 from tsslab.words.freegroup import FreeWord, f2_reduce
@@ -189,6 +189,42 @@ def ref_semidirect_mul(p: int, m: int, k: int) -> list[list[int]]:
         return ((a1 + a2 * kpow[b1]) % p) * m + (b1 + b2) % m
 
     return [[prod(x, y) for y in range(p * m)] for x in range(p * m)]
+
+
+def ref_eager_labels(spec: str) -> list[str]:
+    """The labels of a constructor spec's group, formatted the way the
+    constructors once formatted them eagerly, at construction."""
+    kind, _, args = spec.partition(":")
+    if kind == "product":
+        left, right = split_spec_pair(args)
+        g_labels, h_labels = ref_eager_labels(left), ref_eager_labels(right)
+        return [f"({x},{y})" for x in g_labels for y in h_labels]
+    nums = [int(a) for a in args.split(",")]
+    if kind == "cyclic":
+        n, = nums
+        return ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
+    if kind == "dihedral":
+        n, = nums
+
+        def rot_label(i: int) -> str:
+            return "e" if i == 0 else ("r" if i == 1 else f"r^{i}")
+
+        labels = [rot_label(i) for i in range(n)]
+        return labels + ["s" if i == 0 else ("sr" if i == 1 else f"sr^{i}") for i in range(n)]
+    if kind == "sym":
+        n, = nums
+        return [_cycle_notation(p) for p in itertools.permutations(range(n))]
+    assert kind == "semidirect", spec
+    p, m, _ = nums
+
+    def lab(a: int, b: int) -> str:
+        if a == 0 and b == 0:
+            return "e"
+        ra = "" if a == 0 else ("r" if a == 1 else f"r^{a}")
+        sb = "" if b == 0 else ("s" if b == 1 else f"s^{b}")
+        return ra + sb
+
+    return [lab(a, b) for a in range(p) for b in range(m)]
 
 
 def ref_product_mul(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:

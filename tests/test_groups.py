@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -42,6 +44,7 @@ from helpers import (
     ref_check_table,
     ref_conjugacy_partition,
     ref_derived_series,
+    ref_eager_labels,
     ref_eager_mul,
     ref_element_order,
     ref_generated_subgroup,
@@ -1031,6 +1034,23 @@ CONSTRUCTED = {
 }
 
 
+# a factor of each kind a product can take: constructed, itself a product,
+# decoded from a Cayley document, a quotient, and a raw table with no labels
+_FACTORS = {
+    "cyclic:1": lambda: make_cyclic(1),
+    "cyclic:3": lambda: make_cyclic(3),
+    "sym:5": lambda: make_symmetric(5),
+    "product:cyclic:2,sym:3": lambda: parse_group_spec("product:cyclic:2,sym:3"),
+    "decoded-D8": lambda: from_cayley_table(to_cayley_table(make_dihedral(4))),
+    "D12/Z2": lambda: homs.quotient_hom(make_dihedral(6), [0, 3]).target,
+    "raw-Z4": lambda: groups.make_group(make_cyclic(4).table),
+}
+_PRODUCTS = [("sym:5", "cyclic:3"), ("cyclic:1", "cyclic:1"), ("decoded-D8", "cyclic:3"),
+             ("cyclic:3", "D12/Z2"), ("D12/Z2", "decoded-D8"),
+             ("product:cyclic:2,sym:3", "raw-Z4"), ("raw-Z4", "D12/Z2"),
+             ("sym:5", "decoded-D8")]  # the last above DEFAULT_ASSOC_CAP
+
+
 class TestConstructedTables:
     """Constructors build their groups without the checks ``make_group`` runs
     on tables from outside; the checked path agrees with them on every table."""
@@ -1111,3 +1131,92 @@ class TestConstructedTables:
                       lambda: homs.quotient_hom(g, [g.identity])):
             with pytest.raises(axiom_check_raises):
                 build()
+
+    @pytest.fixture
+    def table_passes(self, monkeypatch):
+        """The calls to each pass over a table that ``_built`` and
+        ``make_group`` make, counted by name."""
+        calls = collections.Counter()
+        for name in ("_light_failure", "_close", "_power_inverses", "_find_identity"):
+            def counted(*args, name=name, run=getattr(groups, name)):
+                calls[name] += 1
+                return run(*args)
+
+            monkeypatch.setattr(groups, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("left,right", _PRODUCTS)
+    def test_products_make_no_pass_over_their_table(self, table_passes, left, right):
+        g, h = _FACTORS[left](), _FACTORS[right]()
+        table_passes.clear()
+        prod = direct_product(g, h)
+        assert not table_passes
+        checked = groups.make_group(prod.table)
+        assert table_passes["_find_identity"] == 1  # the counters see the checked path
+        assert prod.identity == checked.identity
+        assert prod.inv.dtype == checked.inv.dtype and np.array_equal(prod.inv, checked.inv)
+        assert not prod.inv.flags.writeable
+        assert prod.assoc_verified == (checked.assoc_verified
+                                       and prod.order <= groups.DEFAULT_ASSOC_CAP)
+        assert generated_subgroup(prod, prod.generators or [prod.identity]) == tuple(
+            range(prod.order))
+
+
+class TestLabelsOnFirstRead:
+    """Constructors keep a formatter for their labels and run it on the first
+    read; tables from outside keep the labels they were given."""
+
+    @pytest.fixture
+    def label_reads(self, monkeypatch):
+        """The number of label sources read so far, a list of one count."""
+        reads = [0]
+
+        def counted(source, run=groups._read_labels):
+            reads[0] += 1
+            return run(source)
+
+        monkeypatch.setattr(groups, "_read_labels", counted)
+        return reads
+
+    @pytest.mark.parametrize("family", CONSTRUCTED)
+    def test_labels_are_formatted_on_first_read(self, label_reads, family):
+        for spec in CONSTRUCTED[family]:
+            g = parse_group_spec(spec)
+            assert label_reads == [0] and "labels" not in g.__dict__, spec
+            assert callable(g._label_source), spec  # a formatter, not formatted labels
+            assert g.labels == tuple(ref_eager_labels(spec)), spec
+            assert g.labels is g.labels and g.label(g.order - 1) == g.labels[-1], spec
+            label_reads[0] = 0
+
+    @pytest.mark.parametrize("left,right", _PRODUCTS)
+    def test_product_labels_show_the_factors_labels(self, left, right):
+        g, h = _FACTORS[left](), _FACTORS[right]()
+        prod = direct_product(g, h)
+        assert prod.labels == tuple(f"({g.label(x)},{h.label(y)})"
+                                    for x in range(g.order) for y in range(h.order))
+
+    def test_tables_from_outside_keep_their_labels(self):
+        g = make_dihedral(4)
+        back = from_cayley_table(to_cayley_table(g))
+        assert back._label_source == g.labels == back.labels
+        raw = groups.make_group(g.table)
+        assert raw.labels is None and raw.label(3) == "3"
+        with pytest.raises(GroupError, match="^label count does not match group order$"):
+            groups.make_group(g.table, g.labels[1:])
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("left,right", _PRODUCTS[:-1])
+    def test_groups_pickle_with_their_labels(self, left, right, read_first):
+        for build in (_FACTORS[left], lambda: direct_product(_FACTORS[left](), _FACTORS[right]())):
+            g = build()
+            if read_first:
+                g.labels
+            back = pickle.loads(pickle.dumps(g))
+            assert ("labels" in back.__dict__) == read_first
+            assert back.labels == build().labels
+            assert back.table.tobytes() == g.table.tobytes()
+
+    def test_braid_check_reads_no_labels(self, label_reads):
+        target = parse_group_spec("product:sym:5,cyclic:2")  # a braid-homs target
+        assert homs.braid_cyclic_corollary_check(9, target).all_cyclic
+        assert label_reads == [0] and "labels" not in target.__dict__
