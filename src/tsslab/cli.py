@@ -316,13 +316,10 @@ def _cmd_hom(args: argparse.Namespace) -> int:
               [["images"]] + [[" ".join(map(str, h.images))] for h in found])
         return EXIT_PASS
 
-    def on_noncyclic(hom: homs.GeneratorImageMap) -> None:
-        if args.format == "text":
-            print(f"non-cyclic image: generator images {hom.images}")
-
-    report = homs.braid_cyclic_corollary_check(
-        args.strands, target, budget=args.budget, on_noncyclic=on_noncyclic
-    )
+    report = homs.braid_cyclic_corollary_check(args.strands, target, budget=args.budget)
+    if args.format == "text":
+        for images in report.noncyclic_images:
+            print(f"non-cyclic image: generator images {images}")
     doc = braid_report_to_json(report)
     if not report.applicable:
         lines = [

@@ -9,9 +9,13 @@ Other searches are gathers on ``table`` and ``inv``, conjugates included
 (``_conjugates``).  ``mul``, the rows of ``table`` as tuples, is derived on
 first use for the one scalar walk over small groups, free-product word
 arithmetic on the factors.  Labels are advisory display strings only,
-formatted on first read.  A constructor pays only for writing its table: a
-direct product takes its identity, inverses and verified associativity from
-its factors, and makes no pass over its own table.
+formatted on first read.
+
+A group is made one of two ways.  A table from outside the library passes
+the group axioms (``make_group``).  A table the library writes is not
+checked at runtime: the constructors pay only for writing it, and give its
+identity and inverses in closed form from the index layout, or, for a
+direct product, from its factors.
 """
 
 from __future__ import annotations
@@ -68,16 +72,16 @@ class FiniteGroup:
     the certificates' elements and witnesses and the stabilizer, kernel and
     witnesses of ``realized_permutations``.  Above order 256 each entry of
     such a tuple then costs a pointer, not a pointer and a fresh int.
-    ``assoc_verified`` records whether associativity was verified for all
-    triples by Light's test: always for tables from outside (``make_group``),
-    and up to order ``DEFAULT_ASSOC_CAP`` for the primitive constructors'
-    tables, which are Latin with an identity by construction and are checked
-    on their recorded generators only (``_built``); a direct product is
-    verified when both factors are and it is within that cap.
+    ``assoc_verified`` records whether associativity is verified for all
+    triples: by Light's test at runtime for every table from outside
+    (``make_group``), and for the primitive constructors' tables up to order
+    ``DEFAULT_ASSOC_CAP``, which the test suite checks by the group axioms
+    family by family, as nothing is checked when they are built; a direct
+    product is verified when both factors are and it is within that cap.
     ``generators``, None only for the trivial group, generate it (see
     ``make_group``).  ``labels`` are formatted from ``_label_source`` on
-    first read and kept (``LabelSource``): tables from outside and quotients
-    pass the labels, the constructors a picklable formatter.
+    first read and kept (``LabelSource``): tables from outside pass the
+    labels, the constructors and quotients a picklable formatter.
     """
 
     order: int
@@ -507,13 +511,14 @@ def _assoc_scan(mul: np.ndarray) -> None:
 
 def make_group(
     mul: Sequence[Sequence[int]] | np.ndarray,
-    labels: Optional[Sequence[str]] = None,
+    labels: LabelSource | Sequence[str] = None,
     name: str = "group",
 ) -> FiniteGroup:
     """Validate a table from outside the library and build a FiniteGroup.
 
     Cayley documents, ``file:`` specs, quotients and raw tables come here; the
-    constructors' tables hold by construction and skip these checks (``_built``).
+    constructors write their tables, identity and inverses by construction
+    and go straight to ``_group`` unchecked.
     Every such table is held to the order cap by its row count, and at every
     order must hold integers (``_integer_table``) and pass the group axioms
     (``_group_axioms``), in O(n^2 log n) work with no order^2 temporary; the
@@ -521,7 +526,8 @@ def make_group(
     is True.  A table that fails the axioms gets the checks in their fixed
     order only to name its first fault (``_first_fault``).  An integer
     ndarray already of dtype ``table_dtype(order)`` becomes the group's
-    read-only ``table`` without a copy.
+    read-only ``table`` without a copy.  ``labels`` are strings, one per
+    element, or a formatter run on first read (``LabelSource``).
     """
     table = _integer_table(mul)
     axioms = _group_axioms(table)
@@ -585,38 +591,13 @@ def _first_fault(table: np.ndarray) -> NoReturn:
     _assoc_failure(table, *failure)
 
 
-def _built(table: np.ndarray, labels: LabelSource | Sequence[str],
-           generators: Optional[Sequence[int]], name: str) -> FiniteGroup:
-    """A primitive constructor's table as a group, not re-checked: it is a
-    Latin square with an identity by construction.  The identity is read in
-    O(n), and each inverse as x^(2n-1) = x^-1 in O(n log n) gathers on the
-    table.  Up to ``DEFAULT_ASSOC_CAP`` Light's test runs on the recorded
-    ``generators``, and one closure confirms that they generate the group:
-    products of checked elements pass the test, so the table is associative.
-    A direct product takes all of these from its factors instead
-    (``direct_product``)."""
-    n = len(table)
-    identity = _find_identity(table)
-    assoc_verified = n <= DEFAULT_ASSOC_CAP
-    if assoc_verified:
-        for y in generators or ():
-            failure = _light_failure(table, y)
-            if failure is not None:
-                _assoc_failure(table, failure[0], y, failure[1])
-        reached = np.arange(n) == identity
-        _close(table, reached, generators or ())
-        if not reached.all():
-            raise GroupError(f"the recorded generators of {name} do not generate it")
-    return _group(table, identity, _power_inverses(table), labels, generators, name,
-                  assoc_verified)
-
-
 def _group(table: np.ndarray, identity: int, inv: np.ndarray,
            labels: LabelSource | Sequence[str], generators: Optional[Sequence[int]],
            name: str, assoc_verified: bool) -> FiniteGroup:
-    """Freeze the checked arrays into a group that records ``generators``.
-    Labels given as strings are counted and kept as a tuple; a formatter is
-    kept to run on first read (``FiniteGroup.labels``)."""
+    """Freeze a table with its identity and inverses into a group that records
+    ``generators``: checked ones from ``make_group``, or a constructor's,
+    which are not checked.  Labels given as strings are counted and kept as a
+    tuple; a formatter is kept to run on first read (``FiniteGroup.labels``)."""
     if labels is not None and not callable(labels):
         if len(labels) != table.shape[0]:
             raise GroupError("label count does not match group order")
@@ -655,8 +636,11 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"cyclic group order must be >= 1, got {n}")
     _order_cap(f"Z_{n}", n)
-    mul = np.ascontiguousarray(_cyclic_sums(n, table_dtype(n)))
-    return _built(mul, partial(_cyclic_labels, n), (1,) if n > 1 else None, f"Z{n}")
+    dtype = table_dtype(n)
+    mul = np.ascontiguousarray(_cyclic_sums(n, dtype))
+    inv = -np.arange(n, dtype=dtype) % n
+    return _group(mul, 0, inv, partial(_cyclic_labels, n), (1,) if n > 1 else None, f"Z{n}",
+                  n <= DEFAULT_ASSOC_CAP)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -677,7 +661,10 @@ def make_dihedral(n: int) -> FiniteGroup:
     mul[n, n:] = sums[0]  # row i1: i2 - i1, row n - i1 of sums; a view copy needs no temporary
     mul[n + 1:, n:] = sums[:0:-1]
     np.add(mul[n:, n:], n, out=mul[:n, n:])
-    return _built(mul, partial(_dihedral_labels, n), (1, n) if n > 1 else (n,), f"D{order}")
+    # (r^i)^-1 = r^-i, and each reflection s r^i is its own inverse
+    inv = np.concatenate([-sums[0] % n, sums[0] + n])
+    return _group(mul, 0, inv, partial(_dihedral_labels, n), (1, n) if n > 1 else (n,),
+                  f"D{order}", order <= DEFAULT_ASSOC_CAP)
 
 
 def _dihedral_labels(n: int) -> tuple[str, ...]:
@@ -728,15 +715,17 @@ def make_symmetric(n: int) -> FiniteGroup:
     labels = partial(_symmetric_labels, n)
     mul = np.empty((order, order), dtype=table_dtype(order))
     mul[0] = np.arange(order)  # the identity is first in lexicographic order
-    if n == 1:
-        return _built(mul, labels, None, "S1")
-    transposition = perms.index(tuple([1, 0] + list(range(2, n))))
-    ncycle = perms.index(tuple(list(range(1, n)) + [0]))
-    gens = (transposition,) if n == 2 else (transposition, ncycle)
     one_line = np.array(perms, dtype=np.intp).reshape(order, n)
     # base-n keys of the one-line forms ascend with the lexicographic order
     weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
     keys = one_line @ weights
+    # the inverse of a permutation, in one-line form, is its argsort
+    inv = np.searchsorted(keys, np.argsort(one_line, axis=1) @ weights).astype(mul.dtype)
+    if n == 1:
+        return _group(mul, 0, inv, labels, None, "S1", True)
+    transposition = perms.index(tuple([1, 0] + list(range(2, n))))
+    ncycle = perms.index(tuple(list(range(1, n)) + [0]))
+    gens = (transposition,) if n == 2 else (transposition, ncycle)
     # (s q)(k) = s[q[k]] for every q at once
     gen_rows = [np.searchsorted(keys, one_line[s][one_line] @ weights) for s in gens]
     built = np.zeros(order, dtype=bool)
@@ -752,7 +741,7 @@ def make_symmetric(n: int) -> FiniteGroup:
             built[ys] = True
             reached.append(ys)
         frontier = np.concatenate(reached)
-    return _built(mul, labels, gens, f"S{n}")
+    return _group(mul, 0, inv, labels, gens, f"S{n}", order <= DEFAULT_ASSOC_CAP)
 
 
 def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
@@ -771,8 +760,13 @@ def make_semidirect_cyclic(params: SemidirectParams) -> FiniteGroup:
     for a1 in range(p):
         r_part = (a1 + twisted) % p * m
         np.add(r_part[:, :, None], s_sums[:, None, :], out=blocks[a1])
+    # (r^a s^b)^-1 = s^-b r^-a = r^(-a k^-b) s^-b, and k^-b = k^((m - b) mod m)
+    a, b = np.divmod(np.arange(order, dtype=np.int64), m)
+    b_inv = -b % m
+    inv = (-a * kpow[b_inv] % p * m + b_inv).astype(mul.dtype)
     gens = (m, 1)  # r = (a=1,b=0), s = (a=0,b=1)
-    return _built(mul, partial(_semidirect_labels, p, m), gens, f"SD({p},{m},{k})")
+    return _group(mul, 0, inv, partial(_semidirect_labels, p, m), gens, f"SD({p},{m},{k})",
+                  order <= DEFAULT_ASSOC_CAP)
 
 
 def _semidirect_labels(p: int, m: int) -> tuple[str, ...]:
@@ -795,8 +789,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     (x^-1, y^-1), the generators (x, e) and (e, y), and the labels "(x,y)",
     formatted from the factors' label sources on first read.  The product is
     associative iff both factors are, so ``assoc_verified`` holds when it
-    holds for both and the order is within ``DEFAULT_ASSOC_CAP``, the cap of
-    the primitive constructors (``_built``).
+    holds for both and the order is within ``DEFAULT_ASSOC_CAP``, the cap up to
+    which the primitive constructors' tables count as verified.
     """
     order, name = g.order * h.order, f"{g.name}x{h.name}"
     _order_cap(name, order)
@@ -821,6 +815,13 @@ def _product_labels(g_source: LabelSource, g_order: int,
     element shown as ``FiniteGroup.label`` shows it."""
     g_labels, h_labels = _shown(g_source, g_order), _shown(h_source, h_order)
     return tuple(f"({x},{y})" for x in g_labels for y in h_labels)
+
+
+def _coset_labels(source: LabelSource, order: int, reps: Sequence[int]) -> tuple[str, ...]:
+    """G/N's cosets "[x]", each by its least member x as ``FiniteGroup.label``
+    shows x in G, whose label source and order are given."""
+    labels = _shown(source, order)
+    return tuple(f"[{labels[x]}]" for x in reps)
 
 
 def _shown(source: LabelSource, order: int) -> tuple[str, ...]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .groups import (
     GroupError,
     _candidate_blocks,
     _conjugates,
+    _coset_labels,
     _row_blocks,
     conjugacy_classes,
     generated_subgroup,
@@ -356,7 +358,9 @@ def quotient_hom(g: FiniteGroup, normal: Sequence[int]) -> TableHom:
     """Quotient map G -> G/N for a normal subgroup given by its elements.
 
     Cosets are indexed in order of their least member, so the identity coset
-    is element 0 of the quotient.
+    is ``mapping[g.identity]``, element 0 only when G's identity is.  Each
+    coset is labelled "[x]" by its least member x, formatted on first read
+    from G's label source, so neither group's labels are read here.
     """
     nset = tuple(sorted(set(normal)))
     if generated_subgroup(g, nset) != nset:
@@ -368,7 +372,7 @@ def quotient_hom(g: FiniteGroup, normal: Sequence[int]) -> TableHom:
     # row x holds the coset xN; its least member names it
     reps, coset_of = np.unique(g.table[:, nset].min(axis=1), return_inverse=True)
     mul = coset_of[g.table[np.ix_(reps, reps)]]
-    labels = [f"[{g.label(r)}]" for r in reps.tolist()]
+    labels = partial(_coset_labels, g._label_source, g.order, tuple(reps.tolist()))
     quotient = make_group(mul, labels, name=f"{g.name}/N{len(nset)}")
     return TableHom(g, quotient, tuple(coset_of.tolist()))
 
@@ -499,7 +503,6 @@ class BraidCorollaryReport:
 def _braid_class_census(
     homs: Iterable[GeneratorImageMap],
     target: FiniteGroup,
-    on_noncyclic: Optional[Callable[[GeneratorImageMap], None]] = None,
 ) -> tuple[int, dict[int, int], tuple[tuple[int, ...], ...]]:
     """The count, the image-order histogram (sorted) and the non-cyclic
     images of every homomorphism from a braid group to ``target``, read from
@@ -517,8 +520,7 @@ def _braid_class_census(
     image's, from ``element_orders``.  Only non-cyclic images are closed.
     Each non-cyclic map is expanded to its conjugates, q images q^-1 for
     every q (``_conjugates``): their distinct rows, in lexicographic order,
-    are the non-cyclic images of the full stream, and ``on_noncyclic`` is
-    called on them in that order once the stream ends.
+    are the non-cyclic images of the full stream.
     """
     graph = target._commuting_graph
     histogram: dict[int, int] = {}
@@ -538,9 +540,6 @@ def _braid_class_census(
     if conjugates:
         rows = np.unique(np.concatenate(conjugates), axis=0)
         noncyclic = tuple(map(tuple, rows.tolist()))
-    if on_noncyclic is not None:
-        for images in noncyclic:
-            on_noncyclic(_image_map(hom.presentation, target, images))
     return count, dict(sorted(histogram.items())), noncyclic
 
 
@@ -548,7 +547,6 @@ def braid_cyclic_corollary_check(
     n: int,
     target: FiniteGroup,
     budget: int = DEFAULT_HOM_BUDGET,
-    on_noncyclic: Optional[Callable[[GeneratorImageMap], None]] = None,
 ) -> BraidCorollaryReport:
     """Exhaustively check that every homomorphism B_n -> target has cyclic
     image, under the hypothesis S(target) < floor(n/2).
@@ -556,7 +554,7 @@ def braid_cyclic_corollary_check(
     A violated hypothesis is reported as not applicable, never as a failure.
     The search sends sigma_1 to one representative per conjugacy class, and
     ``budget`` bounds its nodes; ``_braid_class_census`` reports from it on
-    every homomorphism and calls ``on_noncyclic`` once the search ends.
+    every homomorphism.
     """
     if n < 5:
         raise HomError(f"the cyclic-image corollary is stated for n >= 5 strands, got {n}")
@@ -567,7 +565,7 @@ def braid_cyclic_corollary_check(
     if s_target < threshold:
         homs = enumerate_homs(braid_presentation(n), target, budget=budget,
                               first_image_up_to_conjugacy=True)
-        count, histogram, noncyclic = _braid_class_census(homs, target, on_noncyclic)
+        count, histogram, noncyclic = _braid_class_census(homs, target)
     return BraidCorollaryReport(
         strands=n,
         target_name=target.name,

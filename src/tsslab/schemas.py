@@ -118,17 +118,15 @@ def certificate_to_json(cert: TssCertificate) -> dict[str, Any]:
     }
 
 
-def tss_report_to_json(report: TssReport, order: int | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+def tss_report_to_json(report: TssReport, order: int) -> dict[str, Any]:
+    return {
         "format": FORMAT_VERSION,
         "group": report.group_description,
         "s_of_g": report.s_of_g,
         "counts": {str(k): v for k, v in sorted(report.counts.items())},
         "maximal_sets": [certificate_to_json(c) for c in report.maximal_sets],
+        "order": order,
     }
-    if order is not None:
-        doc["order"] = order
-    return doc
 
 
 def stabilizer_to_json(dec: StabilizerDecomposition) -> dict[str, Any]:

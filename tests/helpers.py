@@ -825,7 +825,7 @@ def image_is_cyclic(m: GeneratorImageMap) -> bool:
     return any(ref_element_order(m.target, x) == len(sub) for x in sub)
 
 
-def ref_braid_image_census(homs, on_noncyclic=None):
+def ref_braid_image_census(homs):
     """(count, histogram, non-cyclic images) of a stream of homomorphisms:
     each image closed by ``ref_generated_subgroup`` and called cyclic when one
     of its members has the image's order."""
@@ -838,6 +838,4 @@ def ref_braid_image_census(homs, on_noncyclic=None):
         histogram[len(sub)] = histogram.get(len(sub), 0) + 1
         if not any(ref_element_order(hom.target, x) == len(sub) for x in sub):
             noncyclic.append(hom.images)
-            if on_noncyclic is not None:
-                on_noncyclic(hom)
     return count, dict(sorted(histogram.items())), tuple(noncyclic)

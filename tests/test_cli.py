@@ -118,6 +118,32 @@ class TestHom:
         jsonschema.validate(doc, HOM_REPORT_SCHEMA)
         assert doc["all_cyclic"] is True
 
+    @pytest.fixture
+    def planted_noncyclic(self, monkeypatch):
+        """A search that yields one non-cyclic map, (1, 2, 1, 2), and one
+        cyclic map, (2, 2, 2, 2), whatever it is asked."""
+        def planted(pres, target, **kwargs):
+            for images in [(1, 2, 1, 2), (2, 2, 2, 2)]:
+                yield homs.GeneratorImageMap(pres, target, images)
+
+        monkeypatch.setattr(homs, "enumerate_homs", planted)
+
+    def test_braid_check_reports_a_planted_noncyclic_image(self, planted_noncyclic, capsys):
+        argv = ["hom", "braid-check", "--strands", "5", "--target", "cyclic:6"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "non-cyclic image: generator images (1, 2, 1, 2)",
+            "2 homomorphisms B_5 -> Z6",
+            "image order histogram: {3: 1, 6: 1}",
+            "all cyclic: False",
+        ]
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        doc = json.loads(out)
+        jsonschema.validate(doc, HOM_REPORT_SCHEMA)
+        assert code == 1 and doc["noncyclic_images"] == [[1, 2, 1, 2]]
+        assert (doc["hom_count"], doc["all_cyclic"]) == (2, False)
+
 
 class TestWord:
     def test_f2(self, capsys):

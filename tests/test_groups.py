@@ -1104,23 +1104,6 @@ class TestConstructedTables:
         g = parse_group_spec(spec)
         assert g.table[g.identity].tolist() == list(range(g.order))
 
-    def test_recorded_generators_are_checked(self):
-        # Light's test on the recorded generators, then one closure over them
-        g = make_dihedral(6)
-        table, labels = np.array(g.table), list(g.labels)
-        assert groups._built(np.array(table), labels, (1, 6), "D12").assoc_verified
-        for gens in [(1,), (2, 6), (6,), ()]:
-            with pytest.raises(GroupError, match="^the recorded generators of D12 do not "
-                                                 "generate it$"):
-                groups._built(np.array(table), labels, gens, "D12")
-        loop = _intercalate_swap(table, random.Random(12))
-        want = _assoc_outcome(ref_check_assoc, loop)
-        assert want is not None
-        assert _assoc_outcome(lambda t: groups._built(t, labels, (1, 6), "D12"), loop) == want
-        # above the cap nothing is checked, as for any constructor there
-        big = make_dihedral(300)
-        assert not groups._built(np.array(big.table), list(big.labels), (1,), "D600").assoc_verified
-
     def test_tables_from_outside_are_checked(self, axiom_check_raises, tmp_path):
         g = make_dihedral(4)
         path = tmp_path / "d8.txt"
@@ -1132,10 +1115,17 @@ class TestConstructedTables:
             with pytest.raises(axiom_check_raises):
                 build()
 
+    @pytest.mark.parametrize("family", CONSTRUCTED)
+    def test_recorded_generators_generate(self, family):
+        for spec in CONSTRUCTED[family]:
+            g = parse_group_spec(spec)
+            assert ref_generated_subgroup(g, g.generators or [g.identity]) == tuple(
+                range(g.order)), spec
+
     @pytest.fixture
     def table_passes(self, monkeypatch):
-        """The calls to each pass over a table that ``_built`` and
-        ``make_group`` make, counted by name."""
+        """The calls to each pass over a table that ``make_group`` makes,
+        counted by name."""
         calls = collections.Counter()
         for name in ("_light_failure", "_close", "_power_inverses", "_find_identity"):
             def counted(*args, name=name, run=getattr(groups, name)):
@@ -1144,6 +1134,19 @@ class TestConstructedTables:
 
             monkeypatch.setattr(groups, name, counted)
         return calls
+
+    # the trivial group of each family, and orders at and above DEFAULT_ASSOC_CAP
+    @pytest.mark.parametrize("spec", [
+        "cyclic:1", "sym:1", "dihedral:1", "semidirect:2,1,1", "sym:5", "sym:6",
+        "cyclic:512", "cyclic:513", "dihedral:256", "dihedral:257", "semidirect:2,256,1",
+        "semidirect:19,27,7",
+    ])
+    def test_primitive_constructors_make_no_pass_over_their_table(self, table_passes, spec):
+        g = parse_group_spec(spec)
+        assert not table_passes
+        assert g.identity == 0 and g.assoc_verified == (g.order <= groups.DEFAULT_ASSOC_CAP)
+        groups.make_group(g.table)
+        assert table_passes["_find_identity"] == 1  # the counters see the checked path
 
     @pytest.mark.parametrize("left,right", _PRODUCTS)
     def test_products_make_no_pass_over_their_table(self, table_passes, left, right):
@@ -1215,6 +1218,27 @@ class TestLabelsOnFirstRead:
             assert ("labels" in back.__dict__) == read_first
             assert back.labels == build().labels
             assert back.table.tobytes() == g.table.tobytes()
+
+    def test_quotients_format_their_labels_on_first_read(self, label_reads):
+        g = make_symmetric(4)
+        quotient = homs.quotient_hom(g, [0, 7, 16, 23]).target
+        assert label_reads == [0]
+        assert "labels" not in g.__dict__ and "labels" not in quotient.__dict__
+        back = pickle.loads(pickle.dumps(quotient))
+        assert "labels" not in back.__dict__ and back.table.tobytes() == quotient.table.tobytes()
+        assert quotient.labels == back.labels == (
+            "[e]", "[(3 4)]", "[(2 3)]", "[(2 3 4)]", "[(2 4 3)]", "[(2 4)]")
+        assert "labels" not in g.__dict__
+
+    def test_quotient_identity_is_the_identity_coset(self):
+        g, shift = _relabelled(make_symmetric(3))  # identity at index 5, shown by index
+        assert g.identity == 5
+        alternating = shift[[0, 3, 4]].tolist()  # e, (1 2 3), (1 3 2)
+        for normal, want in [([5], 5), (alternating, 1)]:
+            hom = homs.quotient_hom(g, normal)
+            assert hom.target.identity == hom.mapping[g.identity] == want
+            reps = [hom.mapping.index(c) for c in range(hom.target.order)]
+            assert hom.target.labels == tuple(f"[{x}]" for x in reps)
 
     def test_braid_check_reads_no_labels(self, label_reads):
         target = parse_group_spec("product:sym:5,cyclic:2")  # a braid-homs target
